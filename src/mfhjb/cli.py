@@ -416,7 +416,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--seed", type=int, default=None, help="overrides config seed")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
@@ -428,11 +427,6 @@ def main(argv=None) -> int:
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-
-    if args.threads > 1:
-        from mfhjb import control
-
-        control.WORKER_THREADS = args.threads
 
     started = time.time()
     try:

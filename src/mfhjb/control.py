@@ -37,12 +37,6 @@ __all__ = [
     "h_via_second_derivative",
 ]
 
-#: Path-level worker threads for Monte Carlo loops.  Per-path results are
-#: deterministic and reduced in fixed index order, so any thread count gives
-#: identical output.
-WORKER_THREADS = 1
-
-
 @dataclass(frozen=True)
 class ActionSpace:
     """Either a box [lo, hi]^q or a finite list of actions."""
@@ -315,16 +309,10 @@ def cost_j(
         terminal = coeffs.terminal_cost(bundle.trajectories[-1], bundle.terminal)
         return math.fsum(running + terminal) / init.n
 
+    # one path's bundle is freed before the next is simulated
     per_path = np.empty(paths)
-    if WORKER_THREADS > 1 and paths > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=WORKER_THREADS) as pool:
-            for p, val in enumerate(pool.map(one_path, range(paths))):
-                per_path[p] = val
-    else:
-        for p in range(paths):
-            per_path[p] = one_path(p)
+    for p in range(paths):
+        per_path[p] = one_path(p)
     mean = math.fsum(per_path) / paths
     stderr = float(per_path.std(ddof=1) / math.sqrt(paths)) if paths > 1 else float("inf")
     return {"mean": float(mean), "stderr": stderr, "per_path": per_path}

@@ -13,9 +13,12 @@ the monotone coupling is a uniform-weight midpoint rule in probability space:
     W2^2 = integral |z - T(z)|^2 dF_source(z)
          = integral_0^1 |F_source^{-1}(p) - F_target^{-1}(p)|^2 dp.
 
-CDF values are clamped to [P_MIN, 1 - P_MIN]; the inverse map grows like
-exp(z^2 / (4 sigma^2)) in the tails, and the clamp keeps quantile evaluations
-bounded at an error far below quadrature noise.
+Quantiles come from one safeguarded Newton solve against the raw CDF (see
+``_mixture_quantile`` for its residual contract).  Probability levels are
+clamped to [P_MIN, 1 - P_MIN] before the solve: the inverse map grows like
+exp(z^2 / (4 sigma^2)) in the tails, and the clamp keeps quantile
+evaluations bounded at an error far below quadrature noise.  The public
+``SmoothedProjection.cdf`` returns values clamped the same way.
 """
 
 from __future__ import annotations
@@ -36,9 +39,6 @@ __all__ = [
 
 P_MIN = 1e-14
 
-_BISECT_ITERS = 30
-_NEWTON_ITERS = 5
-
 
 def _aligned_arg(values: np.ndarray, sigma: float, z: np.ndarray) -> np.ndarray:
     # values (n,) pairs with z of any shape; values (A, n) pairs row-wise with
@@ -51,69 +51,70 @@ def _aligned_arg(values: np.ndarray, sigma: float, z: np.ndarray) -> np.ndarray:
 
 
 def _mixture_cdf(values: np.ndarray, sigma: float, z: np.ndarray) -> np.ndarray:
-    """Clamped CDF of the Gaussian-smoothed point cloud, vectorized over z."""
-    out = ndtr(_aligned_arg(values, sigma, z)).mean(axis=-1)
-    return np.clip(out, P_MIN, 1.0 - P_MIN)
+    """Raw (unclamped) CDF of the Gaussian-smoothed point cloud, vectorized over z."""
+    arg = _aligned_arg(values, sigma, z)
+    return ndtr(arg, out=arg).mean(axis=-1)
 
 
 def _mixture_pdf(values: np.ndarray, sigma: float, z: np.ndarray) -> np.ndarray:
     arg = _aligned_arg(values, sigma, z)
-    return np.exp(-0.5 * arg**2).mean(axis=-1) / (sigma * np.sqrt(2.0 * np.pi))
+    arg *= arg
+    arg *= -0.5
+    return np.exp(arg, out=arg).mean(axis=-1) / (sigma * np.sqrt(2.0 * np.pi))
 
 
-def _mixture_quantile(
-    values: np.ndarray, sigma: float, p: np.ndarray, z0: np.ndarray | None = None
-) -> np.ndarray:
-    """Solve F(z) = p by bracketed bisection followed by guarded Newton.
+def _mixture_quantile(values: np.ndarray, sigma: float, p: np.ndarray) -> np.ndarray:
+    """Solve F(z) = p for the raw mixture CDF F by safeguarded Newton.
 
-    The bracket [min v + sigma q_p - 1, max v + sigma q_p + 1] always contains
-    the root.  Bisection is run to near machine width, then up to five Newton
-    steps with the mixture density polish the result; a Newton step that does
-    not improve |F(z) - p| is rejected.
+    p is first clamped to [P_MIN, 1 - P_MIN].  With q = Phi^{-1}(p), every
+    term Phi((z - v_i) / sigma) is <= p at z = min v + sigma q and >= p at
+    z = max v + sigma q, so that pair brackets the root.  Each entry starts
+    from the moment-matched seed mean v + sqrt(var v + sigma^2) q, clipped
+    into its bracket.  Every CDF evaluation moves one bracket end to z, and
+    a Newton step that does not land strictly inside the bracket is replaced
+    by its midpoint.  Only entries still running are evaluated.
 
-    ``z0`` warm-starts the solve from a nearby solution (skipping bisection);
-    entries Newton fails to converge from there fall back to the full solve.
+    Contract: an entry stops at the first z with
+
+        |F(z) - p| <= F'(z) ulp(z) + eps p,
+
+    the change one ulp of z makes in F plus one rounding of F, or once no
+    double lies strictly inside its bracket.  Either way the returned z is
+    within a few ulps of a sign change of the computed F(z) - p.
     """
     p = np.clip(np.asarray(p, dtype=float), P_MIN, 1.0 - P_MIN)
+    shape = p.shape
+    p = p.ravel()
     q = ndtri(p)
-    if values.ndim == 1:
-        vmin, vmax = values.min(), values.max()
-    else:
-        extra = p.ndim - (values.ndim - 1)
-        shape = values.shape[:-1] + (1,) * extra
-        vmin = values.min(axis=-1).reshape(shape)
-        vmax = values.max(axis=-1).reshape(shape)
-    lo = vmin + sigma * q - 1.0
-    hi = vmax + sigma * q + 1.0
-    if z0 is None:
-        lo = np.broadcast_to(lo, p.shape).copy()
-        hi = np.broadcast_to(hi, p.shape).copy()
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            below = _mixture_cdf(values, sigma, mid) < p
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        z = 0.5 * (lo + hi)
-        newton_iters = _NEWTON_ITERS
-    else:
-        z = np.clip(np.broadcast_to(z0, p.shape), lo, hi)
-        newton_iters = 3
-    fz = _mixture_cdf(values, sigma, z)
-    resid = np.abs(fz - p)
-    for _ in range(newton_iters):
-        dens = _mixture_pdf(values, sigma, z)
-        step = np.where(dens > 0.0, (fz - p) / np.maximum(dens, 1e-300), 0.0)
-        z_new = np.clip(z - step, lo, hi)
-        f_new = _mixture_cdf(values, sigma, z_new)
-        improved = np.abs(f_new - p) < resid
-        z = np.where(improved, z_new, z)
-        fz = np.where(improved, f_new, fz)
-        resid = np.abs(fz - p)
-    if z0 is not None and np.any(resid > 1e-11):
-        # warm start missed somewhere; redo those entries from the bracket
-        full = _mixture_quantile(values, sigma, p)
-        z = np.where(resid > 1e-11, full, z)
-    return z
+    table = np.atleast_2d(values)  # one row for (n,) values, else row a pairs with p[a]
+    row = np.repeat(np.arange(table.shape[0]), p.size // table.shape[0])
+    spread = np.sqrt(table.var(axis=-1) + sigma**2)
+    lo = table.min(axis=-1)[row] + sigma * q
+    hi = table.max(axis=-1)[row] + sigma * q
+    z = np.clip(table.mean(axis=-1)[row] + spread[row] * q, lo, hi)
+    out = np.empty_like(p)
+    todo = np.arange(p.size)
+    while todo.size:
+        v = values if values.ndim == 1 else table[row]
+        f = _mixture_cdf(v, sigma, z) - p
+        dens = _mixture_pdf(v, sigma, z)
+        lo = np.where(f < 0.0, z, lo)
+        hi = np.where(f > 0.0, z, hi)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            z_next = z - f / dens
+        z_next = np.where((lo < z_next) & (z_next < hi), z_next, 0.5 * (lo + hi))
+        # NaN residuals compare False, so they stop too
+        tol = dens * np.spacing(np.abs(z)) + np.finfo(float).eps * p
+        going = (np.abs(f) > tol) & (lo < z_next) & (z_next < hi)
+        out[todo[~going]] = z[~going]
+        todo, row, p, lo, hi, z = todo[going], row[going], p[going], lo[going], hi[going], z_next[going]
+    return out.reshape(shape)
+
+
+def _transport(src_values, src_sigma, tgt_values, tgt_sigma, z):
+    """Monotone map F_tgt^{-1}(F_src(z)); value arrays pair with z as in
+    ``_mixture_cdf``, and the quantile solve clamps the CDF values."""
+    return _mixture_quantile(tgt_values, tgt_sigma, _mixture_cdf(src_values, src_sigma, z))
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ class SmoothedProjection:
         z = np.asarray(z, dtype=float)
         if not np.isfinite(z).all():
             raise ValueError("cdf argument must be finite")
-        return _mixture_cdf(self.values, self.sigma, z)
+        return np.clip(_mixture_cdf(self.values, self.sigma, z), P_MIN, 1.0 - P_MIN)
 
     def pdf(self, z):
         z = np.asarray(z, dtype=float)
@@ -159,7 +160,11 @@ class TransportMap1D:
     target: SmoothedProjection
 
     def __call__(self, z):
-        return self.target.quantile(self.source.cdf(z))
+        z = np.asarray(z, dtype=float)
+        if not np.isfinite(z).all():
+            raise ValueError("transport argument must be finite")
+        src, tgt = self.source, self.target
+        return _transport(src.values, src.sigma, tgt.values, tgt.sigma, z)
 
 
 def w2_smoothed(src: SmoothedProjection, tgt: SmoothedProjection, quad_points: int = 512) -> float:

@@ -250,19 +250,3 @@ def test_h_via_second_derivative_cross_check():
     )
     with pytest.raises(ValueError):
         h_via_second_derivative(bare, 0.0, ens)
-
-
-def test_worker_threads_reproducible():
-    from mfhjb import control
-
-    lq = scenario("lq_drift", {"d": 2, "p": [1.0, 0.0]})
-    init = sample_iid({"kind": "gaussian", "std": 0.4}, 32, 2, seed=20)
-    cfg = SimConfig(n=32, steps=6, t0=0.0, t1=0.6, seed=21)
-    pol = StepControl.constant(0.0, [1.0, 0.0])
-    serial = cost_j(lq, init, pol, cfg, paths=6)["mean"]
-    control.WORKER_THREADS = 4
-    try:
-        threaded = cost_j(lq, init, pol, cfg, paths=6)["mean"]
-    finally:
-        control.WORKER_THREADS = 1
-    assert serial == threaded

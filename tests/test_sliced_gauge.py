@@ -3,6 +3,7 @@ import pytest
 
 from mfhjb.measures import ParticleEnsemble, translate
 from mfhjb.sliced_gauge import (
+    _CHUNK_ATOMS,
     C_D_CALIBRATED,
     GAUGE_SQUARE_FACTOR,
     GaugeAnchors,
@@ -190,11 +191,13 @@ def test_dmu_gauge_identity_is_zero():
 
 
 def test_dmu_gauge_batched_x_matches_single():
+    # enough points for two chunks; a row must not depend on its batch or chunk
     mu, nu = random_pair(10)
-    xs = np.array([[0.1, 0.2], [-0.5, 1.0], [2.0, 0.0]])
+    k = _CHUNK_ATOMS // (QUAD2.count * 256 * max(mu.n, nu.n)) + 3
+    xs = np.random.default_rng(11).standard_normal((k, 2))
     batched = dmu_gauge(mu, nu, 0.5, QUAD2, xs)
-    for i, x in enumerate(xs):
-        np.testing.assert_allclose(batched[i], dmu_gauge(mu, nu, 0.5, QUAD2, x), rtol=1e-13)
+    for i in (0, k - 4, k - 1):
+        assert np.array_equal(batched[i], dmu_gauge(mu, nu, 0.5, QUAD2, xs[i]))
 
 
 def test_dxdmu_gauge_translation_is_zero():

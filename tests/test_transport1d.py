@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from mfhjb.transport1d import (
+    P_MIN,
     SmoothedProjection,
     TransportMap1D,
+    _mixture_cdf,
+    _mixture_quantile,
     w1_empirical_gaussian,
     w2_discrete,
     w2_smoothed,
@@ -60,6 +63,13 @@ def test_quantile_median_single_value():
     assert sp.quantile(0.5) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("p, level", [(1e-15, P_MIN), (1.0 - 1e-15, 1.0 - P_MIN)], ids=["lower", "upper"])
+def test_quantile_clamp_single_value(p, level):
+    # a level beyond the clamp solves at the clamp level itself
+    sp = SmoothedProjection(np.array([0.0]), sigma=1.0)
+    assert sp.quantile(p) == pytest.approx(ndtri(level), abs=1e-9)
+
+
 def test_quantile_symmetric_mixture():
     sp = SmoothedProjection(np.array([-1.0, 1.0]), sigma=0.5)
     assert sp.quantile(0.5) == pytest.approx(0.0, abs=1e-11)
@@ -70,6 +80,38 @@ def test_quantile_cdf_round_trip():
     z = np.linspace(-3 * 0.7, 3 * 0.7, 25)
     back = sp.quantile(sp.cdf(z))
     np.testing.assert_allclose(back, z, atol=1e-9)
+
+
+MIDPOINTS_512 = (np.arange(512) + 0.5) / 512
+CLAMP_LEVELS = np.array([1e-300, 1e-15, P_MIN, 0.5, 1.0 - P_MIN, 1.0 - 1e-16])
+
+
+@pytest.mark.parametrize(
+    "values, sigma, p",
+    [
+        (np.array([0.0, 1e6]), 1e-3, MIDPOINTS_512),
+        (np.array([0.0, 0.0, 0.0, 1.0, 1.0, 2.5]), 1e-6, MIDPOINTS_512),
+        (np.array([0.3]), 0.7, MIDPOINTS_512),
+        (np.array([-1.0, 0.2, 0.2, 3.0]), 0.5, CLAMP_LEVELS),
+        (np.array([4.0]), 2.0, CLAMP_LEVELS),
+        (
+            np.random.default_rng(9).standard_normal((3, 4)) * [[1.0], [50.0], [1e-3]],
+            0.05,
+            np.random.default_rng(10).uniform(0.0, 1.0, (3, 2, 7)),
+        ),
+    ],
+    ids=["separated", "tiny_sigma_duplicates", "single_point", "clamps", "single_point_clamps", "aligned_rows"],
+)
+def test_quantile_residual_contract(values, sigma, p):
+    # each returned z is within a few ulps of a sign change of the raw F - p,
+    # up to the rounding of F (a mean of positive terms)
+    z = _mixture_quantile(values, sigma, p)
+    assert z.shape == p.shape and np.isfinite(z).all()
+    target = np.clip(p, P_MIN, 1.0 - P_MIN)
+    step = 4.0 * np.spacing(np.abs(z))
+    slack = 4.0 * np.finfo(float).eps * target
+    assert np.all(_mixture_cdf(values, sigma, z - step) <= target + slack)
+    assert np.all(_mixture_cdf(values, sigma, z + step) >= target - slack)
 
 
 def test_quantile_rejects_bad_p():
@@ -105,6 +147,14 @@ def test_transport_gaussian_scaling():
     tgt = SmoothedProjection(np.array([0.0]), sigma=s2)
     z = np.linspace(-1.5, 1.5, 13)
     np.testing.assert_allclose(TransportMap1D(src, tgt)(z), z * s2 / s1, rtol=1e-9, atol=1e-10)
+
+
+@pytest.mark.parametrize("z", [-3.9, -4.0])
+def test_transport_lower_clamp(z):
+    # the source CDF at z is below P_MIN, so z maps to the target's clamp quantile
+    src = SmoothedProjection(np.array([0.0]), sigma=0.5)
+    tgt = SmoothedProjection(np.array([0.0]), sigma=1.0)
+    assert TransportMap1D(src, tgt)(z) == pytest.approx(ndtri(P_MIN), abs=1e-9)
 
 
 def test_transport_strictly_increasing():
