@@ -14,15 +14,12 @@ clouds in R^d) and provides:
   HJB equation on closed-form scenarios.
 """
 
-from mfhjb.measures import Direction, ParticleEnsemble, project, sample_iid, second_moment, translate
+from mfhjb.measures import ParticleEnsemble, sample_iid, translate
 from mfhjb.transport1d import SmoothedProjection, TransportMap1D, w2_discrete, w2_smoothed
 
 __all__ = [
-    "Direction",
     "ParticleEnsemble",
-    "project",
     "sample_iid",
-    "second_moment",
     "translate",
     "SmoothedProjection",
     "TransportMap1D",

@@ -3,8 +3,9 @@
 Each subcommand runs one verification suite with a JSON config, writes
 machine-readable results to the output directory, and exits 0 only if every
 asserted tolerance passed.  Malformed configs exit 1; tolerance failures exit
-3.  Result files are byte-identical across reruns with the same config and
-seed; wall-clock metadata is isolated in a separate meta.json.
+3; numerical failures (a non-finite simulated state) exit 4.  Result files
+are byte-identical across reruns with the same config and seed; wall-clock
+metadata is isolated in a separate meta.json.
 """
 
 from __future__ import annotations
@@ -457,6 +458,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except FloatingPointError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 4
 
     result = {
         "schema_version": SCHEMA_VERSION,

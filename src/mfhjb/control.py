@@ -179,7 +179,6 @@ class TestFunction:
     dxdmu: callable
     h_op: callable
     d2mu: callable | None = None
-    growth: float = 1.0
 
 
 def h_via_second_derivative(tf: TestFunction, t: float, ens: ParticleEnsemble) -> np.ndarray:
@@ -197,46 +196,34 @@ def h_via_second_derivative(tf: TestFunction, t: float, ens: ParticleEnsemble) -
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Scenario coefficients (b, sigma, sigma0, f, g) with advertised bounds.
+    """Scenario coefficients with advertised bounds.
 
-    Vectorized evaluator signatures (n particles, state dimension d, action
-    dimension q):
+    The fields are the paper's b, sigma, sigma0, f and g.  Each takes plain
+    arrays and broadcasts over any leading batch axes (``...``): ``x`` and
+    ``cloud`` have shape (..., n, d), where ``cloud`` holds the particles of
+    the empirical measure, ``a`` has shape (..., n, q), and ``t`` is a float
+    or an array of shape ``x.shape[:-2]``:
 
-        b(t, x (n,d), mu: ParticleEnsemble, a (n,q)) -> (n, d)
-        sigma(t, x (n,d), a (n,q)) -> (d, d) or (n, d, d)
-        sigma0(t) -> (d, d)
-        f(t, x (n,d), mu, a (n,q)) -> (n,)
-        g(x (n,d), mu) -> (n,)
+        drift(t, x, cloud, a) -> (..., n, d)                      b
+        diffusion(t, x, a) -> (d, d) or (n, d, d)                 sigma
+        common_diffusion(t) -> (d, d)                             sigma0
+        running_cost(t, x, cloud, a) -> (..., n)                  f
+        terminal_cost(x, cloud) -> (..., n)                       g
 
     K bounds all five in absolute value; beta is the time Holder exponent.
     """
 
-    b: callable
-    sigma: callable
-    sigma0: callable
-    f: callable
-    g: callable
+    drift: callable
+    diffusion: callable
+    common_diffusion: callable
+    running_cost: callable
+    terminal_cost: callable
     K: float
     beta: float
     action_space: ActionSpace
     d: int
     name: str = ""
     params: dict = field(default_factory=dict)
-
-    def drift(self, t, x, ens, a):
-        return np.asarray(self.b(t, x, ens, a), dtype=float)
-
-    def diffusion(self, t, x, a):
-        return np.asarray(self.sigma(t, x, a), dtype=float)
-
-    def common_diffusion(self, t):
-        return np.asarray(self.sigma0(t), dtype=float)
-
-    def running_cost(self, t, x, ens, a):
-        return np.asarray(self.f(t, x, ens, a), dtype=float)
-
-    def terminal_cost(self, x, ens):
-        return np.asarray(self.g(x, ens), dtype=float)
 
     def validate(self, horizon: float = 1.0, n_probes: int = 200, seed: int = 0) -> dict:
         """Spot-check the advertised bound K and Lipschitz constants.
@@ -252,14 +239,14 @@ class CoefficientSet:
         for _ in range(n_probes):
             t = float(rng.uniform(0, horizon))
             x = rng.standard_normal((4, self.d)) * rng.uniform(0.5, 3.0)
-            ens = ParticleEnsemble(rng.standard_normal((5, self.d)))
+            cloud = rng.standard_normal((5, self.d))
             a = acts[rng.integers(len(acts))]
             av = np.broadcast_to(a, (4, a.shape[0]))
-            bv = np.linalg.norm(self.drift(t, x, ens, av), axis=1).max()
-            sv = np.linalg.norm(np.atleast_3d(self.diffusion(t, x, av)))
+            b1 = self.drift(t, x, cloud, av)
+            bv = np.linalg.norm(b1, axis=1).max()
             s0 = np.linalg.norm(self.common_diffusion(t))
-            fv = np.abs(self.running_cost(t, x, ens, av)).max()
-            gv = np.abs(self.terminal_cost(x, ens)).max()
+            fv = np.abs(self.running_cost(t, x, cloud, av)).max()
+            gv = np.abs(self.terminal_cost(x, cloud)).max()
             sup["b"] = max(sup["b"], float(bv))
             sup["sigma"] = max(sup["sigma"], float(np.abs(self.diffusion(t, x, av)).max() * self.d))
             sup["sigma0"] = max(sup["sigma0"], float(s0))
@@ -268,9 +255,7 @@ class CoefficientSet:
             # Lipschitz in x and in the measure along translations
             dx = rng.standard_normal(self.d) * 0.1
             shift = rng.standard_normal(self.d) * 0.1
-            ens2 = ParticleEnsemble(ens.points + shift)
-            b1 = self.drift(t, x, ens, av)
-            b2 = self.drift(t, x + dx, ens2, av)
+            b2 = self.drift(t, x + dx, cloud + shift, av)
             denom = np.linalg.norm(dx) + np.linalg.norm(shift)
             lip = max(lip, float(np.linalg.norm(b2 - b1, axis=1).max() / denom))
         tol = 1.0 + 1e-9
@@ -291,8 +276,9 @@ def cost_j(
     path_offset: int = 0,
     noise_ids: np.ndarray | None = None,
 ) -> dict:
-    """Monte Carlo cost: left-Riemann running cost plus terminal cost,
-    averaged over particles (exactly, via fsum) and over common-noise paths.
+    """Monte Carlo cost: the left-Riemann running cost ``simulate`` integrates
+    plus the terminal cost, averaged over particles (exactly, via fsum) and
+    over common-noise paths.
 
     The particle reduction uses exact summation, so the estimate is invariant
     under joint permutations of initial points and noise identities.
@@ -300,14 +286,8 @@ def cost_j(
 
     def one_path(p: int) -> float:
         bundle = simulate(coeffs, init, policy, cfg, path_index=path_offset + p, noise_ids=noise_ids)
-        running = np.zeros(init.n)
-        for k in range(cfg.steps):
-            t = float(bundle.times[k])
-            x = bundle.trajectories[k]
-            ens = ParticleEnsemble(x)
-            running += coeffs.running_cost(t, x, ens, bundle.controls_used[k]) * cfg.dt
-        terminal = coeffs.terminal_cost(bundle.trajectories[-1], bundle.terminal)
-        return math.fsum(running + terminal) / init.n
+        x = bundle.trajectories[-1]
+        return math.fsum(bundle.running + coeffs.terminal_cost(x, x)) / init.n
 
     # one path's bundle is freed before the next is simulated
     per_path = np.empty(paths)
@@ -481,14 +461,7 @@ def dpp_residual(
         totals = np.empty(paths_outer)
         for p in range(paths_outer):
             bundle = simulate(coeffs, init, leg_policy, cfg_leg, path_index=p)
-            running = np.zeros(n)
-            for k in range(cfg_leg.steps):
-                tk = float(bundle.times[k])
-                x = bundle.trajectories[k]
-                running += coeffs.running_cost(
-                    tk, x, ParticleEnsemble(x), bundle.controls_used[k]
-                ) * cfg_leg.dt
-            leg_cost = math.fsum(running) / n
+            leg_cost = math.fsum(bundle.running) / n
             cfg_tail = SimConfig(
                 n=n, steps=steps_tail, t0=s_mid, t1=t1, seed=seed + 31 * (p + 1)
             )
@@ -536,8 +509,8 @@ def hjb_residual(
     ham = np.full(n, -np.inf)
     for a in actions:
         av = np.broadcast_to(np.asarray(a, dtype=float).ravel(), (n, np.size(a)))
-        fv = coeffs.running_cost(t, x, mu, av)
-        bv = coeffs.drift(t, x, mu, av)
+        fv = coeffs.running_cost(t, x, x, av)
+        bv = coeffs.drift(t, x, x, av)
         sig = np.asarray(coeffs.diffusion(t, x, av), dtype=float)
         if sig.ndim == 2:
             ssT = sig @ sig.T

@@ -83,12 +83,14 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """One realization: the shared increments, all trajectories, controls."""
+    """One realization: the shared increments, all trajectories, controls,
+    and each particle's left-Riemann running cost sum_k f(t_k, X_k, mu_k, a_k) dt."""
 
     times: np.ndarray  # (steps + 1,)
     common_increments: np.ndarray  # (steps, d)
     trajectories: np.ndarray  # (steps + 1, n, d)
     controls_used: np.ndarray  # (steps, n, q)
+    running: np.ndarray  # (n,)
 
     @property
     def terminal(self) -> ParticleEnsemble:
@@ -126,9 +128,10 @@ def simulate(
 ) -> PathBundle:
     """Run the Euler-Maruyama scheme for one common-noise realization.
 
-    ``coeffs`` provides drift/diffusion/common_diffusion in vectorized form
-    (see control.CoefficientSet); ``policy.actions_at(t, X)`` supplies the
-    per-particle actions.  Any non-finite state aborts with the step index.
+    ``coeffs`` is a control.CoefficientSet, called with the current state as
+    its own cloud; ``policy.actions_at(t, X)`` supplies the per-particle
+    actions.  The running cost is integrated along the way.  Any non-finite
+    state aborts with the step index.
     """
     n, d = init.n, init.d
     dt = cfg.dt
@@ -143,17 +146,18 @@ def simulate(
     traj[0] = init.points
     common = np.empty((cfg.steps, d))
     controls = None
+    running = np.zeros(n)
 
     x = init.points.copy()
     for k in range(cfg.steps):
         t = float(times[k])
-        ens = ParticleEnsemble(x)
         a = np.atleast_2d(policy.actions_at(t, x))
         if a.shape[0] == 1 and n > 1:
             a = np.broadcast_to(a, (n, a.shape[1]))
         if controls is None:
             controls = np.empty((cfg.steps, n, a.shape[1]))
         controls[k] = a
+        running += coeffs.running_cost(t, x, x, controls[k]) * dt
 
         dw0 = sq * noise_block(cfg.seed, _COMMON, path_index, k, 1, d)[0]
         common[k] = dw0
@@ -161,7 +165,7 @@ def simulate(
 
         x = (
             x
-            + coeffs.drift(t, x, ens, a) * dt
+            + coeffs.drift(t, x, x, a) * dt
             + _diffuse(np.asarray(coeffs.diffusion(t, x, a), dtype=float), dw)
             + dw0 @ np.asarray(coeffs.common_diffusion(t), dtype=float).T
         )
@@ -172,7 +176,7 @@ def simulate(
             raise FloatingPointError(f"non-finite state at step {k + 1} (t = {t + dt:.6g})")
         traj[k + 1] = x
 
-    return PathBundle(times, common, traj, controls)
+    return PathBundle(times, common, traj, controls, running)
 
 
 def moment_checks(
@@ -248,7 +252,7 @@ def ito_expectation_check(
             x = bundle.trajectories[k]
             ens = ParticleEnsemble(x)
             a = bundle.controls_used[k]
-            bvec = coeffs.drift(t, x, ens, a)  # (n, d)
+            bvec = coeffs.drift(t, x, x, a)  # (n, d)
             sig = np.asarray(coeffs.diffusion(t, x, a), dtype=float)
             sig0 = np.asarray(coeffs.common_diffusion(t), dtype=float)
             dmu = testfn.dmu(t, ens)  # (n, d)

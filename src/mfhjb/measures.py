@@ -9,21 +9,11 @@ construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ParticleEnsemble",
-    "Direction",
-    "project",
-    "second_moment",
-    "translate",
-    "sample_iid",
-    "ensemble_to_json",
-    "ensemble_from_json",
-]
+__all__ = ["ParticleEnsemble", "translate", "sample_iid"]
 
 
 @dataclass(frozen=True)
@@ -61,49 +51,6 @@ class ParticleEnsemble:
 
     def second_moment(self) -> float:
         return float(np.mean(np.sum(self.points**2, axis=1)))
-
-
-@dataclass(frozen=True)
-class Direction:
-    """A unit vector on the sphere S^{d-1}."""
-
-    theta: np.ndarray
-
-    def __post_init__(self):
-        th = np.asarray(self.theta, dtype=float).ravel()
-        norm = float(np.linalg.norm(th))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"direction must be a unit vector, |theta| = {norm!r}")
-        th = th.copy()
-        th.setflags(write=False)
-        object.__setattr__(self, "theta", th)
-
-    @property
-    def d(self) -> int:
-        return self.theta.shape[0]
-
-
-def _theta_array(theta) -> np.ndarray:
-    if isinstance(theta, Direction):
-        return theta.theta
-    return np.asarray(theta, dtype=float).ravel()
-
-
-def project(ens: ParticleEnsemble, theta) -> np.ndarray:
-    """Scalar projections theta . x_i of all particles, order preserved.
-
-    This is the pushforward of the ensemble under x -> theta . x; the result
-    is the particle representation of the projected measure on R.
-    """
-    th = _theta_array(theta)
-    if th.shape[0] != ens.d:
-        raise ValueError(f"direction dimension {th.shape[0]} != ensemble dimension {ens.d}")
-    return ens.points @ th
-
-
-def second_moment(ens: ParticleEnsemble) -> float:
-    """(1/n) sum_i |x_i|^2."""
-    return ens.second_moment()
 
 
 def translate(ens: ParticleEnsemble, w) -> ParticleEnsemble:
@@ -156,13 +103,3 @@ def sample_iid(spec: dict, n: int, d: int, seed: int) -> ParticleEnsemble:
                 pts[mask] = _sample_component(comp, int(mask.sum()), d, rng)
         return ParticleEnsemble(pts)
     return ParticleEnsemble(_sample_component(spec, n, d, rng))
-
-
-def ensemble_to_json(ens: ParticleEnsemble) -> str:
-    """Serialize as a JSON array of arrays of finite doubles."""
-    return json.dumps(ens.points.tolist())
-
-
-def ensemble_from_json(text: str) -> ParticleEnsemble:
-    data = json.loads(text)
-    return ParticleEnsemble(np.asarray(data, dtype=float))

@@ -20,12 +20,11 @@ at the kernel's first-moment rate 1/m in space and m^{-beta} in time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from mfhjb.measures import ParticleEnsemble
 from mfhjb.quadrature import quasi_uniform
 
 __all__ = [
@@ -39,9 +38,11 @@ __all__ = [
     "MollifiedCoefficients",
 ]
 
+_KERNEL_NODES = 4097  # grid size of the bump kernel's quantile table
+
 
 @lru_cache(maxsize=8)
-def bump_kernel_tables(nodes: int = 4097) -> tuple:
+def bump_kernel_tables(nodes: int = _KERNEL_NODES) -> tuple:
     """Quantile table of the normalized bump exp(-1/(1-u^2)) on [-1, 1].
 
     Returns (u_grid, cdf_grid, first_abs_moment).  The kernel integrates to
@@ -61,19 +62,17 @@ def bump_kernel_tables(nodes: int = 4097) -> tuple:
     return u, cdf, first_moment
 
 
-def _bump_quantile(p: np.ndarray, nodes: int = 4097) -> np.ndarray:
-    u, cdf, _ = bump_kernel_tables(nodes)
+def _bump_quantile(p: np.ndarray) -> np.ndarray:
+    u, cdf, _ = bump_kernel_tables()
     return np.interp(p, cdf, u)
 
 
 @dataclass(frozen=True)
 class MollifierSpec:
-    """Smoothing index m, kernel table resolutions, and the quasi-random
-    offset count used for the joint integral."""
+    """Smoothing index m and the quasi-random offset count used for the
+    joint integral."""
 
     m: int
-    phi_nodes: int = 4097
-    Phi_nodes: int = 4097
     offsets: int = 4096
     seed: int = 0
     stderr_cap: float = np.inf
@@ -89,8 +88,8 @@ def _draw_offsets(spec: MollifierSpec, n: int, d: int) -> tuple:
     """Seeded offsets: times (Q,) from the time kernel, space (Q, n, d) from
     the product space kernel (before the 1/m scaling)."""
     pts = quasi_uniform(spec.offsets, 1 + n * d, spec.seed)
-    t_off = _bump_quantile(pts[:, 0], spec.phi_nodes)
-    z_off = _bump_quantile(pts[:, 1:], spec.Phi_nodes).reshape(spec.offsets, n, d)
+    t_off = _bump_quantile(pts[:, 0])
+    z_off = _bump_quantile(pts[:, 1:]).reshape(spec.offsets, n, d)
     return t_off, z_off
 
 
@@ -105,35 +104,25 @@ def _mollified_all(
     t_off: np.ndarray,
     z_off: np.ndarray,
 ) -> tuple:
-    """Mean and standard error over offsets of the smoothed coefficient,
-    evaluated for every particle index at once."""
-    n, d = xbar.shape
+    """Mean and standard error over offsets of the smoothed coefficient
+    ``kind`` (a CoefficientSet field name), for every particle index at once.
+
+    All Q offsets go through one call of the base coefficient on (Q, n, d)
+    arrays; each offset's shifted state is also its own cloud.
+    """
     q = z_off.shape[0]
-    m = spec.m
-    anchor = None  # first value anchors the variance sum against cancellation
-    acc = None
-    acc_sq = None
-    for k in range(q):
-        xs = xbar - z_off[k] / m
-        ens = ParticleEnsemble(xs)
-        if kind == "b":
-            tk = min(max(t - t_off[k] / m, 0.0), horizon)
-            val = np.asarray(coeffs.b(tk, xs, ens, a), dtype=float)
-        elif kind == "f":
-            tk = min(max(t - t_off[k] / m, 0.0), horizon)
-            val = np.asarray(coeffs.f(tk, xs, ens, a), dtype=float)
-        else:
-            val = np.asarray(coeffs.g(xs, ens), dtype=float)
-        if anchor is None:
-            anchor = val
-            acc = np.zeros_like(val)
-            acc_sq = np.zeros_like(val)
-        shifted = val - anchor
-        acc += shifted
-        acc_sq += shifted**2
-    centered = acc / q
-    mean = anchor + centered
-    var = np.maximum(acc_sq / q - centered**2, 0.0)
+    xs = xbar - z_off / spec.m
+    if kind == "terminal_cost":
+        vals = coeffs.terminal_cost(xs, xs)
+    else:
+        ts = np.minimum(np.maximum(t - t_off / spec.m, 0.0), horizon)
+        vals = getattr(coeffs, kind)(ts, xs, xs, a)
+    vals = np.asarray(vals, dtype=float)
+    # the first offset anchors the sums against cancellation
+    shifted = vals - vals[0]
+    centered = shifted.sum(axis=0) / q
+    mean = vals[0] + centered
+    var = np.maximum((shifted**2).sum(axis=0) / q - centered**2, 0.0)
     stderr = np.sqrt(var / q)
     return mean, stderr
 
@@ -154,17 +143,17 @@ def _single_index(kind, coeffs, spec, i, t, xbar, a, horizon):
 
 def mollified_b(coeffs, spec: MollifierSpec, i: int, t: float, xbar, a, horizon: float = 1.0):
     """Smoothed drift for particle i: (value (d,), stderr, flagged)."""
-    return _single_index("b", coeffs, spec, i, t, xbar, a, horizon)
+    return _single_index("drift", coeffs, spec, i, t, xbar, a, horizon)
 
 
 def mollified_f(coeffs, spec: MollifierSpec, i: int, t: float, xbar, a, horizon: float = 1.0):
     """Smoothed running cost for particle i: (value, stderr, flagged)."""
-    return _single_index("f", coeffs, spec, i, t, xbar, a, horizon)
+    return _single_index("running_cost", coeffs, spec, i, t, xbar, a, horizon)
 
 
 def mollified_g(coeffs, spec: MollifierSpec, i: int, xbar, horizon: float = 1.0):
     """Smoothed terminal cost for particle i: (value, stderr, flagged)."""
-    return _single_index("g", coeffs, spec, i, 0.0, xbar, None, horizon)
+    return _single_index("terminal_cost", coeffs, spec, i, 0.0, xbar, None, horizon)
 
 
 def mollify_rate_bound(
@@ -206,15 +195,15 @@ def mollify_rate_sweep(
         for t, xbar, a in probes:
             xbar = np.asarray(xbar, dtype=float)
             n = xbar.shape[0]
-            ens = ParticleEnsemble(xbar)
             av = np.broadcast_to(np.asarray(a, dtype=float).ravel(), (n, np.size(a)))
-            exact_b = coeffs.b(t, xbar, ens, av)
-            exact_f = coeffs.f(t, xbar, ens, av)
-            exact_g = coeffs.g(xbar, ens)
+            exact_b = coeffs.drift(t, xbar, xbar, av)
+            exact_f = coeffs.running_cost(t, xbar, xbar, av)
+            exact_g = coeffs.terminal_cost(xbar, xbar)
             t_off, z_off = _draw_offsets(spec, n, xbar.shape[1])
-            got_b, _ = _mollified_all("b", coeffs, spec, t, xbar, av, horizon, t_off, z_off)
-            got_f, _ = _mollified_all("f", coeffs, spec, t, xbar, av, horizon, t_off, z_off)
-            got_g, _ = _mollified_all("g", coeffs, spec, t, xbar, None, horizon, t_off, z_off)
+            args = (spec, t, xbar, av, horizon, t_off, z_off)
+            got_b, _ = _mollified_all("drift", coeffs, *args)
+            got_f, _ = _mollified_all("running_cost", coeffs, *args)
+            got_g, _ = _mollified_all("terminal_cost", coeffs, *args)
             sup["b"] = max(sup["b"], float(np.linalg.norm(got_b - exact_b, axis=1).max()))
             sup["f"] = max(sup["f"], float(np.abs(got_f - exact_f).max()))
             sup["g"] = max(sup["g"], float(np.abs(got_g - exact_g).max()))
@@ -226,54 +215,25 @@ def mollify_rate_sweep(
     return table
 
 
-class MollifiedCoefficients:
-    """Coefficient adapter driving the n-particle system with smoothed b, f, g.
+def MollifiedCoefficients(coeffs, spec: MollifierSpec, n: int, horizon: float = 1.0):
+    """The CoefficientSet that drives the n-particle system with smoothed b,
+    f and g; sigma and sigma0 pass through unsmoothed.
 
-    Presents the same vectorized interface as CoefficientSet (the measure
-    argument is recomputed per offset internally, so the one supplied by the
-    simulator is ignored).  sigma and sigma0 pass through unsmoothed.  The
-    offset sample is drawn once at construction: the smoothed coefficients
-    are fixed deterministic functions.
+    The smoothed coefficients take states of shape (n, d) only and rebuild
+    the cloud per offset from the state, so the cloud they are given is
+    ignored.  The offset sample is drawn once here: the smoothed
+    coefficients are fixed deterministic functions.
     """
+    t_off, z_off = _draw_offsets(spec, n, coeffs.d)
 
-    def __init__(self, coeffs, spec: MollifierSpec, n: int, horizon: float = 1.0):
-        self.base = coeffs
-        self.spec = spec
-        self.n = n
-        self.horizon = horizon
-        self.d = coeffs.d
-        self.K = coeffs.K
-        self.beta = coeffs.beta
-        self.action_space = coeffs.action_space
-        self._t_off, self._z_off = _draw_offsets(spec, n, coeffs.d)
+    def smoothed(kind, t, x, a):
+        if x.shape != (n, coeffs.d):
+            raise ValueError(f"state shape {x.shape} != ({n}, {coeffs.d})")
+        return _mollified_all(kind, coeffs, spec, t, x, a, horizon, t_off, z_off)[0]
 
-    def _check(self, x):
-        if x.shape != (self.n, self.d):
-            raise ValueError(f"state shape {x.shape} != ({self.n}, {self.d})")
-
-    def drift(self, t, x, ens, a):
-        self._check(x)
-        mean, _ = _mollified_all(
-            "b", self.base, self.spec, t, x, a, self.horizon, self._t_off, self._z_off
-        )
-        return mean
-
-    def diffusion(self, t, x, a):
-        return self.base.diffusion(t, x, a)
-
-    def common_diffusion(self, t):
-        return self.base.common_diffusion(t)
-
-    def running_cost(self, t, x, ens, a):
-        self._check(x)
-        mean, _ = _mollified_all(
-            "f", self.base, self.spec, t, x, a, self.horizon, self._t_off, self._z_off
-        )
-        return mean
-
-    def terminal_cost(self, x, ens):
-        self._check(x)
-        mean, _ = _mollified_all(
-            "g", self.base, self.spec, 0.0, x, None, self.horizon, self._t_off, self._z_off
-        )
-        return mean
+    return replace(
+        coeffs,
+        drift=lambda t, x, cloud, a: smoothed("drift", t, x, a),
+        running_cost=lambda t, x, cloud, a: smoothed("running_cost", t, x, a),
+        terminal_cost=lambda x, cloud: smoothed("terminal_cost", 0.0, x, None),
+    )

@@ -52,8 +52,8 @@ def _lq_drift(params: dict) -> CoefficientSet:
     sig_mat = sig * np.eye(d)
     sig0_mat = sig0 * np.eye(d)
 
-    def g(x, ens):
-        r = np.linalg.norm(x, axis=1) / radius
+    def terminal_cost(x, cloud):
+        r = np.linalg.norm(x, axis=-1) / radius
         return (x @ p) * smooth_clip_profile(r, inner)
 
     lip_g = float(np.linalg.norm(p)) * _profile_lipschitz_factor(inner)
@@ -61,11 +61,11 @@ def _lq_drift(params: dict) -> CoefficientSet:
     K = max(np.sqrt(d), sig * np.sqrt(d), sig0 * np.sqrt(d), bound_g, lip_g)
 
     return CoefficientSet(
-        b=lambda t, x, ens, a: np.broadcast_to(a, x.shape).astype(float),
-        sigma=lambda t, x, a: sig_mat,
-        sigma0=lambda t: sig0_mat,
-        f=lambda t, x, ens, a: np.zeros(x.shape[0]),
-        g=g,
+        drift=lambda t, x, cloud, a: np.broadcast_to(a, x.shape).astype(float),
+        diffusion=lambda t, x, a: sig_mat,
+        common_diffusion=lambda t: sig0_mat,
+        running_cost=lambda t, x, cloud, a: np.zeros(x.shape[:-1]),
+        terminal_cost=terminal_cost,
         K=K,
         beta=1.0,
         action_space=space,
@@ -80,11 +80,11 @@ def _zero(params: dict) -> CoefficientSet:
     space = ActionSpace("box", lo=-np.ones(d), hi=np.ones(d))
     zmat = np.zeros((d, d))
     return CoefficientSet(
-        b=lambda t, x, ens, a: np.zeros_like(x),
-        sigma=lambda t, x, a: zmat,
-        sigma0=lambda t: zmat,
-        f=lambda t, x, ens, a: np.zeros(x.shape[0]),
-        g=lambda x, ens: np.zeros(x.shape[0]),
+        drift=lambda t, x, cloud, a: np.zeros_like(x),
+        diffusion=lambda t, x, a: zmat,
+        common_diffusion=lambda t: zmat,
+        running_cost=lambda t, x, cloud, a: np.zeros(x.shape[:-1]),
+        terminal_cost=lambda x, cloud: np.zeros(x.shape[:-1]),
         K=np.sqrt(d),  # covers the identity drift bound |b| = 0 <= K trivially
         beta=1.0,
         action_space=space,
@@ -106,20 +106,20 @@ def _mean_reversion_mf(params: dict) -> CoefficientSet:
     sig0_mat = sig0 * np.eye(d)
     u0 = np.ones(d) / np.sqrt(d)
 
-    def b(t, x, ens, a):
-        return pull * np.tanh(ens.mean() - x) + np.broadcast_to(a, x.shape)
+    def drift(t, x, cloud, a):
+        return pull * np.tanh(cloud.mean(axis=-2, keepdims=True) - x) + np.broadcast_to(a, x.shape)
 
-    def f(t, x, ens, a):
+    def running_cost(t, x, cloud, a):
         aa = np.broadcast_to(a, x.shape)
-        return -np.tanh(np.sum(aa**2, axis=1))
+        return -np.tanh(np.sum(aa**2, axis=-1))
 
     mf_center = float(params.get("mf_center", 0.0))
 
-    def g(x, ens):
+    def terminal_cost(x, cloud):
         # concave in the cloud mean, so finite-n mean fluctuations depress
         # the expected terminal cost by an O(1/n) bias
-        agg = np.tanh(float(ens.mean() @ u0) - mf_center) ** 2
-        return np.tanh(x @ p) - mf_weight * agg
+        agg = np.tanh(cloud.mean(axis=-2) @ u0 - mf_center) ** 2
+        return np.tanh(x @ p) - mf_weight * agg[..., None]
 
     K = max(
         (pull + 1.0) * np.sqrt(d) + 1.0,
@@ -129,11 +129,11 @@ def _mean_reversion_mf(params: dict) -> CoefficientSet:
         float(np.linalg.norm(p)) + 2.0 * mf_weight + 1.0,
     )
     return CoefficientSet(
-        b=b,
-        sigma=lambda t, x, a: sig_mat,
-        sigma0=lambda t: sig0_mat,
-        f=f,
-        g=g,
+        drift=drift,
+        diffusion=lambda t, x, a: sig_mat,
+        common_diffusion=lambda t: sig0_mat,
+        running_cost=running_cost,
+        terminal_cost=terminal_cost,
         K=K,
         beta=1.0,
         action_space=space,
@@ -158,15 +158,17 @@ def _bounded_trig(params: dict) -> CoefficientSet:
     def clamp(s):
         return np.clip(s, -1.0, 1.0)
 
-    def b(t, x, ens, a):
-        time_part = time_amp * np.sqrt(abs(t - horizon / 2.0))
-        space_part = space_amp * clamp(x)
-        return time_part * u0 + space_part
+    def time_part(t):
+        # t is a float or has one entry per batch of x: shape (..., 1)
+        return time_amp * np.sqrt(np.abs(np.asarray(t)[..., None] - horizon / 2.0))
 
-    def f(t, x, ens, a):
-        return time_amp * np.sqrt(abs(t - horizon / 2.0)) * np.ones(x.shape[0])
+    def drift(t, x, cloud, a):
+        return time_part(t)[..., None] * u0 + space_amp * clamp(x)
 
-    def g(x, ens):
+    def running_cost(t, x, cloud, a):
+        return time_part(t) * np.ones(x.shape[:-1])
+
+    def terminal_cost(x, cloud):
         return space_amp * clamp(x @ u0)
 
     K = max(
@@ -176,11 +178,11 @@ def _bounded_trig(params: dict) -> CoefficientSet:
         1.0,
     )
     return CoefficientSet(
-        b=b,
-        sigma=lambda t, x, a: sig_mat,
-        sigma0=lambda t: np.zeros((d, d)),
-        f=f,
-        g=g,
+        drift=drift,
+        diffusion=lambda t, x, a: sig_mat,
+        common_diffusion=lambda t: np.zeros((d, d)),
+        running_cost=running_cost,
+        terminal_cost=terminal_cost,
         K=K,
         beta=0.5,
         action_space=space,

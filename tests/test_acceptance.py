@@ -187,10 +187,10 @@ def _ito_fixture():
         s = zero_mat if sig is None else sig
         s0 = zero_mat if sig0 is None else sig0
         return CoefficientSet(
-            b=lambda t, x, ens, a: np.broadcast_to(bc, x.shape).astype(float),
-            sigma=lambda t, x, a: s, sigma0=lambda t: s0,
-            f=lambda t, x, ens, a: np.zeros(x.shape[0]),
-            g=lambda x, ens: np.zeros(x.shape[0]),
+            drift=lambda t, x, cloud, a: np.broadcast_to(bc, x.shape).astype(float),
+            diffusion=lambda t, x, a: s, common_diffusion=lambda t: s0,
+            running_cost=lambda t, x, cloud, a: np.zeros(x.shape[:-1]),
+            terminal_cost=lambda x, cloud: np.zeros(x.shape[:-1]),
             K=2.0, beta=1.0, action_space=space, d=d,
         )
 
@@ -245,11 +245,11 @@ def test_c08_moment_bounds():
     d = 2
     space = ActionSpace("box", lo=-np.ones(d), hi=np.ones(d))
     coeffs = CoefficientSet(
-        b=lambda t, x, ens, a: np.zeros_like(x),
-        sigma=lambda t, x, a: np.eye(d),
-        sigma0=lambda t: np.zeros((d, d)),
-        f=lambda t, x, ens, a: np.zeros(x.shape[0]),
-        g=lambda x, ens: np.zeros(x.shape[0]),
+        drift=lambda t, x, cloud, a: np.zeros_like(x),
+        diffusion=lambda t, x, a: np.eye(d),
+        common_diffusion=lambda t: np.zeros((d, d)),
+        running_cost=lambda t, x, cloud, a: np.zeros(x.shape[:-1]),
+        terminal_cost=lambda x, cloud: np.zeros(x.shape[:-1]),
         K=2.0, beta=1.0, action_space=space, d=d,
     )
     init = sample_iid({"kind": "gaussian", "std": 0.5}, 4096, d, seed=1)

@@ -124,3 +124,20 @@ def test_eps_sweep_line_slope_and_intercept(tmp_path):
 def test_h_check_subcommand(tmp_path):
     code, _, res = run_cli(tmp_path, "h-check", {}, seed=10)
     assert code == 0
+
+
+def test_numerical_failure_exits_four(tmp_path, monkeypatch, capsys):
+    import dataclasses
+
+    import numpy as np
+
+    from mfhjb import cli
+
+    lq = cli.scenario("lq_drift")
+    exploding = dataclasses.replace(lq, drift=lambda t, x, cloud, a: np.full_like(x, np.nan))
+    monkeypatch.setattr(cli, "scenario", lambda name, params=None: exploding)
+    code, _, res = run_cli(tmp_path, "simulate", {"n": 4, "steps": 5}, seed=0)
+    assert code == 4 and res is None
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: numerical failure: non-finite state at step")
+    assert len(err.splitlines()) == 1

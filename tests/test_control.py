@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from mfhjb.control import (
     value_estimate,
     viscosity_check,
 )
-from mfhjb.dynamics import SimConfig
+from mfhjb.dynamics import SimConfig, simulate
 from mfhjb.measures import ParticleEnsemble, sample_iid
 from mfhjb.scenarios import lq_test_function, lq_true_value, scenario
 from mfhjb.sliced_gauge import SphereQuadrature
@@ -67,9 +69,9 @@ def test_cost_zero_and_constant_running():
     assert cost_j(zero, init, pol, cfg, paths=3)["mean"] == 0.0
 
     one = CoefficientSet(
-        b=zero.b, sigma=zero.sigma, sigma0=zero.sigma0,
-        f=lambda t, x, ens, a: np.ones(x.shape[0]),
-        g=zero.g, K=2.0, beta=1.0, action_space=zero.action_space, d=2,
+        drift=zero.drift, diffusion=zero.diffusion, common_diffusion=zero.common_diffusion,
+        running_cost=lambda t, x, cloud, a: np.ones(x.shape[:-1]),
+        terminal_cost=zero.terminal_cost, K=2.0, beta=1.0, action_space=zero.action_space, d=2,
     )
     rec = cost_j(one, init, pol, cfg, paths=3)
     assert rec["mean"] == pytest.approx(0.8, rel=1e-12)
@@ -250,3 +252,22 @@ def test_h_via_second_derivative_cross_check():
     )
     with pytest.raises(ValueError):
         h_via_second_derivative(bare, 0.0, ens)
+
+
+def test_cost_j_matches_step_loop_mean_reversion():
+    mr = scenario("mean_reversion_mf", {"d": 1, "mf_center": 0.5})
+    init = sample_iid({"kind": "gaussian", "std": 0.8}, 16, 1, seed=20)
+    cfg = SimConfig(n=16, steps=10, t0=0.0, t1=1.0, seed=21)
+    policy = StepControl(np.array([0.0, 0.5]), (np.array([0.6]), np.array([-0.3])))
+    per_path = []
+    for p in range(3):
+        bundle = simulate(mr, init, policy, cfg, path_index=p)
+        running = np.zeros(16)
+        for k in range(cfg.steps):
+            x = bundle.trajectories[k]
+            running += mr.running_cost(float(bundle.times[k]), x, x, bundle.controls_used[k]) * cfg.dt
+        x = bundle.trajectories[-1]
+        per_path.append(math.fsum(running + mr.terminal_cost(x, x)) / 16)
+    rec = cost_j(mr, init, policy, cfg, paths=3)
+    np.testing.assert_array_equal(rec["per_path"], per_path)
+    assert rec["mean"] == math.fsum(per_path) / 3

@@ -16,11 +16,11 @@ def const_coeffs(b_const=None, sig=None, sig0=None, f=None, g=None):
     s = ZERO if sig is None else sig
     s0 = ZERO if sig0 is None else sig0
     return CoefficientSet(
-        b=lambda t, x, ens, a: np.broadcast_to(bc, x.shape).astype(float),
-        sigma=lambda t, x, a: s,
-        sigma0=lambda t: s0,
-        f=f or (lambda t, x, ens, a: np.zeros(x.shape[0])),
-        g=g or (lambda x, ens: np.zeros(x.shape[0])),
+        drift=lambda t, x, cloud, a: np.broadcast_to(bc, x.shape).astype(float),
+        diffusion=lambda t, x, a: s,
+        common_diffusion=lambda t: s0,
+        running_cost=f or (lambda t, x, cloud, a: np.zeros(x.shape[:-1])),
+        terminal_cost=g or (lambda x, cloud: np.zeros(x.shape[:-1])),
         K=3.0,
         beta=1.0,
         action_space=SPACE,
@@ -107,11 +107,11 @@ def test_noise_block_row_stability():
 
 def test_nan_failure_reports_step():
     exploding = CoefficientSet(
-        b=lambda t, x, ens, a: x * 1e200,
-        sigma=lambda t, x, a: ZERO,
-        sigma0=lambda t: ZERO,
-        f=lambda t, x, ens, a: np.zeros(x.shape[0]),
-        g=lambda x, ens: np.zeros(x.shape[0]),
+        drift=lambda t, x, cloud, a: x * 1e200,
+        diffusion=lambda t, x, a: ZERO,
+        common_diffusion=lambda t: ZERO,
+        running_cost=lambda t, x, cloud, a: np.zeros(x.shape[:-1]),
+        terminal_cost=lambda x, cloud: np.zeros(x.shape[:-1]),
         K=1.0,
         beta=1.0,
         action_space=SPACE,
@@ -224,3 +224,21 @@ def test_dump_trajectories(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "step,particle,x0,x1"
     assert len(lines) == 1 + 4 * 4
+
+
+def test_path_bundle_running_matches_step_loop():
+    def f(t, x, cloud, a):
+        # depends on time, state, cloud and action
+        mean = cloud.mean(axis=(-2, -1))[..., None]
+        return np.sin(x @ np.array([1.0, 2.0])) * (1.0 + t) + mean * a[..., 0]
+
+    coeffs = const_coeffs(b_const=[0.2, -0.1], sig=0.5 * EYE, sig0=0.3 * EYE, f=f)
+    init = sample_iid({"kind": "gaussian"}, 12, D, seed=9)
+    cfg = SimConfig(n=12, steps=9, t0=0.1, t1=1.0, seed=17)
+    policy = StepControl(np.array([0.1, 0.5]), (np.array([0.3, 0.0]), np.array([-0.7, 0.2])))
+    bundle = simulate(coeffs, init, policy, cfg)
+    running = np.zeros(12)
+    for k in range(cfg.steps):
+        x = bundle.trajectories[k]
+        running += f(float(bundle.times[k]), x, x, bundle.controls_used[k]) * cfg.dt
+    np.testing.assert_array_equal(bundle.running, running)

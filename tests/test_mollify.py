@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from mfhjb.control import ActionSpace, CoefficientSet
-from mfhjb.measures import ParticleEnsemble
 from mfhjb.mollify import (
     MollifiedCoefficients,
     MollifierSpec,
+    _draw_offsets,
+    _mollified_all,
     bump_kernel_tables,
     mollified_b,
     mollified_f,
@@ -20,11 +21,11 @@ def simple_coeffs(b=None, f=None, g=None, K=10.0, beta=1.0, d=2):
     space = ActionSpace("box", lo=-np.ones(d), hi=np.ones(d))
     zmat = np.zeros((d, d))
     return CoefficientSet(
-        b=b or (lambda t, x, ens, a: np.zeros_like(x)),
-        sigma=lambda t, x, a: zmat,
-        sigma0=lambda t: zmat,
-        f=f or (lambda t, x, ens, a: np.zeros(x.shape[0])),
-        g=g or (lambda x, ens: np.zeros(x.shape[0])),
+        drift=b or (lambda t, x, cloud, a: np.zeros_like(x)),
+        diffusion=lambda t, x, a: zmat,
+        common_diffusion=lambda t: zmat,
+        running_cost=f or (lambda t, x, cloud, a: np.zeros(x.shape[:-1])),
+        terminal_cost=g or (lambda x, cloud: np.zeros(x.shape[:-1])),
         K=K,
         beta=beta,
         action_space=space,
@@ -47,7 +48,7 @@ def test_spec_validation():
 
 def test_constant_coefficient_exact():
     c = np.array([0.3, -0.7])
-    coeffs = simple_coeffs(b=lambda t, x, ens, a: np.broadcast_to(c, x.shape).astype(float))
+    coeffs = simple_coeffs(b=lambda t, x, cloud, a: np.broadcast_to(c, x.shape).astype(float))
     spec = MollifierSpec(m=3, offsets=256, seed=0)
     xbar = np.random.default_rng(0).standard_normal((5, 2))
     val, err, flagged = mollified_b(coeffs, spec, 2, 0.4, xbar, np.zeros(2))
@@ -57,7 +58,7 @@ def test_constant_coefficient_exact():
 
 
 def test_linear_coefficient_symmetric_kernel():
-    coeffs = simple_coeffs(b=lambda t, x, ens, a: x.copy())
+    coeffs = simple_coeffs(b=lambda t, x, cloud, a: x.copy())
     spec = MollifierSpec(m=8, offsets=4096, seed=1)
     xbar = np.random.default_rng(1).standard_normal((4, 2))
     val, err, _ = mollified_b(coeffs, spec, 1, 0.2, xbar, np.zeros(2))
@@ -94,9 +95,8 @@ def test_rate_bound_holds():
         for _ in range(5):
             xbar = rng.standard_normal((3, 1))
             t = float(rng.uniform(0, 1))
-            ens = ParticleEnsemble(xbar)
             a = np.zeros((3, 1))
-            exact = bt.b(t, xbar, ens, a)
+            exact = bt.drift(t, xbar, xbar, a)
             got, err, _ = mollified_b(bt, spec, 0, t, xbar, np.zeros(1))
             bound = mollify_rate_bound(bt, spec, 0, t, xbar)
             assert np.linalg.norm(got - exact[0]) <= bound * 1.05 + 3 * err
@@ -149,26 +149,70 @@ def test_mollified_coefficients_interface():
     mol = MollifiedCoefficients(lq, spec, n=6, horizon=1.0)
     rng = np.random.default_rng(8)
     x = rng.standard_normal((6, 2)) * 0.5
-    ens = ParticleEnsemble(x)
     a = np.zeros((6, 2))
     # drift b = a is offset-independent, so mollification is exact
-    np.testing.assert_array_equal(mol.drift(0.3, x, ens, a), np.zeros((6, 2)))
+    np.testing.assert_array_equal(mol.drift(0.3, x, x, a), np.zeros((6, 2)))
     # sigma passes through unsmoothed
     np.testing.assert_array_equal(mol.diffusion(0.3, x, a), lq.diffusion(0.3, x, a))
     # g is smooth here, so smoothing is a small perturbation
-    got = mol.terminal_cost(x, ens)
-    exact = lq.terminal_cost(x, ens)
+    got = mol.terminal_cost(x, x)
+    exact = lq.terminal_cost(x, x)
     assert np.abs(got - exact).max() < 0.05
     with pytest.raises(ValueError):
-        mol.drift(0.3, x[:3], ens, a[:3])
+        mol.drift(0.3, x[:3], x[:3], a[:3])
 
 
 def test_stderr_cap_flags():
     rng_local = np.random.default_rng(9)
     wiggly = simple_coeffs(
-        b=lambda t, x, ens, a: np.sin(50.0 * x), K=60.0, d=1
+        b=lambda t, x, cloud, a: np.sin(50.0 * x), K=60.0, d=1
     )
     spec = MollifierSpec(m=1, offsets=64, seed=9, stderr_cap=1e-12)
     xbar = rng_local.standard_normal((3, 1))
     _, err, flagged = mollified_b(wiggly, spec, 0, 0.5, xbar, np.zeros(1))
     assert err > 1e-12 and flagged
+
+
+def _offset_loop(kind, coeffs, spec, t, xbar, a, horizon, t_off, z_off):
+    # one base-coefficient call per offset, anchored at the first offset
+    q = z_off.shape[0]
+    acc = acc_sq = anchor = None
+    for k in range(q):
+        xs = xbar - z_off[k] / spec.m
+        tk = min(max(t - t_off[k] / spec.m, 0.0), horizon)
+        if kind == "terminal_cost":
+            val = coeffs.terminal_cost(xs, xs)
+        else:
+            val = getattr(coeffs, kind)(tk, xs, xs, a)
+        if anchor is None:
+            anchor, acc, acc_sq = val, np.zeros_like(val), np.zeros_like(val)
+        acc += val - anchor
+        acc_sq += (val - anchor) ** 2
+    centered = acc / q
+    var = np.maximum(acc_sq / q - centered**2, 0.0)
+    return anchor + centered, np.sqrt(var / q)
+
+
+@pytest.mark.parametrize("kind", ["drift", "running_cost", "terminal_cost"])
+@pytest.mark.parametrize(
+    "name, params, t",
+    [
+        ("lq_drift", {"d": 2, "p": [1.0, -0.5], "radius": 2.0}, 0.4),
+        ("mean_reversion_mf", {"d": 1, "mf_center": 0.5}, 0.4),
+        # t within 1/m of 0, so the time clamp is active for part of the offsets
+        ("bounded_trig", {"d": 2}, 0.05),
+    ],
+)
+def test_mollified_all_matches_offset_loop(name, params, t, kind):
+    coeffs = scenario(name, params)
+    spec = MollifierSpec(m=4, offsets=64, seed=10)
+    rng = np.random.default_rng(10)
+    n, d = 7, coeffs.d
+    xbar = rng.standard_normal((n, d))
+    a = np.broadcast_to(rng.uniform(-1.0, 1.0, d), (n, d))
+    t_off, z_off = _draw_offsets(spec, n, d)
+    assert np.any(t - t_off / spec.m < 0.0) == (name == "bounded_trig")
+    got = _mollified_all(kind, coeffs, spec, t, xbar, a, 1.0, t_off, z_off)
+    want = _offset_loop(kind, coeffs, spec, t, xbar, a, 1.0, t_off, z_off)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])

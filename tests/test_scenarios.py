@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfhjb.measures import ParticleEnsemble, sample_iid
+from mfhjb.measures import sample_iid
 from mfhjb.scenarios import lq_test_function, lq_true_value, scenario, smooth_clip_profile
 
 
@@ -20,12 +20,11 @@ def test_unknown_scenario_rejected():
 def test_zero_scenario_evaluators():
     z = scenario("zero")
     x = np.random.default_rng(0).standard_normal((5, 2))
-    ens = ParticleEnsemble(x)
     a = np.zeros((5, 2))
-    assert np.all(z.b(0.3, x, ens, a) == 0.0)
-    assert np.all(z.f(0.3, x, ens, a) == 0.0)
-    assert np.all(z.g(x, ens) == 0.0)
-    assert np.all(z.sigma0(0.3) == 0.0)
+    assert np.all(z.drift(0.3, x, x, a) == 0.0)
+    assert np.all(z.running_cost(0.3, x, x, a) == 0.0)
+    assert np.all(z.terminal_cost(x, x) == 0.0)
+    assert np.all(z.common_diffusion(0.3) == 0.0)
 
 
 def test_smooth_clip_profile_shape():
@@ -43,33 +42,30 @@ def test_lq_bound_on_many_probes_inside_half_radius():
     lq = scenario("lq_drift", params)
     rng = np.random.default_rng(1)
     x = rng.uniform(-2.8, 2.8, size=(10_000, 2))  # |x| < 4 = radius/2
-    ens = ParticleEnsemble(x[:16])
-    vals = lq.g(x, ens)
+    vals = lq.terminal_cost(x, x[:16])
     # inside half the radius the clip is inactive: g is exactly linear
     np.testing.assert_allclose(vals, x @ np.array([1.0, -0.5]), atol=1e-12)
     assert np.abs(vals).max() <= lq.K
     a = np.ones((10_000, 2))
-    assert np.linalg.norm(lq.b(0.2, x, ens, a), axis=1).max() <= lq.K
+    assert np.linalg.norm(lq.drift(0.2, x, x[:16], a), axis=1).max() <= lq.K
 
 
 def test_lq_g_globally_bounded():
     lq = scenario("lq_drift", {"d": 2, "p": [2.0, 1.0], "radius": 4.0})
     rng = np.random.default_rng(2)
     x = rng.uniform(-50, 50, size=(5000, 2))
-    ens = ParticleEnsemble(x[:8])
-    assert np.abs(lq.g(x, ens)).max() <= lq.K + 1e-9
+    assert np.abs(lq.terminal_cost(x, x[:8])).max() <= lq.K + 1e-9
 
 
 def test_bounded_trig_holder_in_time():
     bt = scenario("bounded_trig", {"d": 1, "time_amp": 1.0, "space_amp": 0.5})
     rng = np.random.default_rng(3)
     x = rng.standard_normal((6, 1))
-    ens = ParticleEnsemble(x)
     a = np.zeros((6, 1))
     worst = 0.0
     for _ in range(200):
         t1, t2 = rng.uniform(0, 1, 2)
-        gap = np.abs(bt.b(t1, x, ens, a) - bt.b(t2, x, ens, a)).max()
+        gap = np.abs(bt.drift(t1, x, x, a) - bt.drift(t2, x, x, a)).max()
         worst = max(worst, gap / abs(t1 - t2) ** 0.5)
     assert worst <= bt.K
 
@@ -78,12 +74,12 @@ def test_mean_reversion_measure_dependence():
     mr = scenario("mean_reversion_mf", {"d": 1, "mf_center": 0.5})
     x = np.zeros((4, 1))
     a = np.zeros((4, 1))
-    low = ParticleEnsemble(np.full((4, 1), -1.0))
-    high = ParticleEnsemble(np.full((4, 1), 1.0))
-    assert np.all(mr.b(0.1, x, low, a) < 0.0)
-    assert np.all(mr.b(0.1, x, high, a) > 0.0)
+    low = np.full((4, 1), -1.0)
+    high = np.full((4, 1), 1.0)
+    assert np.all(mr.drift(0.1, x, low, a) < 0.0)
+    assert np.all(mr.drift(0.1, x, high, a) > 0.0)
     # terminal cost moves with the cloud mean through the concave term
-    assert not np.allclose(mr.g(x, low), mr.g(x, high))
+    assert not np.allclose(mr.terminal_cost(x, low), mr.terminal_cost(x, high))
 
 
 def test_lq_test_function_consistency():
