@@ -11,6 +11,7 @@ metadata is isolated in a separate meta.json.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -19,8 +20,8 @@ import time
 
 import numpy as np
 
-from mfhjb.control import SearchSpec, dpp_residual, hjb_residual, value_estimate, value_fd_approx
-from mfhjb.dynamics import SimConfig, dump_trajectories, moment_checks
+from mfhjb.control import SearchSpec, StepControl, dpp_residual, hjb_residual, value_estimate, value_fd_approx
+from mfhjb.dynamics import SimConfig, moment_checks
 from mfhjb.measures import ParticleEnsemble, sample_iid, translate
 from mfhjb.mollify import mollify_rate_sweep
 from mfhjb.scenarios import lq_test_function, lq_true_value, scenario
@@ -35,21 +36,6 @@ from mfhjb.transport1d import w1_empirical_gaussian
 from mfhjb.variational import CandidateSet, borwein_preiss
 
 SCHEMA_VERSION = 1
-
-SUBCOMMANDS = [
-    "metric",
-    "gradient-check",
-    "h-check",
-    "variational",
-    "simulate",
-    "mollify-rates",
-    "value",
-    "eps-sweep",
-    "n-sweep",
-    "dpp-check",
-    "hjb-residual",
-    "rates",
-]
 
 
 def _canonical(obj) -> str:
@@ -177,7 +163,7 @@ def _run_variational(cfg, seed):
     return recs, ok, {}
 
 
-def _run_simulate(cfg, seed, out_dir):
+def _run_simulate(cfg, seed):
     coeffs = scenario(cfg.get("scenario", "lq_drift"), cfg.get("params"))
     n = cfg.get("n", 256)
     init = sample_iid(cfg.get("init", {"kind": "gaussian", "std": 0.5}), n, coeffs.d, seed)
@@ -185,14 +171,10 @@ def _run_simulate(cfg, seed, out_dir):
         n=n, steps=cfg.get("steps", 50), t0=cfg.get("t0", 0.0), t1=cfg.get("t1", 1.0),
         seed=seed, epsilon=cfg.get("epsilon", 0.0),
     )
-    from mfhjb.control import StepControl
-
     action = np.asarray(cfg.get("action", [0.0] * coeffs.action_space.dim), dtype=float)
     policy = StepControl.constant(sim.t0, action)
     checks = moment_checks(coeffs, init, policy, sim, shift=np.full(coeffs.d, 0.1))
-    bundle = checks.pop("bundle")
-    if out_dir:
-        dump_trajectories(bundle, os.path.join(out_dir, "trajectory.csv"))
+    traj = checks.pop("bundle").trajectories
     holder = {f"{h:.6g}": v for h, v in checks["c_holder"].items()}
     ok = np.isfinite(checks["c_growth"]) and all(np.isfinite(v) for v in checks["c_holder"].values())
     recs = [
@@ -200,7 +182,9 @@ def _run_simulate(cfg, seed, out_dir):
         _record("moment_lipschitz_constant", cfg, checks["c_lip"], seed=seed),
         _record("moment_holder_constants", cfg, holder, seed=seed),
     ]
-    return recs, bool(ok), {}
+    header = ("step", "particle") + tuple(f"x{j}" for j in range(traj.shape[2]))
+    rows = [(k, i, *x) for k, step in enumerate(traj.tolist()) for i, x in enumerate(step)]
+    return recs, bool(ok), {"trajectory.csv": [header] + rows}
 
 
 def _run_mollify_rates(cfg, seed):
@@ -355,6 +339,13 @@ def _run_hjb_residual(cfg, seed):
     tf = lq_test_function(p, t1)
     rng = np.random.default_rng(seed)
     probes = cfg.get("probes", 20)
+    # negative control: a time bump with negative slope at every probe
+    slope = 0.5
+    bumped = dataclasses.replace(
+        tf,
+        value=lambda tt, cloud: tf.value(tt, cloud) - slope * tt,
+        dt=lambda tt, cloud: tf.dt(tt, cloud) - slope,
+    )
     worst = 0.0
     detected = 0
     for k in range(probes):
@@ -362,15 +353,6 @@ def _run_hjb_residual(cfg, seed):
         mu = ParticleEnsemble(rng.standard_normal((8, p.size)) * 0.5)
         r = hjb_residual(coeffs, tf, t, mu)
         worst = max(worst, abs(r))
-        # negative control: a time bump with negative slope at the probe
-        from mfhjb.control import TestFunction
-
-        slope = 0.5
-        bumped = TestFunction(
-            value=lambda tt, ens: tf.value(tt, ens) - slope * tt,
-            dt=lambda tt, ens: tf.dt(tt, ens) - slope,
-            dmu=tf.dmu, dxdmu=tf.dxdmu, h_op=tf.h_op,
-        )
         if hjb_residual(coeffs, bumped, t, mu) < -1e-6:
             detected += 1
     ok = worst <= 1e-12 and detected == probes
@@ -401,6 +383,22 @@ def _run_rates(cfg, seed):
 # ---------------------------------------------------------------------------
 
 
+_RUNNERS = {
+    "metric": _run_metric,
+    "gradient-check": _run_gradient_check,
+    "h-check": _run_h_check,
+    "variational": _run_variational,
+    "simulate": _run_simulate,
+    "mollify-rates": _run_mollify_rates,
+    "value": _run_value,
+    "eps-sweep": _run_eps_sweep,
+    "n-sweep": _run_n_sweep,
+    "dpp-check": _run_dpp_check,
+    "hjb-residual": _run_hjb_residual,
+    "rates": _run_rates,
+}
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -413,7 +411,7 @@ def _load_config(path: str | None) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="mfhjb", description=__doc__)
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=list(_RUNNERS))
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--seed", type=int, default=None, help="overrides config seed")
     parser.add_argument("--out", default=".", help="output directory")
@@ -431,30 +429,7 @@ def main(argv=None) -> int:
 
     started = time.time()
     try:
-        if args.subcommand == "metric":
-            recs, ok, series = _run_metric(cfg, seed)
-        elif args.subcommand == "gradient-check":
-            recs, ok, series = _run_gradient_check(cfg, seed)
-        elif args.subcommand == "h-check":
-            recs, ok, series = _run_h_check(cfg, seed)
-        elif args.subcommand == "variational":
-            recs, ok, series = _run_variational(cfg, seed)
-        elif args.subcommand == "simulate":
-            recs, ok, series = _run_simulate(cfg, seed, out_dir)
-        elif args.subcommand == "mollify-rates":
-            recs, ok, series = _run_mollify_rates(cfg, seed)
-        elif args.subcommand == "value":
-            recs, ok, series = _run_value(cfg, seed)
-        elif args.subcommand == "eps-sweep":
-            recs, ok, series = _run_eps_sweep(cfg, seed)
-        elif args.subcommand == "n-sweep":
-            recs, ok, series = _run_n_sweep(cfg, seed)
-        elif args.subcommand == "dpp-check":
-            recs, ok, series = _run_dpp_check(cfg, seed)
-        elif args.subcommand == "hjb-residual":
-            recs, ok, series = _run_hjb_residual(cfg, seed)
-        else:
-            recs, ok, series = _run_rates(cfg, seed)
+        recs, ok, series = _RUNNERS[args.subcommand](cfg, seed)
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mfhjb.dynamics import SimConfig, simulate
+from mfhjb.dynamics import SimConfig, _generator, _half_trace, simulate
 from mfhjb.measures import ParticleEnsemble, sample_iid
 
 __all__ = [
@@ -165,10 +165,18 @@ class StepControl:
 class TestFunction:
     """A test function u(t, mu) with its derivative evaluators.
 
-    value(t, ens) -> float; dt(t, ens) -> float; dmu(t, ens) -> (n, d);
-    dxdmu(t, ens) -> (n, d, d); h_op(t, ens) -> (d, d).  ``d2mu`` is an
-    optional full second measure derivative (n, n, d, d) used only by the
-    cross-check h_via_second_derivative.
+    Like the coefficients, every field takes plain arrays: ``cloud`` has shape
+    (..., n, d) and holds the particles of the empirical measure, and ``t`` is
+    a float or an array of shape ``cloud.shape[:-2]``:
+
+        value(t, cloud) -> batch shape (a scalar may broadcast)      u
+        dt(t, cloud) -> batch shape (a scalar may broadcast)         dt u
+        dmu(t, cloud) -> (..., n, d)                                 dmu u(x_i)
+        dxdmu(t, cloud) -> (..., n, d, d)                            dxdmu u(x_i)
+        h_op(t, cloud) -> (d, d) or (..., d, d)                      H u
+
+    ``d2mu(t, cloud) -> (n, n, d, d)`` is an optional full second measure
+    derivative used only by the cross-check h_via_second_derivative.
     """
 
     __test__ = False  # not a pytest case, despite the domain name
@@ -189,8 +197,8 @@ def h_via_second_derivative(tf: TestFunction, t: float, ens: ParticleEnsemble) -
     """
     if tf.d2mu is None:
         raise ValueError("test function does not supply d2mu")
-    mixed = tf.dxdmu(t, ens).mean(axis=0)
-    full = tf.d2mu(t, ens).mean(axis=(0, 1))
+    mixed = tf.dxdmu(t, ens.points).mean(axis=0)
+    full = tf.d2mu(t, ens.points).mean(axis=(0, 1))
     return mixed + full
 
 
@@ -205,8 +213,8 @@ class CoefficientSet:
     or an array of shape ``x.shape[:-2]``:
 
         drift(t, x, cloud, a) -> (..., n, d)                      b
-        diffusion(t, x, a) -> (d, d) or (n, d, d)                 sigma
-        common_diffusion(t) -> (d, d)                             sigma0
+        diffusion(t, x, a) -> (d, d) or (..., n, d, d)            sigma
+        common_diffusion(t) -> (d, d) or t.shape + (d, d)         sigma0
         running_cost(t, x, cloud, a) -> (..., n)                  f
         terminal_cost(x, cloud) -> (..., n)                       g
 
@@ -502,25 +510,20 @@ def hjb_residual(
     actions = action_grid if action_grid is not None else coeffs.action_space.vertices()
     if not actions:
         raise ValueError("empty action grid")
-    x = mu.points
-    n = mu.n
-    dmu = testfn.dmu(t, mu)
-    dxdmu = testfn.dxdmu(t, mu)
-    ham = np.full(n, -np.inf)
-    for a in actions:
-        av = np.broadcast_to(np.asarray(a, dtype=float).ravel(), (n, np.size(a)))
-        fv = coeffs.running_cost(t, x, x, av)
-        bv = coeffs.drift(t, x, x, av)
-        sig = np.asarray(coeffs.diffusion(t, x, av), dtype=float)
-        if sig.ndim == 2:
-            ssT = sig @ sig.T
-            tr = np.einsum("nij,ji->n", dxdmu, ssT)
-        else:
-            tr = np.einsum("nij,nkj,nik->n", sig, sig, dxdmu)
-        ham = np.maximum(ham, fv + np.sum(bv * dmu, axis=1) + 0.5 * tr)
-    sig0 = coeffs.common_diffusion(t)
-    h_term = 0.5 * float(np.trace(testfn.h_op(t, mu) @ sig0 @ sig0.T))
-    return float(testfn.dt(t, mu) + math.fsum(ham) / n + h_term)
+    n, d = mu.n, mu.d
+    acts = np.stack([np.asarray(a, dtype=float).ravel() for a in actions])  # (A, q)
+    x = np.broadcast_to(mu.points, (len(acts), n, d))
+    av = np.broadcast_to(acts[:, None, :], (len(acts), n, acts.shape[1]))
+    per_particle, common = _generator(
+        coeffs.drift(t, x, x, av),
+        np.asarray(coeffs.diffusion(t, x, av), dtype=float),
+        np.asarray(coeffs.common_diffusion(t), dtype=float),
+        testfn.dmu(t, mu.points),
+        testfn.dxdmu(t, mu.points),
+        testfn.h_op(t, mu.points),
+    )
+    ham = (coeffs.running_cost(t, x, x, av) + per_particle).max(axis=0)
+    return float(testfn.dt(t, mu.points) + math.fsum(ham) / n + common)
 
 
 def viscosity_check(
@@ -547,8 +550,7 @@ def viscosity_check(
     report = []
     for t0, mu0 in probes:
         base = hjb_residual(coeffs, candidate, t0, mu0, action_grid)
-        sig0 = coeffs.common_diffusion(t0)
-        bump = 0.5 * float(np.trace(hg @ sig0 @ sig0.T))
+        bump = float(_half_trace(np.asarray(coeffs.common_diffusion(t0), dtype=float), hg))
         sub_ok = all(base + c * bump >= -tol for c in gauge_scales)
         super_ok = all(base - c * bump <= tol for c in gauge_scales)
         report.append(

@@ -37,7 +37,6 @@ __all__ = [
     "simulate",
     "moment_checks",
     "ito_expectation_check",
-    "dump_trajectories",
 ]
 
 _COMMON, _IDIO, _PERTURB = 0, 1, 2
@@ -96,9 +95,6 @@ class PathBundle:
     def terminal(self) -> ParticleEnsemble:
         return ParticleEnsemble(self.trajectories[-1])
 
-    def ensemble_at(self, k: int) -> ParticleEnsemble:
-        return ParticleEnsemble(self.trajectories[k])
-
 
 def noise_block(seed: int, channel: int, path: int, step: int, rows: int, d: int) -> np.ndarray:
     """Standard normal block for one (channel, path, step); row i is the draw
@@ -116,6 +112,26 @@ def _diffuse(sig: np.ndarray, dw: np.ndarray) -> np.ndarray:
     if sig.ndim == 2:
         return dw @ sig.T
     return np.einsum("nij,nj->ni", sig, dw)
+
+
+def _half_trace(sig: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(1/2) tr(sig sig^T m) over the broadcast batch axes of sig (..., d, d)
+    and m (..., d, d); either may be a single (d, d) matrix."""
+    ssT = sig @ np.swapaxes(sig, -1, -2)
+    return 0.5 * np.einsum("...ij,...ji->...", m, ssT)
+
+
+def _generator(drift, sig, sig0, dmu, dxdmu, h):
+    """The chain rule's generator without dt u, from evaluated arrays.
+
+    Returns the per-particle term b . dmu u + (1/2) tr(sigma sigma^T dxdmu u),
+    shape (..., n), and the common-noise term (1/2) tr(sigma0 sigma0^T H u), of
+    the batch shape.  ``drift`` and ``dmu`` are (..., n, d); ``sig`` is (d, d)
+    or (..., n, d, d); ``dxdmu`` is (..., n, d, d); ``sig0`` and ``h`` are
+    (d, d) or (..., d, d).
+    """
+    per_particle = np.sum(dmu * drift, axis=-1) + _half_trace(sig, dxdmu)
+    return per_particle, _half_trace(sig0, h)
 
 
 def simulate(
@@ -243,32 +259,19 @@ def ito_expectation_check(
     rhs_vals = np.empty(paths)
     for pidx in range(paths):
         bundle = simulate(coeffs, init, policy, cfg, path_index=pidx)
-        mu0 = bundle.ensemble_at(0)
-        mu1 = bundle.terminal
-        lhs = testfn.value(cfg.t1, mu1) - testfn.value(cfg.t0, mu0)
-        rhs = 0.0
-        for k in range(cfg.steps):
-            t = float(bundle.times[k])
-            x = bundle.trajectories[k]
-            ens = ParticleEnsemble(x)
-            a = bundle.controls_used[k]
-            bvec = coeffs.drift(t, x, x, a)  # (n, d)
-            sig = np.asarray(coeffs.diffusion(t, x, a), dtype=float)
-            sig0 = np.asarray(coeffs.common_diffusion(t), dtype=float)
-            dmu = testfn.dmu(t, ens)  # (n, d)
-            dxdmu = testfn.dxdmu(t, ens)  # (n, d, d)
-            if sig.ndim == 2:
-                ssT = sig @ sig.T
-                trace_term = float(np.einsum("nij,ji->n", dxdmu, ssT).mean())
-            else:
-                trace_term = float(np.einsum("nij,nkj,nik->n", sig, sig, dxdmu).mean())
-            h_mat = testfn.h_op(t, ens)
-            rhs += cfg.dt * (
-                testfn.dt(t, ens)
-                + float(np.sum(dmu * bvec, axis=1).mean())
-                + 0.5 * trace_term
-                + 0.5 * float(np.trace(h_mat @ sig0 @ sig0.T))
-            )
+        traj = bundle.trajectories
+        lhs = testfn.value(cfg.t1, traj[-1]) - testfn.value(cfg.t0, traj[0])
+        t, x, a = bundle.times[:-1], traj[:-1], bundle.controls_used
+        per_particle, common = _generator(
+            coeffs.drift(t, x, x, a),
+            np.asarray(coeffs.diffusion(t, x, a), dtype=float),
+            np.asarray(coeffs.common_diffusion(t), dtype=float),
+            testfn.dmu(t, x),
+            testfn.dxdmu(t, x),
+            testfn.h_op(t, x),
+        )
+        steps = cfg.dt * (testfn.dt(t, x) + per_particle.mean(axis=-1) + common)
+        rhs = float(np.cumsum(steps)[-1])  # left to right, in step order
         lhs_vals[pidx] = lhs
         rhs_vals[pidx] = rhs
         diffs[pidx] = lhs - rhs
@@ -280,14 +283,3 @@ def ito_expectation_check(
         "gap": gap,
         "stderr": stderr,
     }
-
-
-def dump_trajectories(bundle: PathBundle, path: str) -> None:
-    """Write (step, particle, coordinates...) rows as CSV."""
-    steps, n, d = bundle.trajectories.shape
-    with open(path, "w") as fh:
-        fh.write("step,particle," + ",".join(f"x{j}" for j in range(d)) + "\n")
-        for k in range(steps):
-            for i in range(n):
-                coords = ",".join(repr(v) for v in bundle.trajectories[k, i])
-                fh.write(f"{k},{i},{coords}\n")

@@ -220,12 +220,12 @@ def lq_test_function(p: np.ndarray, t1: float):
     pnorm1 = float(np.abs(p).sum())
     d = p.shape[0]
     return TestFunction(
-        value=lambda t, ens: float(np.mean(ens.points @ p)) + (t1 - t) * pnorm1,
-        dt=lambda t, ens: -pnorm1,
-        dmu=lambda t, ens: np.broadcast_to(p, ens.points.shape).astype(float),
-        dxdmu=lambda t, ens: np.zeros((ens.n, d, d)),
-        h_op=lambda t, ens: np.zeros((d, d)),
-        d2mu=lambda t, ens: np.zeros((ens.n, ens.n, d, d)),
+        value=lambda t, cloud: np.mean(cloud @ p, axis=-1) + (t1 - t) * pnorm1,
+        dt=lambda t, cloud: -pnorm1,
+        dmu=lambda t, cloud: np.broadcast_to(p, cloud.shape).astype(float),
+        dxdmu=lambda t, cloud: np.zeros(cloud.shape + (d,)),
+        h_op=lambda t, cloud: np.zeros((d, d)),
+        d2mu=lambda t, cloud: np.zeros((cloud.shape[-2], cloud.shape[-2], d, d)),
     )
 
 

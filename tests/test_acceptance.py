@@ -196,25 +196,25 @@ def _ito_fixture():
 
     pvec = np.array([0.7, -0.4])
     tf_linear = TestFunction(
-        value=lambda t, ens: float(np.mean(ens.points @ pvec)),
-        dt=lambda t, ens: 0.0,
-        dmu=lambda t, ens: np.broadcast_to(pvec, ens.points.shape).astype(float),
-        dxdmu=lambda t, ens: np.zeros((ens.n, d, d)),
-        h_op=lambda t, ens: zero_mat,
+        value=lambda t, cloud: float(np.mean(cloud @ pvec)),
+        dt=lambda t, cloud: 0.0,
+        dmu=lambda t, cloud: np.broadcast_to(pvec, cloud.shape).astype(float),
+        dxdmu=lambda t, cloud: np.zeros((cloud.shape[-2], d, d)),
+        h_op=lambda t, cloud: zero_mat,
     )
     tf_second = TestFunction(
-        value=lambda t, ens: float(np.mean(np.sum(ens.points**2, axis=1))),
-        dt=lambda t, ens: 0.0,
-        dmu=lambda t, ens: 2.0 * ens.points,
-        dxdmu=lambda t, ens: np.broadcast_to(2.0 * eye, (ens.n, d, d)),
-        h_op=lambda t, ens: 2.0 * eye,
+        value=lambda t, cloud: float(np.mean(np.sum(cloud**2, axis=1))),
+        dt=lambda t, cloud: 0.0,
+        dmu=lambda t, cloud: 2.0 * cloud,
+        dxdmu=lambda t, cloud: np.broadcast_to(2.0 * eye, (cloud.shape[-2], d, d)),
+        h_op=lambda t, cloud: 2.0 * eye,
     )
     tf_mean_sq = TestFunction(
-        value=lambda t, ens: float(np.sum(ens.mean() ** 2)),
-        dt=lambda t, ens: 0.0,
-        dmu=lambda t, ens: np.broadcast_to(2.0 * ens.mean(), ens.points.shape).astype(float),
-        dxdmu=lambda t, ens: np.zeros((ens.n, d, d)),
-        h_op=lambda t, ens: 2.0 * eye,
+        value=lambda t, cloud: float(np.sum(cloud.mean(axis=-2) ** 2)),
+        dt=lambda t, cloud: 0.0,
+        dmu=lambda t, cloud: np.broadcast_to(2.0 * cloud.mean(axis=-2, keepdims=True), cloud.shape).astype(float),
+        dxdmu=lambda t, cloud: np.zeros((cloud.shape[-2], d, d)),
+        h_op=lambda t, cloud: 2.0 * eye,
     )
     cases = [
         ("linear/drift", make(b_const=[0.5, 0.3]), tf_linear),
@@ -378,8 +378,8 @@ def test_c14_hjb_residual():
     tf = lq_test_function(p, 1.0)
     slope = 0.5
     bumped = TestFunction(
-        value=lambda t, ens: tf.value(t, ens) - slope * t,
-        dt=lambda t, ens: tf.dt(t, ens) - slope,
+        value=lambda t, cloud: tf.value(t, cloud) - slope * t,
+        dt=lambda t, cloud: tf.dt(t, cloud) - slope,
         dmu=tf.dmu, dxdmu=tf.dxdmu, h_op=tf.h_op,
     )
     rng = np.random.default_rng(141)

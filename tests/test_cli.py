@@ -1,6 +1,13 @@
 import json
 
+import numpy as np
+import pytest
+
 from mfhjb.cli import main
+from mfhjb.control import StepControl
+from mfhjb.dynamics import SimConfig, simulate
+from mfhjb.measures import sample_iid
+from mfhjb.scenarios import scenario
 
 
 def run_cli(tmp_path, sub, cfg=None, seed=0, name="run"):
@@ -32,11 +39,20 @@ def test_identical_ensembles_report_zero(tmp_path):
     assert by_op["sw2_self"]["value"] == 0.0
 
 
-def test_rerun_byte_identical(tmp_path):
-    cfg = {"n": 8, "quad": 32}
-    _, out1, _ = run_cli(tmp_path, "metric", cfg, seed=5, name="a")
-    _, out2, _ = run_cli(tmp_path, "metric", cfg, seed=5, name="b")
-    assert (out1 / "results.json").read_bytes() == (out2 / "results.json").read_bytes()
+@pytest.mark.parametrize(
+    "sub,cfg,files",
+    [
+        ("metric", {"n": 8, "quad": 32}, ["results.json"]),
+        ("simulate", {"n": 8, "steps": 5}, ["results.json", "trajectory.csv"]),
+        ("hjb-residual", {"probes": 4}, ["results.json"]),
+    ],
+    ids=["metric", "simulate", "hjb-residual"],
+)
+def test_rerun_byte_identical(tmp_path, sub, cfg, files):
+    _, out1, _ = run_cli(tmp_path, sub, cfg, seed=5, name="a")
+    _, out2, _ = run_cli(tmp_path, sub, cfg, seed=5, name="b")
+    for fname in files:
+        assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
 
 
 def test_malformed_config_exits_one(tmp_path):
@@ -81,12 +97,21 @@ def test_variational_subcommand(tmp_path):
 
 
 def test_simulate_writes_trajectory(tmp_path):
-    code, out, res = run_cli(
-        tmp_path, "simulate", {"n": 8, "steps": 5, "scenario": "zero"}, seed=7
-    )
+    code, out, res = run_cli(tmp_path, "simulate", {"n": 8, "steps": 5}, seed=7)
     assert code == 0
     lines = (out / "trajectory.csv").read_text().strip().split("\n")
+    assert lines[0] == "step,particle,x0,x1"
     assert len(lines) == 1 + 8 * 6
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(k, i) for k in range(6) for i in range(8)]
+    coords = np.array([[float(v) for v in r[2:]] for r in rows])
+
+    # the run's first simulated path, rebuilt from the subcommand's defaults
+    coeffs = scenario("lq_drift")
+    init = sample_iid({"kind": "gaussian", "std": 0.5}, 8, coeffs.d, 7)
+    cfg = SimConfig(n=8, steps=5, t0=0.0, t1=1.0, seed=7)
+    bundle = simulate(coeffs, init, StepControl.constant(0.0, np.zeros(coeffs.d)), cfg)
+    assert coords.tobytes() == bundle.trajectories.reshape(-1, coeffs.d).tobytes()
 
 
 def test_rates_subcommand_writes_series(tmp_path):

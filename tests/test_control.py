@@ -187,11 +187,11 @@ def test_hjb_residual_lq_exact_zero():
 def test_hjb_residual_constant_candidate():
     zero = scenario("zero")
     const = TestFunction(
-        value=lambda t, ens: 5.0,
-        dt=lambda t, ens: 0.0,
-        dmu=lambda t, ens: np.zeros_like(ens.points),
-        dxdmu=lambda t, ens: np.zeros((ens.n, 2, 2)),
-        h_op=lambda t, ens: np.zeros((2, 2)),
+        value=lambda t, cloud: 5.0,
+        dt=lambda t, cloud: 0.0,
+        dmu=lambda t, cloud: np.zeros_like(cloud),
+        dxdmu=lambda t, cloud: np.zeros((cloud.shape[-2], 2, 2)),
+        h_op=lambda t, cloud: np.zeros((2, 2)),
     )
     mu = sample_iid({"kind": "gaussian"}, 8, 2, seed=16)
     assert hjb_residual(zero, const, 0.2, mu) == 0.0
@@ -204,7 +204,7 @@ def test_hjb_residual_invariant_under_additive_constants():
     lq = scenario("lq_drift", {"d": 2, "p": p.tolist()})
     tf = lq_test_function(p, 1.0)
     shifted = TestFunction(
-        value=lambda t, ens: tf.value(t, ens) - 3.0,
+        value=lambda t, cloud: tf.value(t, cloud) - 3.0,
         dt=tf.dt, dmu=tf.dmu, dxdmu=tf.dxdmu, h_op=tf.h_op,
     )
     mu = sample_iid({"kind": "gaussian", "std": 0.4}, 10, 2, seed=17)
@@ -226,8 +226,8 @@ def test_viscosity_check_closed_form_and_negative_control():
 
     slope = 0.4
     bumped = TestFunction(
-        value=lambda t, ens: tf.value(t, ens) - slope * t,
-        dt=lambda t, ens: tf.dt(t, ens) - slope,
+        value=lambda t, cloud: tf.value(t, cloud) - slope * t,
+        dt=lambda t, cloud: tf.dt(t, cloud) - slope,
         dmu=tf.dmu, dxdmu=tf.dxdmu, h_op=tf.h_op,
     )
     rep2 = viscosity_check(lq, bumped, probes, quad)
@@ -238,15 +238,15 @@ def test_viscosity_check_closed_form_and_negative_control():
 def test_h_via_second_derivative_cross_check():
     d = 2
     tf = TestFunction(
-        value=lambda t, ens: float(np.sum(ens.mean() ** 2)),
-        dt=lambda t, ens: 0.0,
-        dmu=lambda t, ens: np.broadcast_to(2.0 * ens.mean(), ens.points.shape).astype(float),
-        dxdmu=lambda t, ens: np.zeros((ens.n, d, d)),
-        h_op=lambda t, ens: 2.0 * np.eye(d),
-        d2mu=lambda t, ens: np.tile(2.0 * np.eye(d), (ens.n, ens.n, 1, 1)),
+        value=lambda t, cloud: float(np.sum(cloud.mean(axis=-2) ** 2)),
+        dt=lambda t, cloud: 0.0,
+        dmu=lambda t, cloud: np.broadcast_to(2.0 * cloud.mean(axis=-2, keepdims=True), cloud.shape).astype(float),
+        dxdmu=lambda t, cloud: np.zeros((cloud.shape[-2], d, d)),
+        h_op=lambda t, cloud: 2.0 * np.eye(d),
+        d2mu=lambda t, cloud: np.tile(2.0 * np.eye(d), (cloud.shape[-2], cloud.shape[-2], 1, 1)),
     )
     ens = sample_iid({"kind": "gaussian"}, 20, d, seed=19)
-    np.testing.assert_allclose(h_via_second_derivative(tf, 0.0, ens), tf.h_op(0.0, ens), atol=1e-12)
+    np.testing.assert_allclose(h_via_second_derivative(tf, 0.0, ens), tf.h_op(0.0, ens.points), atol=1e-12)
     bare = TestFunction(
         value=tf.value, dt=tf.dt, dmu=tf.dmu, dxdmu=tf.dxdmu, h_op=tf.h_op
     )

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mfhjb.control import ActionSpace, CoefficientSet, StepControl, TestFunction, cost_j
-from mfhjb.dynamics import SimConfig, dump_trajectories, ito_expectation_check, moment_checks, noise_block, simulate
+from mfhjb.control import ActionSpace, CoefficientSet, StepControl, TestFunction, cost_j, hjb_residual
+from mfhjb.dynamics import SimConfig, ito_expectation_check, moment_checks, noise_block, simulate
 from mfhjb.measures import ParticleEnsemble, sample_iid
 
 D = 2
@@ -172,11 +172,11 @@ def test_ito_linear_functional():
     pvec = np.array([0.7, -0.4])
     cvec = np.array([0.5, 0.3])
     tf = TestFunction(
-        value=lambda t, ens: float(np.mean(ens.points @ pvec)),
-        dt=lambda t, ens: 0.0,
-        dmu=lambda t, ens: np.broadcast_to(pvec, ens.points.shape).astype(float),
-        dxdmu=lambda t, ens: np.zeros((ens.n, D, D)),
-        h_op=lambda t, ens: ZERO,
+        value=lambda t, cloud: float(np.mean(cloud @ pvec)),
+        dt=lambda t, cloud: 0.0,
+        dmu=lambda t, cloud: np.broadcast_to(pvec, cloud.shape).astype(float),
+        dxdmu=lambda t, cloud: np.zeros((cloud.shape[-2], D, D)),
+        h_op=lambda t, cloud: ZERO,
     )
     init = sample_iid({"kind": "gaussian", "std": 0.3}, 256, D, seed=7)
     cfg = SimConfig(n=256, steps=20, t0=0.0, t1=1.0, seed=13)
@@ -187,11 +187,11 @@ def test_ito_linear_functional():
 
 def test_ito_second_moment():
     tf = TestFunction(
-        value=lambda t, ens: float(np.mean(np.sum(ens.points**2, axis=1))),
-        dt=lambda t, ens: 0.0,
-        dmu=lambda t, ens: 2.0 * ens.points,
-        dxdmu=lambda t, ens: np.broadcast_to(2.0 * EYE, (ens.n, D, D)),
-        h_op=lambda t, ens: 2.0 * EYE,
+        value=lambda t, cloud: float(np.mean(np.sum(cloud**2, axis=1))),
+        dt=lambda t, cloud: 0.0,
+        dmu=lambda t, cloud: 2.0 * cloud,
+        dxdmu=lambda t, cloud: np.broadcast_to(2.0 * EYE, (cloud.shape[-2], D, D)),
+        h_op=lambda t, cloud: 2.0 * EYE,
     )
     init = sample_iid({"kind": "point_mass", "center": [0.0, 0.0]}, 2048, D, seed=0)
     cfg = SimConfig(n=2048, steps=25, t0=0.0, t1=1.0, seed=14)
@@ -202,11 +202,11 @@ def test_ito_second_moment():
 
 def test_ito_squared_mean_common_noise():
     tf = TestFunction(
-        value=lambda t, ens: float(np.sum(ens.mean() ** 2)),
-        dt=lambda t, ens: 0.0,
-        dmu=lambda t, ens: np.broadcast_to(2.0 * ens.mean(), ens.points.shape).astype(float),
-        dxdmu=lambda t, ens: np.zeros((ens.n, D, D)),
-        h_op=lambda t, ens: 2.0 * EYE,
+        value=lambda t, cloud: float(np.sum(cloud.mean(axis=-2) ** 2)),
+        dt=lambda t, cloud: 0.0,
+        dmu=lambda t, cloud: np.broadcast_to(2.0 * cloud.mean(axis=-2, keepdims=True), cloud.shape).astype(float),
+        dxdmu=lambda t, cloud: np.zeros((cloud.shape[-2], D, D)),
+        h_op=lambda t, cloud: 2.0 * EYE,
     )
     init = sample_iid({"kind": "point_mass", "center": [0.0, 0.0]}, 512, D, seed=0)
     cfg = SimConfig(n=512, steps=25, t0=0.0, t1=1.0, seed=15)
@@ -215,15 +215,95 @@ def test_ito_squared_mean_common_noise():
     assert rec["rhs"] == pytest.approx(float(D), rel=1e-10)
 
 
-def test_dump_trajectories(tmp_path):
-    init = sample_iid({"kind": "gaussian"}, 4, D, seed=8)
-    cfg = SimConfig(n=4, steps=3, t0=0.0, t1=0.3, seed=16)
-    bundle = simulate(const_coeffs(), init, ZERO_POLICY, cfg)
-    out = tmp_path / "traj.csv"
-    dump_trajectories(bundle, str(out))
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "step,particle,x0,x1"
-    assert len(lines) == 1 + 4 * 4
+def _state_dependent_case():
+    # diagonal sigma(x) of shape (..., n, d, d), time-dependent sigma0(t) of
+    # shape t.shape + (d, d), and a test function whose every derivative
+    # moves with t and the particles:
+    # u(t, mu) = (1 + t) E^mu[sin x_1 + sin x_2] + |E^mu x|^2
+    mix = np.array([[1.0, 0.0], [0.5, 1.0]])
+
+    def drift(t, x, cloud, a):
+        return a - (1.0 + np.asarray(t)[..., None, None]) * (x - cloud.mean(axis=-2, keepdims=True))
+
+    coeffs = CoefficientSet(
+        drift=drift,
+        diffusion=lambda t, x, a: (0.5 + 0.2 * np.tanh(x))[..., None] * EYE,
+        common_diffusion=lambda t: np.multiply.outer(0.3 + 0.1 * np.asarray(t), mix),
+        running_cost=lambda t, x, cloud, a: a[..., 0] * x[..., 1] - np.sum(x**2, axis=-1),
+        terminal_cost=lambda x, cloud: np.zeros(x.shape[:-1]),
+        K=3.0,
+        beta=1.0,
+        action_space=SPACE,
+        d=D,
+    )
+
+    def scale(t):
+        return 1.0 + np.asarray(t)[..., None, None]
+
+    tf = TestFunction(
+        value=lambda t, cloud: (1.0 + t) * np.sin(cloud).sum(axis=-1).mean(axis=-1)
+        + np.sum(cloud.mean(axis=-2) ** 2, axis=-1),
+        dt=lambda t, cloud: np.sin(cloud).sum(axis=-1).mean(axis=-1),
+        dmu=lambda t, cloud: scale(t) * np.cos(cloud) + 2.0 * cloud.mean(axis=-2, keepdims=True),
+        dxdmu=lambda t, cloud: -(scale(t) * np.sin(cloud))[..., None] * EYE,
+        h_op=lambda t, cloud: -scale(t) * np.sin(cloud).mean(axis=-2)[..., None] * EYE + 2.0 * EYE,
+    )
+    return coeffs, tf
+
+
+def _step_terms(coeffs, tf, t, x, a):
+    # one particle and one action at a time, as the generator reads on paper
+    dmu, dxdmu = tf.dmu(t, x), tf.dxdmu(t, x)
+    b, sig = coeffs.drift(t, x, x, a), coeffs.diffusion(t, x, a)
+    per_particle = np.array(
+        [b[i] @ dmu[i] + 0.5 * np.trace(sig[i] @ sig[i].T @ dxdmu[i]) for i in range(x.shape[0])]
+    )
+    sig0 = coeffs.common_diffusion(t)
+    return per_particle, 0.5 * np.trace(sig0 @ sig0.T @ tf.h_op(t, x))
+
+
+def test_state_dependent_diffusion_hjb_residual_matches_action_loop():
+    coeffs, tf = _state_dependent_case()
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((12, D))
+    for grid in (None, SPACE.grid(3)):
+        actions = SPACE.vertices() if grid is None else grid
+        for t in (0.0, 0.35, 0.8):
+            ham = np.full(12, -np.inf)
+            for a in actions:
+                av = np.broadcast_to(a, (12, D))
+                per_particle, common = _step_terms(coeffs, tf, t, x, av)
+                ham = np.maximum(ham, coeffs.running_cost(t, x, x, av) + per_particle)
+            expect = tf.dt(t, x) + ham.mean() + common
+            got = hjb_residual(coeffs, tf, t, ParticleEnsemble(x), grid)
+            assert abs(got - expect) <= 1e-12
+
+
+def test_state_dependent_diffusion_ito_matches_step_loop():
+    coeffs, tf = _state_dependent_case()
+    init = sample_iid({"kind": "gaussian", "std": 0.7}, 32, D, seed=23)
+    cfg = SimConfig(n=32, steps=12, t0=0.1, t1=0.7, seed=24)
+    policy = StepControl(np.array([0.1, 0.4]), (np.array([0.5, -0.5]), np.array([-1.0, 0.2])))
+    paths = 3
+    lhs, rhs = np.zeros(paths), np.zeros(paths)
+    for p in range(paths):
+        bundle = simulate(coeffs, init, policy, cfg, path_index=p)
+        traj = bundle.trajectories
+        lhs[p] = tf.value(cfg.t1, traj[-1]) - tf.value(cfg.t0, traj[0])
+        for k in range(cfg.steps):
+            t, x, a = float(bundle.times[k]), traj[k], bundle.controls_used[k]
+            per_particle, common = _step_terms(coeffs, tf, t, x, a)
+            rhs[p] += cfg.dt * (tf.dt(t, x) + per_particle.mean() + common)
+            # the Euler step with a per-particle diffusion matrix
+            dw = np.sqrt(cfg.dt) * noise_block(cfg.seed, 1, p, k, 32, D)
+            sig, sig0 = coeffs.diffusion(t, x, a), coeffs.common_diffusion(t)
+            step = np.array([sig[i] @ dw[i] for i in range(32)])
+            expect = x + coeffs.drift(t, x, x, a) * cfg.dt + step + sig0 @ bundle.common_increments[k]
+            np.testing.assert_allclose(traj[k + 1], expect, rtol=0.0, atol=1e-12)
+    rec = ito_expectation_check(coeffs, init, tf, cfg, policy, paths=paths)
+    assert abs(rec["lhs"] - lhs.mean()) <= 1e-12
+    assert abs(rec["rhs"] - rhs.mean()) <= 1e-12
+    assert abs(rec["gap"] - (lhs - rhs).mean()) <= 1e-12
 
 
 def test_path_bundle_running_matches_step_loop():

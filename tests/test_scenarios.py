@@ -87,9 +87,9 @@ def test_lq_test_function_consistency():
     tf = lq_test_function(p, 1.0)
     ens = sample_iid({"kind": "gaussian"}, 32, 2, seed=4)
     expect = float(np.mean(ens.points @ p)) + 0.6 * np.abs(p).sum()
-    assert tf.value(0.4, ens) == pytest.approx(expect, rel=1e-12)
-    assert tf.dt(0.4, ens) == -np.abs(p).sum()
-    np.testing.assert_array_equal(tf.dmu(0.4, ens), np.broadcast_to(p, (32, 2)))
+    assert tf.value(0.4, ens.points) == pytest.approx(expect, rel=1e-12)
+    assert tf.dt(0.4, ens.points) == -np.abs(p).sum()
+    np.testing.assert_array_equal(tf.dmu(0.4, ens.points), np.broadcast_to(p, (32, 2)))
     assert lq_true_value([1.0, 1.0], p, 0.0, 1.0) == pytest.approx(0.5 + 1.1, rel=1e-12)
 
 
