@@ -2,10 +2,11 @@
 
 Each subcommand runs one verification suite with a JSON config, writes
 machine-readable results to the output directory, and exits 0 only if every
-asserted tolerance passed.  Malformed configs exit 1; tolerance failures exit
-3; numerical failures (a non-finite simulated state) exit 4.  Result files
-are byte-identical across reruns with the same config and seed; wall-clock
-metadata is isolated in a separate meta.json.
+asserted tolerance passed.  Malformed configs exit 1; bad arguments exit 2,
+and so does an --out directory that cannot be created or written; tolerance
+failures exit 3; numerical failures (a non-finite simulated state) exit 4.
+Result files are byte-identical across reruns with the same config and seed;
+wall-clock metadata is isolated in a separate meta.json.
 """
 
 from __future__ import annotations
@@ -425,7 +426,11 @@ def main(argv=None) -> int:
 
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
     started = time.time()
     try:
@@ -445,15 +450,19 @@ def main(argv=None) -> int:
         "records": recs,
         "pass": bool(ok),
     }
-    with open(os.path.join(out_dir, "results.json"), "w") as fh:
-        json.dump(result, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "meta.json"), "w") as fh:
-        json.dump({"elapsed_seconds": time.time() - started, "timestamp": time.time()}, fh)
-    for fname, rows in series.items():
-        with open(os.path.join(out_dir, fname), "w") as fh:
-            for row in rows:
-                fh.write(",".join(str(v) for v in row) + "\n")
+    try:
+        with open(os.path.join(out_dir, "results.json"), "w") as fh:
+            json.dump(result, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        with open(os.path.join(out_dir, "meta.json"), "w") as fh:
+            json.dump({"elapsed_seconds": time.time() - started, "timestamp": time.time()}, fh)
+        for fname, rows in series.items():
+            with open(os.path.join(out_dir, fname), "w") as fh:
+                for row in rows:
+                    fh.write(",".join(str(v) for v in row) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
     print(("PASS" if ok else "FAIL") + f" {args.subcommand} -> {os.path.join(out_dir, 'results.json')}")
     return 0 if ok else 3

@@ -19,10 +19,16 @@ rather than assumed: the closed-form first derivative implemented in
 
     D(x) = sum_j w_j theta_j { theta_j.x - E[T_j(theta_j.x + N_sigma)] },
 
-is the exact lifted gradient of s * sw2^2 only for s = 1/2.  All derivative
-operators here (dmu_gauge, dxdmu_gauge, h_gauge) differentiate gauge_g, and
-the gauge-type function rho and the series phi_delta are built from gauge_g so
-that their derivative stacks are term-wise the operators above.
+is the exact lifted gradient of s * sw2^2 only for s = 1/2.  Its x-derivative,
+implemented in ``dxdmu_gauge``, is
+
+    sum_j w_j theta_j theta_j^T { 1 - E[T_j'(theta_j.x + N_sigma)] },
+
+where T_j' = f_mu / (f_nu o T_j) is the ratio of the smoothed projection
+densities.  All derivative operators here (dmu_gauge, dxdmu_gauge, h_gauge)
+differentiate gauge_g, and the gauge-type function rho and the series
+phi_delta are built from gauge_g so that their derivative stacks are
+term-wise the operators above.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import numpy as np
 from mfhjb.measures import ParticleEnsemble, translate
 from mfhjb.quadrature import gauss_hermite_normal, quasi_normal
 # _mixture_cdf stays importable here: the benchmark's traced probes wrap it by name
-from mfhjb.transport1d import _mixture_cdf, _mixture_quantile, _transport, w2_discrete  # noqa: F401
+from mfhjb.transport1d import _mixture_cdf, _mixture_pdf, _mixture_quantile, _transport, w2_discrete  # noqa: F401
 
 __all__ = [
     "GAUGE_SQUARE_FACTOR",
@@ -150,20 +156,23 @@ def _stratified_quantiles(
     return _mixture_quantile(v, sigma, pb)
 
 
+def _table_gap(quad: SphereQuadrature, qa: np.ndarray, qb: np.ndarray) -> float:
+    """sum_j w_j mean_p (qa - qb)^2 over two (directions, levels) quantile tables."""
+    return float(quad.weights @ np.mean((qa - qb) ** 2, axis=1))
+
+
 def _sw2_squared(
     mu: ParticleEnsemble,
     nu: ParticleEnsemble,
     sigma: float,
     quad: SphereQuadrature,
     m_points: int = 256,
-    _nu_quantiles: np.ndarray | None = None,
 ) -> float:
     """sum_j w_j W2^2 along all quadrature directions (no-1/2 convention).
 
     For sigma > 0 each directional W2^2 is the probability-space midpoint rule
     over m_points stratified quantiles; for sigma = 0 the exact discrete 1-d
-    coupling is used (requires equal particle counts).  A precomputed quantile
-    table for nu may be supplied when nu is held fixed across many calls.
+    coupling is used (requires equal particle counts).
     """
     _check_pair(mu, nu, quad)
     if sigma < 0.0:
@@ -176,9 +185,8 @@ def _sw2_squared(
             total += w * w2_discrete(mu.points @ th, nu.points @ th) ** 2
         return total
     qm = _stratified_quantiles(mu, sigma, quad, m_points)
-    qn = _nu_quantiles if _nu_quantiles is not None else _stratified_quantiles(nu, sigma, quad, m_points)
-    per_dir = np.mean((qm - qn) ** 2, axis=1)
-    return float(quad.weights @ per_dir)
+    qn = _stratified_quantiles(nu, sigma, quad, m_points)
+    return _table_gap(quad, qm, qn)
 
 
 def sw2(
@@ -225,16 +233,17 @@ def rho(
 
 def _noise_average(
     mu: ParticleEnsemble, nu: ParticleEnsemble, sigma: float, quad: SphereQuadrature,
-    x: np.ndarray, n_nodes: int, moment: int,
+    x: np.ndarray, noise_nodes: int,
 ):
     """Directional projections g = theta_j.x, shape (A, k), and the
-    Gauss-Hermite averages E[Z^moment T_j(g + sigma Z)], Z ~ N(0, 1), with
-    n_nodes nodes, where T_j is the smoothed transport from mu's projection
-    on theta_j to nu's.  x is (d,) or (k, d).
+    Gauss-Hermite averages E[T_j(g + sigma Z)] and E[T_j'(g + sigma Z)],
+    Z ~ N(0, 1), with noise_nodes nodes, from one transport solve.  T_j is
+    the smoothed transport from mu's projection on theta_j to nu's, and
+    T_j' = f_mu / (f_nu o T_j).  x is (d,) or (k, d).
 
-    Points are taken in chunks so that one CDF or quantile pass holds at most
-    _CHUNK_ATOMS numbers per temporary (or one point's A * K * n, if more);
-    every point's arithmetic is the same whatever chunk it falls in.
+    Points are taken in chunks of at most _CHUNK_ATOMS numbers per temporary
+    (or one point's A * K * n, if more); elementwise products and last-axis
+    sums keep each point's arithmetic the same whatever chunk it falls in.
     """
     _check_pair(mu, nu, quad)
     if sigma <= 0.0:
@@ -244,17 +253,28 @@ def _noise_average(
         raise ValueError("x must be finite")
     vm = (mu.points @ quad.nodes.T).T.copy()  # (A, n_mu)
     vn = (nu.points @ quad.nodes.T).T.copy()  # (A, n_nu)
-    # elementwise products and last-axis sums keep each point's result
-    # independent of how many points are evaluated together
     g = (xs[:, None, :] * quad.nodes).sum(axis=-1).T.copy()  # (A, k)
-    z_nodes, z_w = gauss_hermite_normal(n_nodes)
-    w = z_w * z_nodes**moment
-    chunk = max(1, _CHUNK_ATOMS // (quad.count * n_nodes * max(mu.n, nu.n)))
-    avg = np.empty_like(g)
+    z_nodes, z_w = gauss_hermite_normal(noise_nodes)
+    chunk = max(1, _CHUNK_ATOMS // (quad.count * noise_nodes * max(mu.n, nu.n)))
+    mean_t, mean_slope = np.empty_like(g), np.empty_like(g)
     for s in range(0, g.shape[1], chunk):
         args = g[:, s : s + chunk, None] + sigma * z_nodes  # (A, chunk, K)
-        avg[:, s : s + chunk] = (_transport(vm, sigma, vn, sigma, args) * w).sum(axis=-1)
-    return g, avg
+        t = _transport(vm, sigma, vn, sigma, args)
+        slope = _mixture_pdf(vm, sigma, args) / _mixture_pdf(vn, sigma, t)
+        mean_t[:, s : s + chunk] = (t * z_w).sum(axis=-1)
+        mean_slope[:, s : s + chunk] = (slope * z_w).sum(axis=-1)
+    return g, mean_t, mean_slope
+
+
+def _gauge_derivatives(mu, nu, sigma, quad, x, noise_nodes):
+    """dmu_gauge and dxdmu_gauge at x, both from one noise average."""
+    g, mean_t, mean_slope = _noise_average(mu, nu, sigma, quad, x, noise_nodes)
+    resid = quad.weights[:, None] * (g - mean_t)  # (A, k)
+    dmu = (resid.T[:, None, :] * quad.nodes.T).sum(axis=-1)  # (k, d)
+    coeff = quad.weights[:, None] * (1.0 - mean_slope)  # (A, k)
+    outer = quad.nodes[:, :, None] * quad.nodes[:, None, :]  # (A, d, d)
+    dxdmu = (coeff.T[:, None, None, :] * outer.transpose(1, 2, 0)).sum(axis=-1)
+    return (dmu[0], dxdmu[0]) if np.ndim(x) == 1 else (dmu, dxdmu)
 
 
 def dmu_gauge(
@@ -263,19 +283,15 @@ def dmu_gauge(
     sigma: float,
     quad: SphereQuadrature,
     x: np.ndarray,
-    mc_noise: int = 256,
+    noise_nodes: int = 256,
 ) -> np.ndarray:
     """First-order measure derivative of gauge_g(., nu) evaluated at x.
 
     D(x) = sum_j w_j theta_j { theta_j.x - E[T_j(theta_j.x + N_sigma)] },
-    the 1-d noise expectation taken by Gauss-Hermite quadrature with mc_noise
-    nodes (the default is set so that finite-difference consistency tests
-    against dxdmu_gauge pass at 1e-3).  Accepts x of shape (d,) or (k, d).
+    the 1-d noise expectation taken by Gauss-Hermite quadrature with
+    noise_nodes nodes.  Accepts x of shape (d,) or (k, d).
     """
-    g, expect = _noise_average(mu, nu, sigma, quad, x, mc_noise, 0)
-    resid = quad.weights[:, None] * (g - expect)  # (A, k)
-    out = (resid.T[:, None, :] * quad.nodes.T).sum(axis=-1)  # (k, d)
-    return out[0] if np.ndim(x) == 1 else out
+    return _gauge_derivatives(mu, nu, sigma, quad, x, noise_nodes)[0]
 
 
 def dxdmu_gauge(
@@ -284,22 +300,19 @@ def dxdmu_gauge(
     sigma: float,
     quad: SphereQuadrature,
     x: np.ndarray,
-    quad_y: int = 256,
+    noise_nodes: int = 256,
 ) -> np.ndarray:
     """Mixed derivative d/dx of dmu_gauge, a symmetric d x d matrix.
 
-    Closed form: sum_j w_j theta theta^T + sum_j w_j theta theta^T *
-    E[(Z/sigma^2) T_j(theta.x - Z)] with Z ~ N(0, sigma^2); the expectation is
-    Gauss-Hermite with quad_y nodes centered at theta.x.  The node set is
-    symmetric, so it equals -E[(Z/sigma^2) T_j(theta.x + Z)], which takes the
-    same transport arguments as dmu_gauge.  Accepts x of shape (d,) or (k, d),
-    returning (d, d) or (k, d, d).
+    sum_j w_j theta_j theta_j^T (1 - E[T_j'(theta_j.x + N_sigma)]) on
+    dmu_gauge's nodes and transport values: the exact x-derivative of
+    dmu_gauge's own quadrature.  Where the P_MIN clamp holds T_j flat,
+    T_j' = f_mu / (f_nu o T_j) is not the clamped map's slope.  At a particle
+    x of mu those nodes carry Gauss-Hermite weight about 2 n P_MIN, below
+    1e-12 for n <= 50; the share grows as x leaves mu's support.  Accepts x
+    of shape (d,) or (k, d), returning (d, d) or (k, d, d).
     """
-    _, first = _noise_average(mu, nu, sigma, quad, x, quad_y, 1)
-    coeff = quad.weights[:, None] * (1.0 - first / sigma)  # (A, k)
-    outer = quad.nodes[:, :, None] * quad.nodes[:, None, :]  # (A, d, d)
-    out = (coeff.T[:, None, None, :] * outer.transpose(1, 2, 0)).sum(axis=-1)
-    return out[0] if np.ndim(x) == 1 else out
+    return _gauge_derivatives(mu, nu, sigma, quad, x, noise_nodes)[1]
 
 
 def h_gauge(d: int, quad: SphereQuadrature) -> np.ndarray:
@@ -385,21 +398,21 @@ def phi_delta_derivatives(
     t: float,
     mu: ParticleEnsemble,
     quad: SphereQuadrature,
-    mc_noise: int = 256,
-    quad_y: int = 256,
+    noise_nodes: int = 256,
 ) -> dict:
     """Term-wise derivatives of phi_delta at (t, mu).
 
     Returns dt (scalar), dmu (n, d) and dxdmu (n, d, d) evaluated at the
-    particles of mu, and the constant matrix h.
+    particles of mu (one transport solve per anchor group), and the matrix h.
     """
     dt = 0.0
     dmu = np.zeros_like(mu.points)
     dxdmu = np.zeros((mu.n, mu.d, mu.d))
     for w, tk, muk in _grouped_anchor_weights(anchors):
         dt += w * 2.0 * (t - tk)
-        dmu += w * dmu_gauge(mu, muk, anchors.sigma, quad, mu.points, mc_noise)
-        dxdmu += w * dxdmu_gauge(mu, muk, anchors.sigma, quad, mu.points, quad_y)
+        dmu_k, dxdmu_k = _gauge_derivatives(mu, muk, anchors.sigma, quad, mu.points, noise_nodes)
+        dmu += w * dmu_k
+        dxdmu += w * dxdmu_k
     h = float(anchors.weights().sum()) * h_gauge(mu.d, quad)
     return {"dt": dt, "dmu": dmu, "dxdmu": dxdmu, "h": h}
 
@@ -430,8 +443,7 @@ def phi_delta_derivative_bounds(
     horizon: float,
     lam: float | None = None,
     c_d: float | None = None,
-    mc_noise: int = 256,
-    quad_y: int = 256,
+    noise_nodes: int = 256,
     m_points: int = 256,
 ) -> dict:
     """Evaluate |dt phi|, int |dmu phi|^2 dmu, int |dxdmu phi|^2 dmu, |H phi|
@@ -455,7 +467,7 @@ def phi_delta_derivative_bounds(
             raise ValueError(f"no calibrated constant for d = {d}; pass c_d or run calibrate_c_d")
     if lam is None:
         lam = _implied_lambda(anchors, quad, m_points)
-    der = phi_delta_derivatives(anchors, t, mu, quad, mc_noise, quad_y)
+    der = phi_delta_derivatives(anchors, t, mu, quad, noise_nodes)
     delta = anchors.delta
     t0, mu0 = anchors.anchors[0]
     m2_mu = mu.second_moment()
@@ -503,7 +515,7 @@ def lifted_gauge_fd_gradient(
 
     def gauge_from(points):
         qm = _stratified_quantiles(ParticleEnsemble(points), sigma, quad, m_points)
-        return s * float(quad.weights @ np.mean((qm - qn) ** 2, axis=1))
+        return s * _table_gap(quad, qm, qn)
 
     grad = np.zeros((n, d))
     for i in range(n):
@@ -523,7 +535,7 @@ def pin_gauge_square_factor(
     quad: SphereQuadrature,
     h: float = 1e-4,
     m_points: int = 256,
-    mc_noise: int = 256,
+    noise_nodes: int = 256,
     candidates: tuple = (0.5, 1.0),
 ) -> dict:
     """Decide the scalar factor s in gauge_g = s * sw2^2 by oracle.
@@ -532,7 +544,7 @@ def pin_gauge_square_factor(
     s * sw2^2 against the closed-form dmu_gauge for each candidate s and
     returns the candidate with the smaller relative error.
     """
-    analytic = dmu_gauge(mu, nu, sigma, quad, mu.points, mc_noise)
+    analytic = dmu_gauge(mu, nu, sigma, quad, mu.points, noise_nodes)
     scale = float(np.linalg.norm(analytic))
     # the lifted functional is linear in s, so one unit-factor sweep suffices
     fd_unit = lifted_gauge_fd_gradient(mu, nu, sigma, quad, h, m_points, factor=1.0)

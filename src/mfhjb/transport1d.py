@@ -80,7 +80,9 @@ def _mixture_quantile(values: np.ndarray, sigma: float, p: np.ndarray) -> np.nda
 
     the change one ulp of z makes in F plus one rounding of F, or once no
     double lies strictly inside its bracket.  Either way the returned z is
-    within a few ulps of a sign change of the computed F(z) - p.
+    within a few ulps of max(|z|, max |v|) of a sign change of the computed
+    F(z) - p: F sees z only through z - v_i, so near a root much smaller
+    than the values, ulps of z alone do not move F.
     """
     p = np.clip(np.asarray(p, dtype=float), P_MIN, 1.0 - P_MIN)
     shape = p.shape

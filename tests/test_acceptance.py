@@ -169,7 +169,7 @@ def test_c06_phi_delta_derivative_bounds():
         mu = ParticleEnsemble(rng.standard_normal((4, 2)))
         rec = phi_delta_derivative_bounds(
             anchors, float(rng.uniform(0, 1)), mu, quad, horizon=1.0,
-            mc_noise=96, quad_y=96, m_points=64,
+            noise_nodes=96, m_points=64,
         )
         all_ok = all_ok and rec["all_ok"]
     _verdict(6, "gauge series derivative bounds", all_ok, time.time() - start, 60.0,

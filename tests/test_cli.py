@@ -151,6 +151,34 @@ def test_h_check_subcommand(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("target", ["empty", "regular_file"])
+def test_unwritable_out_exits_two(tmp_path, monkeypatch, capsys, target):
+    monkeypatch.chdir(tmp_path)
+    out = ""
+    if target == "regular_file":
+        (tmp_path / "taken").write_text("not a directory\n")
+        out = "taken"
+    assert main(["metric", "--out", out]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: cannot write output: ")
+    assert len(err.splitlines()) == 1
+    assert not list(tmp_path.rglob("results.json"))
+
+
+def test_failed_result_write_exits_two(tmp_path, monkeypatch, capsys):
+    from mfhjb import cli
+
+    def refuse(*args, **kwargs):
+        raise PermissionError("read-only")
+
+    # no --config, so the first open is the results.json write
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    assert main(["metric", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "results.json").exists()
+    err = capsys.readouterr().err.strip()
+    assert err == "error: cannot write output: read-only"
+
+
 def test_numerical_failure_exits_four(tmp_path, monkeypatch, capsys):
     import dataclasses
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mfhjb import sliced_gauge
 from mfhjb.measures import ParticleEnsemble, translate
 from mfhjb.sliced_gauge import (
     _CHUNK_ATOMS,
@@ -15,6 +16,7 @@ from mfhjb.sliced_gauge import (
     h_gauge,
     phi_delta,
     phi_delta_derivative_bounds,
+    phi_delta_derivatives,
     pin_gauge_square_factor,
     rho,
     sw2,
@@ -208,20 +210,62 @@ def test_dxdmu_gauge_translation_is_zero():
     np.testing.assert_allclose(m, 0.0, atol=1e-10)
 
 
+def _fd_dxdmu(mu, nu, quad, x, noise_nodes=256, h=1e-4):
+    """Central differences of dmu_gauge in x; column l is d/dx_l."""
+    fd = np.zeros((x.size, x.size))
+    for l in range(x.size):
+        e = np.zeros(x.size)
+        e[l] = h
+        fd[:, l] = (
+            dmu_gauge(mu, nu, 0.5, quad, x + e, noise_nodes)
+            - dmu_gauge(mu, nu, 0.5, quad, x - e, noise_nodes)
+        ) / (2 * h)
+    return fd
+
+
 def test_dxdmu_gauge_symmetric_and_matches_fd():
     mu, nu = random_pair(12, n=6, m=5)
     x = np.array([0.3, -0.2])
     analytic = dxdmu_gauge(mu, nu, 0.5, QUAD2, x)
     np.testing.assert_allclose(analytic, analytic.T, atol=1e-10)
-    h = 1e-4
-    fd = np.zeros((2, 2))
-    for l in range(2):
-        e = np.zeros(2)
-        e[l] = h
-        fd[:, l] = (
-            dmu_gauge(mu, nu, 0.5, QUAD2, x + e) - dmu_gauge(mu, nu, 0.5, QUAD2, x - e)
-        ) / (2 * h)
-    assert np.linalg.norm(fd - analytic) / np.linalg.norm(analytic) < 1e-3
+    fd = _fd_dxdmu(mu, nu, QUAD2, x)
+    assert np.linalg.norm(fd - analytic) / np.linalg.norm(analytic) < 1e-5
+
+
+@pytest.mark.parametrize("noise_nodes", [32, 96, 256])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dxdmu_gauge_matches_fd_on_seeded_clouds(seed, noise_nodes):
+    # 12 vs 12 points, nu = 1.2 N + 0.3: the slope T' = f_mu / (f_nu o T) on
+    # dmu_gauge's own nodes differentiates its quadrature at every node count
+    mu, nu = random_pair(seed, n=12, m=12)
+    quad = SphereQuadrature.equispaced_circle(32)
+    x = mu.points[0]
+    analytic = dxdmu_gauge(mu, nu, 0.5, quad, x, noise_nodes)
+    fd = _fd_dxdmu(mu, nu, quad, x, noise_nodes)
+    assert np.linalg.norm(fd - analytic) / np.linalg.norm(analytic) <= 1e-5
+
+
+def test_phi_delta_derivatives_one_solve_per_anchor_group(monkeypatch):
+    mu, nu = random_pair(22)
+    other = translate(nu, np.array([0.5, -0.2]))
+    # nu at t = 0.1 appears twice, so three anchors form two groups
+    anchors = GaugeAnchors(((0.1, nu), (0.4, other), (0.1, nu)), delta=0.8)
+    solve = sliced_gauge._transport
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(sliced_gauge, "_transport", counted)
+    der = phi_delta_derivatives(anchors, 0.3, mu, QUAD2, noise_nodes=48)
+    assert len(calls) == 2
+    terms = [(1.25, nu), (0.5, other)]
+    sig = anchors.sigma
+    dmu = sum(w * dmu_gauge(mu, m, sig, QUAD2, mu.points, 48) for w, m in terms)
+    dxdmu = sum(w * dxdmu_gauge(mu, m, sig, QUAD2, mu.points, 48) for w, m in terms)
+    assert np.abs(der["dmu"] - dmu).max() <= 1e-15
+    assert np.abs(der["dxdmu"] - dxdmu).max() <= 1e-15
 
 
 def test_h_gauge_exact_values():
@@ -315,7 +359,7 @@ def test_phi_delta_dt_bound_always():
     )
     anchors = GaugeAnchors(anchor_list, delta=0.4)
     rec = phi_delta_derivative_bounds(
-        anchors, 0.9, mu, QUAD2, horizon, mc_noise=48, quad_y=48, m_points=64
+        anchors, 0.9, mu, QUAD2, horizon, noise_nodes=48, m_points=64
     )
     assert rec["dt_abs_ok"]
     assert rec["dt_abs_bound"] == 4.0 * horizon
@@ -325,9 +369,7 @@ def test_phi_delta_h_is_geometric_series_of_constant_matrices():
     mu, nu = random_pair(20)
     k_long = 40
     anchors = GaugeAnchors(tuple((0.2, mu) for _ in range(k_long + 1)), delta=0.5, k_max=k_long)
-    from mfhjb.sliced_gauge import phi_delta_derivatives
-
-    der = phi_delta_derivatives(anchors, 0.5, nu, QUAD2, mc_noise=16, quad_y=16)
+    der = phi_delta_derivatives(anchors, 0.5, nu, QUAD2, noise_nodes=16)
     kappa = 0.5  # 1/d for d = 2
     expected_norm = 2.0 * kappa * np.sqrt(2.0)
     assert np.linalg.norm(der["h"], "fro") == pytest.approx(expected_norm, rel=1e-9)
@@ -347,7 +389,7 @@ def test_phi_delta_bounds_on_random_anchor_sets():
         mu = ParticleEnsemble(rng.standard_normal((4, 2)))
         rec = phi_delta_derivative_bounds(
             anchors, float(rng.uniform(0, 1)), mu, quad, horizon=1.0,
-            mc_noise=96, quad_y=96, m_points=64,
+            noise_nodes=96, m_points=64,
         )
         assert rec["all_ok"], rec
 

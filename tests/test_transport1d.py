@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from mfhjb.transport1d import (
@@ -103,12 +105,31 @@ CLAMP_LEVELS = np.array([1e-300, 1e-15, P_MIN, 0.5, 1.0 - P_MIN, 1.0 - 1e-16])
     ids=["separated", "tiny_sigma_duplicates", "single_point", "clamps", "single_point_clamps", "aligned_rows"],
 )
 def test_quantile_residual_contract(values, sigma, p):
-    # each returned z is within a few ulps of a sign change of the raw F - p,
-    # up to the rounding of F (a mean of positive terms)
+    _assert_quantile_contract(values, sigma, p)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8).map(np.array),
+    sigma=st.floats(1e-6, 1e2),
+    p=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).map(np.array),
+)
+# F sees z only through z - v: this root is 19 ulps of z but 0.6 ulp of v away
+@example(values=np.array([0.75]), sigma=0.1875, p=np.array([2.0**-14]))
+def test_quantile_residual_contract_property(values, sigma, p):
+    _assert_quantile_contract(values, sigma, p)
+
+
+def _assert_quantile_contract(values, sigma, p):
+    # each returned z is within a few ulps of max(|z|, max |v|) of a sign
+    # change of the raw F - p, up to the rounding of F (a mean of positive
+    # terms); F sees z only through z - v, so ulps of z alone are too fine
     z = _mixture_quantile(values, sigma, p)
     assert z.shape == p.shape and np.isfinite(z).all()
     target = np.clip(p, P_MIN, 1.0 - P_MIN)
-    step = 4.0 * np.spacing(np.abs(z))
+    v_abs = np.abs(values).max(axis=-1)
+    v_abs = v_abs.reshape(v_abs.shape + (1,) * (p.ndim - v_abs.ndim))  # row a pairs with p[a]
+    step = 4.0 * np.spacing(np.maximum(np.abs(z), v_abs))
     slack = 4.0 * np.finfo(float).eps * target
     assert np.all(_mixture_cdf(values, sigma, z - step) <= target + slack)
     assert np.all(_mixture_cdf(values, sigma, z + step) >= target - slack)
