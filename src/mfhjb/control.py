@@ -289,21 +289,33 @@ def cost_j(
     over common-noise paths.
 
     The particle reduction uses exact summation, so the estimate is invariant
-    under joint permutations of initial points and noise identities.
+    under joint permutations of initial points and noise identities.  This is
+    the one-candidate case of the batched pass ``value_estimate`` makes.
     """
+    per_path = _cost_paths(coeffs, init, (policy,), cfg, paths, path_offset, noise_ids)
+    return _cost_summary(per_path[0])
 
-    def one_path(p: int) -> float:
-        bundle = simulate(coeffs, init, policy, cfg, path_index=path_offset + p, noise_ids=noise_ids)
-        x = bundle.trajectories[-1]
-        return math.fsum(bundle.running + coeffs.terminal_cost(x, x)) / init.n
 
-    # one path's bundle is freed before the next is simulated
-    per_path = np.empty(paths)
+def _cost_paths(coeffs, init, policies: tuple, cfg, paths, path_offset, noise_ids) -> np.ndarray:
+    """Per-path costs, shape (A, paths), of A policies simulated together:
+    one (A, n, d) pass per path on that path's single noise draw."""
+    per_path = np.empty((len(policies), paths))
     for p in range(paths):
-        per_path[p] = one_path(p)
-    mean = math.fsum(per_path) / paths
-    stderr = float(per_path.std(ddof=1) / math.sqrt(paths)) if paths > 1 else float("inf")
-    return {"mean": float(mean), "stderr": stderr, "per_path": per_path}
+        running, x = simulate(coeffs, init, policies, cfg, path_offset + p, noise_ids)
+        for i, row in enumerate(running + coeffs.terminal_cost(x, x)):
+            per_path[i, p] = math.fsum(row) / init.n
+    return per_path
+
+
+def _cost_summary(per_path: np.ndarray) -> dict:
+    mean = math.fsum(per_path) / per_path.shape[0]
+    return {"mean": float(mean), "stderr": _stderr(per_path), "per_path": per_path}
+
+
+def _stderr(samples: np.ndarray) -> float:
+    # one sample gives no spread estimate
+    k = samples.shape[0]
+    return float(samples.std(ddof=1) / math.sqrt(k)) if k > 1 else float("inf")
 
 
 @dataclass(frozen=True)
@@ -349,20 +361,25 @@ def value_estimate(
 
     All candidates are evaluated on the same noise (common random numbers),
     so policy comparisons are exact whenever the pathwise cost difference is
-    noise-free (e.g. action-independent diffusion).  Returns the best value,
-    the maximizing policy, and the full evaluation trace.
+    noise-free (e.g. action-independent diffusion).  The exhaustive search
+    draws that noise once: each path simulates every candidate in one
+    batched pass, and each candidate's cost is bit-identical to ``cost_j``'s.
+    Returns the best value (the first of equal maxima), the maximizing
+    policy, and the full evaluation trace in enumeration order.
     """
     if search.kind == "feedback_ascent":
         return _feedback_ascent(coeffs, init, cfg, search, paths, path_offset)
+    policies = tuple(_exhaustive_policies(search, coeffs.action_space, cfg.t0, cfg.t1))
+    if not policies:
+        raise ValueError("empty policy class")
+    per_path = _cost_paths(coeffs, init, policies, cfg, paths, path_offset, None)
     trace = []
     best = None
-    for policy in _exhaustive_policies(search, coeffs.action_space, cfg.t0, cfg.t1):
-        rec = cost_j(coeffs, init, policy, cfg, paths, path_offset)
+    for policy, row in zip(policies, per_path):
+        rec = _cost_summary(row)
         trace.append({"policy": policy.describe(), "mean": rec["mean"], "stderr": rec["stderr"]})
         if best is None or rec["mean"] > best[0]:
             best = (rec["mean"], policy, rec["stderr"])
-    if best is None:
-        raise ValueError("empty policy class")
     return {"value": best[0], "best_policy": best[1], "stderr": best[2], "trace": trace}
 
 
@@ -451,7 +468,9 @@ def dpp_residual(
     policies, the running cost on [t, s_mid] plus the value re-estimated from
     the realized conditional cloud at s_mid (a fresh estimate per common-noise
     path, since the continuation value is a function of the W^0-conditional
-    law).  The gap lhs - rhs should vanish within Monte Carlo error.
+    law).  The gap lhs - rhs should vanish within Monte Carlo error; with a
+    single outer path its standard error is inf, as in ``cost_j``.  Each
+    outer path simulates every first-leg policy in one batched pass.
     """
     if not (t < s_mid < t1):
         raise ValueError("need t < s_mid < t1")
@@ -464,23 +483,23 @@ def dpp_residual(
     lhs_rec = value_estimate(coeffs, init, cfg_full, search, paths=paths_outer)
 
     cfg_leg = SimConfig(n=n, steps=steps_leg, t0=t, t1=s_mid, seed=seed + 17)
+    legs = tuple(_exhaustive_policies(search, coeffs.action_space, t, s_mid))
+    totals = np.empty((len(legs), paths_outer))
+    for p in range(paths_outer):
+        # every leg policy in one pass on this path's noise; each leg's tail
+        # starts from its own cloud, so the tails run one by one
+        running, clouds = simulate(coeffs, init, legs, cfg_leg, p)
+        cfg_tail = SimConfig(n=n, steps=steps_tail, t0=s_mid, t1=t1, seed=seed + 31 * (p + 1))
+        for i, (leg_running, cloud) in enumerate(zip(running, clouds)):
+            cont = value_estimate(coeffs, ParticleEnsemble(cloud), cfg_tail, search, paths=paths_inner)
+            totals[i, p] = math.fsum(leg_running) / n + cont["value"]
     best_rhs = None
-    for leg_policy in _exhaustive_policies(search, coeffs.action_space, t, s_mid):
-        totals = np.empty(paths_outer)
-        for p in range(paths_outer):
-            bundle = simulate(coeffs, init, leg_policy, cfg_leg, path_index=p)
-            leg_cost = math.fsum(bundle.running) / n
-            cfg_tail = SimConfig(
-                n=n, steps=steps_tail, t0=s_mid, t1=t1, seed=seed + 31 * (p + 1)
-            )
-            cont = value_estimate(coeffs, bundle.terminal, cfg_tail, search, paths=paths_inner)
-            totals[p] = leg_cost + cont["value"]
-        mean = float(totals.mean())
+    for leg_policy, leg_totals in zip(legs, totals):
+        mean = float(leg_totals.mean())
         if best_rhs is None or mean > best_rhs[0]:
-            best_rhs = (mean, totals, leg_policy)
-    rhs, totals, best_leg = best_rhs
-    rhs_stderr = float(totals.std(ddof=1) / math.sqrt(paths_outer))
-    stderr = math.sqrt(lhs_rec["stderr"] ** 2 + rhs_stderr**2)
+            best_rhs = (mean, leg_totals, leg_policy)
+    rhs, leg_totals, best_leg = best_rhs
+    stderr = math.sqrt(lhs_rec["stderr"] ** 2 + _stderr(leg_totals) ** 2)
     return {
         "lhs": lhs_rec["value"],
         "rhs": rhs,

@@ -96,22 +96,39 @@ class PathBundle:
         return ParticleEnsemble(self.trajectories[-1])
 
 
+class _NoiseStream:
+    """The Philox stream of one (seed, channel), built once and re-keyed to
+    the counter [0, 0, path, step] for each block.  Setting the state costs a
+    fraction of building a generator, which also seeds a throwaway
+    SeedSequence from the operating system's entropy."""
+
+    def __init__(self, seed: int, channel: int):
+        key = np.array([seed % 2**64, channel], dtype=np.uint64)
+        self._gen = np.random.Generator(np.random.Philox(key=key))
+        # a fresh generator's state: empty buffer (buffer_pos 4), no cached
+        # 32-bit half (has_uint32 0), so only the counter changes per block
+        self._state = self._gen.bit_generator.state
+        self._counter = self._state["state"]["counter"]
+
+    def block(self, path: int, step: int, rows: int, d: int) -> np.ndarray:
+        self._counter[2:] = path, step
+        self._gen.bit_generator.state = self._state
+        return self._gen.standard_normal((rows, d))
+
+
 def noise_block(seed: int, channel: int, path: int, step: int, rows: int, d: int) -> np.ndarray:
     """Standard normal block for one (channel, path, step); row i is the draw
     for noise identity i.  Fully determined by the key, independent of how
     many rows are requested (leading rows coincide across calls)."""
-    bitgen = np.random.Philox(
-        counter=np.array([0, 0, path, step], dtype=np.uint64),
-        key=np.array([seed % 2**64, channel], dtype=np.uint64),
-    )
-    return np.random.Generator(bitgen).standard_normal((rows, d))
+    return _NoiseStream(seed, channel).block(path, step, rows, d)
 
 
 def _diffuse(sig: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    # sig (d, d) shared, or (n, d, d) per particle
+    # sig (d, d) shared: applied to the (n, d) increments once, broadcast over
+    # the batch; or (..., n, d, d) per particle
     if sig.ndim == 2:
         return dw @ sig.T
-    return np.einsum("nij,nj->ni", sig, dw)
+    return np.einsum("...ij,...j->...i", sig, dw)
 
 
 def _half_trace(sig: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -141,14 +158,35 @@ def simulate(
     cfg: SimConfig,
     path_index: int = 0,
     noise_ids: np.ndarray | None = None,
-) -> PathBundle:
+) -> PathBundle | tuple[np.ndarray, np.ndarray]:
     """Run the Euler-Maruyama scheme for one common-noise realization.
 
     ``coeffs`` is a control.CoefficientSet, called with the current state as
     its own cloud; ``policy.actions_at(t, X)`` supplies the per-particle
     actions.  The running cost is integrated along the way.  Any non-finite
     state aborts with the step index.
+
+    One policy returns its whole path as a PathBundle.  A tuple of A policies
+    is advanced as one (A, n, d) state on one noise draw per step, shared by
+    every candidate (common random numbers); it returns only the running
+    costs (A, n) and the terminal states (A, n, d), with no history.  Either
+    way a candidate's numbers are bit-identical to simulating it alone,
+    because the coefficients treat batch rows independently.
     """
+    if isinstance(policy, tuple):
+        return _euler(coeffs, init, policy, cfg, path_index, noise_ids, record=False)
+    return _euler(coeffs, init, (policy,), cfg, path_index, noise_ids, record=True)
+
+
+def _actions(policy, t: float, x: np.ndarray) -> np.ndarray:
+    # one action row may stand for all n particles
+    a = np.atleast_2d(policy.actions_at(t, x))
+    return np.broadcast_to(a, (x.shape[0], a.shape[-1]))
+
+
+def _euler(coeffs, init, policies, cfg, path_index, noise_ids, record):
+    """The one Euler-Maruyama loop behind ``simulate``: the policies' states
+    advance together as (A, n, d), and ``record`` keeps the A = 1 path."""
     n, d = init.n, init.d
     dt = cfg.dt
     sq = math.sqrt(dt)
@@ -156,28 +194,26 @@ def simulate(
     if ids.shape != (n,):
         raise ValueError("noise_ids must have one entry per particle")
     rows = int(ids.max()) + 1
+    common_noise = _NoiseStream(cfg.seed, _COMMON)
+    idio_noise = _NoiseStream(cfg.idio_seed, _IDIO)
+    perturb_noise = _NoiseStream(cfg.idio_seed, _PERTURB) if cfg.epsilon > 0.0 else None
 
     times = cfg.t0 + dt * np.arange(cfg.steps + 1)
-    traj = np.empty((cfg.steps + 1, n, d))
-    traj[0] = init.points
-    common = np.empty((cfg.steps, d))
-    controls = None
-    running = np.zeros(n)
+    if record:
+        traj = np.empty((cfg.steps + 1, n, d))
+        traj[0] = init.points
+        common = np.empty((cfg.steps, d))
+        controls = None
+    running = np.zeros((len(policies), n))
 
-    x = init.points.copy()
+    x = np.repeat(init.points[None], len(policies), axis=0)
     for k in range(cfg.steps):
         t = float(times[k])
-        a = np.atleast_2d(policy.actions_at(t, x))
-        if a.shape[0] == 1 and n > 1:
-            a = np.broadcast_to(a, (n, a.shape[1]))
-        if controls is None:
-            controls = np.empty((cfg.steps, n, a.shape[1]))
-        controls[k] = a
-        running += coeffs.running_cost(t, x, x, controls[k]) * dt
+        a = np.stack([_actions(pol, t, xi) for pol, xi in zip(policies, x)], dtype=float)
+        running += coeffs.running_cost(t, x, x, a) * dt
 
-        dw0 = sq * noise_block(cfg.seed, _COMMON, path_index, k, 1, d)[0]
-        common[k] = dw0
-        dw = sq * noise_block(cfg.idio_seed, _IDIO, path_index, k, rows, d)[ids]
+        dw0 = sq * common_noise.block(path_index, k, 1, d)[0]
+        dw = sq * idio_noise.block(path_index, k, rows, d)[ids]
 
         x = (
             x
@@ -185,14 +221,21 @@ def simulate(
             + _diffuse(np.asarray(coeffs.diffusion(t, x, a), dtype=float), dw)
             + dw0 @ np.asarray(coeffs.common_diffusion(t), dtype=float).T
         )
-        if cfg.epsilon > 0.0:
-            db = sq * noise_block(cfg.idio_seed, _PERTURB, path_index, k, rows, d)[ids]
+        if perturb_noise is not None:
+            db = sq * perturb_noise.block(path_index, k, rows, d)[ids]
             x = x + cfg.epsilon * db
         if not np.isfinite(x).all():
             raise FloatingPointError(f"non-finite state at step {k + 1} (t = {t + dt:.6g})")
-        traj[k + 1] = x
+        if record:
+            if controls is None:
+                controls = np.empty((cfg.steps, n, a.shape[-1]))
+            controls[k] = a[0]
+            common[k] = dw0
+            traj[k + 1] = x[0]
 
-    return PathBundle(times, common, traj, controls, running)
+    if record:
+        return PathBundle(times, common, traj, controls, running[0])
+    return running, x
 
 
 def moment_checks(

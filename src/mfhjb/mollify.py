@@ -107,22 +107,31 @@ def _mollified_all(
     """Mean and standard error over offsets of the smoothed coefficient
     ``kind`` (a CoefficientSet field name), for every particle index at once.
 
-    All Q offsets go through one call of the base coefficient on (Q, n, d)
-    arrays; each offset's shifted state is also its own cloud.
+    ``xbar`` is a state (..., n, d) with any leading batch axes.  All Q
+    offsets go through one call of the base coefficient: the offset axis
+    leads, so ``z_off`` acts as (Q, 1..., n, d) and ``t_off`` as (Q, 1...),
+    and each offset's shifted state is also its own cloud.  A batch row's
+    result is bit-identical to that row evaluated alone.
     """
     q = z_off.shape[0]
-    xs = xbar - z_off / spec.m
+    lead = (q,) + (1,) * (np.ndim(xbar) - 2)
+    xs = xbar - z_off.reshape(lead + z_off.shape[1:]) / spec.m
     if kind == "terminal_cost":
         vals = coeffs.terminal_cost(xs, xs)
     else:
-        ts = np.minimum(np.maximum(t - t_off / spec.m, 0.0), horizon)
+        ts = np.minimum(np.maximum(t - t_off.reshape(lead) / spec.m, 0.0), horizon)
         vals = getattr(coeffs, kind)(ts, xs, xs, a)
-    vals = np.asarray(vals, dtype=float)
+    # numpy adds the offsets in order only when the offset axis is outermost
+    # (C order; np.broadcast_to(...).astype puts it innermost) and at least
+    # two columns remain, hence one reduction for both sums; otherwise it
+    # sums pairwise, and a row's value would depend on the batch around it
+    vals = np.ascontiguousarray(vals, dtype=float)
     # the first offset anchors the sums against cancellation
     shifted = vals - vals[0]
-    centered = shifted.sum(axis=0) / q
+    sums = np.stack([shifted, shifted**2], axis=1).sum(axis=0) / q
+    centered = sums[0]
     mean = vals[0] + centered
-    var = np.maximum((shifted**2).sum(axis=0) / q - centered**2, 0.0)
+    var = np.maximum(sums[1] - centered**2, 0.0)
     stderr = np.sqrt(var / q)
     return mean, stderr
 
@@ -219,16 +228,16 @@ def MollifiedCoefficients(coeffs, spec: MollifierSpec, n: int, horizon: float = 
     """The CoefficientSet that drives the n-particle system with smoothed b,
     f and g; sigma and sigma0 pass through unsmoothed.
 
-    The smoothed coefficients take states of shape (n, d) only and rebuild
-    the cloud per offset from the state, so the cloud they are given is
+    The smoothed coefficients take states of shape (..., n, d) and rebuild
+    the cloud per offset from each state, so the cloud they are given is
     ignored.  The offset sample is drawn once here: the smoothed
     coefficients are fixed deterministic functions.
     """
     t_off, z_off = _draw_offsets(spec, n, coeffs.d)
 
     def smoothed(kind, t, x, a):
-        if x.shape != (n, coeffs.d):
-            raise ValueError(f"state shape {x.shape} != ({n}, {coeffs.d})")
+        if x.shape[-2:] != (n, coeffs.d):
+            raise ValueError(f"state shape {x.shape} does not end in ({n}, {coeffs.d})")
         return _mollified_all(kind, coeffs, spec, t, x, a, horizon, t_off, z_off)[0]
 
     return replace(

@@ -118,8 +118,11 @@ def _mean_reversion_mf(params: dict) -> CoefficientSet:
     def terminal_cost(x, cloud):
         # concave in the cloud mean, so finite-n mean fluctuations depress
         # the expected terminal cost by an O(1/n) bias
-        agg = np.tanh(cloud.mean(axis=-2) @ u0 - mf_center) ** 2
-        return np.tanh(x @ p) - mf_weight * agg[..., None]
+        # elementwise products and last-axis sums, not matmul, and np.square,
+        # not **: BLAS contractions and a numpy scalar's power may round a
+        # row differently from the same row inside a batch
+        agg = np.square(np.tanh(np.sum(cloud.mean(axis=-2) * u0, axis=-1) - mf_center))
+        return np.tanh(np.sum(x * p, axis=-1)) - mf_weight * agg[..., None]
 
     K = max(
         (pull + 1.0) * np.sqrt(d) + 1.0,

@@ -10,6 +10,7 @@ from mfhjb.control import (
     SearchSpec,
     StepControl,
     TestFunction,
+    _exhaustive_policies,
     cost_j,
     dpp_residual,
     h_via_second_derivative,
@@ -164,6 +165,37 @@ def test_dpp_lq_and_single_action():
     rec2 = dpp_residual(lq, init, 0.0, 0.5, 1.0, single, n_steps=16,
                         paths_outer=16, paths_inner=12, seed=14)
     assert abs(rec2["gap"]) <= 3 * rec2["stderr"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_dpp_single_outer_path_has_infinite_stderr():
+    # one outer path gives no spread estimate: inf, as cost_j reports, and
+    # no degrees-of-freedom warning
+    zero = scenario("zero")
+    init = sample_iid({"kind": "gaussian"}, 8, 2, seed=42)
+    rec = dpp_residual(zero, init, 0.0, 0.5, 1.0, SearchSpec(), n_steps=4,
+                       paths_outer=1, paths_inner=2, seed=43)
+    assert rec["gap"] == 0.0
+    assert rec["stderr"] == math.inf
+
+
+def test_value_estimate_trace_matches_cost_j():
+    # the batched search scores every candidate exactly as cost_j does alone,
+    # on a scenario whose terminal cost reads the cloud mean
+    mr = scenario("mean_reversion_mf", {"d": 2, "mf_center": 0.5})
+    init = sample_iid({"kind": "gaussian", "std": 0.8}, 24, 2, seed=40)
+    cfg = SimConfig(n=24, steps=6, t0=0.0, t1=1.0, seed=41)
+    search = SearchSpec(n_intervals=2)
+    rec = value_estimate(mr, init, cfg, search, paths=3)
+    policies = list(_exhaustive_policies(search, mr.action_space, cfg.t0, cfg.t1))
+    assert len(rec["trace"]) == len(policies) == 16
+    for entry, policy in zip(rec["trace"], policies):
+        alone = cost_j(mr, init, policy, cfg, paths=3)
+        assert entry["policy"] == policy.describe()
+        assert (entry["mean"], entry["stderr"]) == (alone["mean"], alone["stderr"])
+    best = max(rec["trace"], key=lambda e: e["mean"])  # the first of equal maxima
+    assert rec["value"] == best["mean"]
+    assert rec["best_policy"].describe() == best["policy"]
 
 
 def test_dpp_validates_times():

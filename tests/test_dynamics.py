@@ -1,8 +1,23 @@
 import numpy as np
 import pytest
 
-from mfhjb.control import ActionSpace, CoefficientSet, StepControl, TestFunction, cost_j, hjb_residual
-from mfhjb.dynamics import SimConfig, ito_expectation_check, moment_checks, noise_block, simulate
+from mfhjb.control import (
+    ActionSpace,
+    CoefficientSet,
+    FeedbackTable,
+    StepControl,
+    TestFunction,
+    cost_j,
+    hjb_residual,
+)
+from mfhjb.dynamics import (
+    SimConfig,
+    _NoiseStream,
+    ito_expectation_check,
+    moment_checks,
+    noise_block,
+    simulate,
+)
 from mfhjb.measures import ParticleEnsemble, sample_iid
 
 D = 2
@@ -103,6 +118,23 @@ def test_noise_block_row_stability():
     big = noise_block(9, 1, 0, 3, 64, D)
     small = noise_block(9, 1, 0, 3, 8, D)
     np.testing.assert_array_equal(big[:8], small)
+
+
+@pytest.mark.parametrize("seed", [0, 1212, 2**63 + 5])
+def test_noise_block_matches_a_philox_built_per_key(seed):
+    # the re-keyed stream, fresh or reused after other blocks, reproduces a
+    # generator built for the (seed, channel, path, step) key
+    keys = [(path, step, rows) for path, step in ((0, 0), (3, 17), (2, 5)) for rows in (1, 5, 2048)]
+    for channel in range(3):
+        stream = _NoiseStream(seed, channel)
+        for path, step, rows in keys:
+            bitgen = np.random.Philox(
+                counter=np.array([0, 0, path, step], dtype=np.uint64),
+                key=np.array([seed % 2**64, channel], dtype=np.uint64),
+            )
+            expect = np.random.Generator(bitgen).standard_normal((rows, D))
+            np.testing.assert_array_equal(noise_block(seed, channel, path, step, rows, D), expect)
+            np.testing.assert_array_equal(stream.block(path, step, rows, D), expect)
 
 
 def test_nan_failure_reports_step():
@@ -322,3 +354,25 @@ def test_path_bundle_running_matches_step_loop():
         x = bundle.trajectories[k]
         running += f(float(bundle.times[k]), x, x, bundle.controls_used[k]) * cfg.dt
     np.testing.assert_array_equal(bundle.running, running)
+
+
+def test_policy_batch_matches_each_policy_alone():
+    # a tuple of policies advances on one shared noise draw per step; each
+    # candidate's running cost and terminal state equal its own run bit for
+    # bit, here with a per-particle diffusion, eps-noise and permuted ids
+    coeffs, _ = _state_dependent_case()
+    init = sample_iid({"kind": "gaussian", "std": 0.7}, 16, D, seed=31)
+    cfg = SimConfig(n=16, steps=7, t0=0.0, t1=0.7, seed=32, epsilon=0.1, noise_seed=33)
+    table = FeedbackTable(lo=-np.ones(D), hi=np.ones(D), table=np.arange(8.0).reshape(2, 2, 2) / 8.0)
+    policies = (
+        ZERO_POLICY,
+        StepControl(np.array([0.0, 0.3]), (np.array([1.0, -1.0]), np.array([-0.5, 0.5]))),
+        StepControl(np.array([0.0]), (table,)),
+    )
+    ids = np.random.default_rng(34).permutation(16)
+    running, terminal = simulate(coeffs, init, policies, cfg, 2, ids)
+    assert running.shape == (3, 16) and terminal.shape == (3, 16, D)
+    for i, policy in enumerate(policies):
+        bundle = simulate(coeffs, init, policy, cfg, path_index=2, noise_ids=ids)
+        np.testing.assert_array_equal(running[i], bundle.running)
+        np.testing.assert_array_equal(terminal[i], bundle.trajectories[-1])

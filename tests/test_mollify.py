@@ -162,6 +162,34 @@ def test_mollified_coefficients_interface():
         mol.drift(0.3, x[:3], x[:3], a[:3])
 
 
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("lq_drift", {"d": 2, "p": [1.0, -0.5], "radius": 2.0}),
+        ("mean_reversion_mf", {"d": 1, "mf_center": 0.5}),
+        ("bounded_trig", {"d": 2}),
+    ],
+)
+def test_mollified_coefficients_batch_rows_match_rows_alone(name, params, n):
+    # a batched state (4, n, d) smooths each row exactly as that row alone;
+    # t within 1/m of 0 keeps bounded_trig's time clamp active
+    coeffs = scenario(name, params)
+    mol = MollifiedCoefficients(coeffs, MollifierSpec(m=4, offsets=64, seed=11), n)
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((4, n, coeffs.d))
+    a = rng.uniform(-1.0, 1.0, (4, n, coeffs.d))
+    batch = (mol.drift(0.05, x, x, a), mol.running_cost(0.05, x, x, a), mol.terminal_cost(x, x))
+    for i in range(4):
+        alone = (
+            mol.drift(0.05, x[i], x[i], a[i]),
+            mol.running_cost(0.05, x[i], x[i], a[i]),
+            mol.terminal_cost(x[i], x[i]),
+        )
+        for got, want in zip(batch, alone):
+            np.testing.assert_array_equal(got[i], want)
+
+
 def test_stderr_cap_flags():
     rng_local = np.random.default_rng(9)
     wiggly = simple_coeffs(

@@ -98,3 +98,44 @@ def test_validate_catches_violations():
     object.__setattr__(bad, "K", 0.01)
     with pytest.raises(ValueError, match="violation"):
         bad.validate()
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("lq_drift", {}),
+        ("zero", {}),
+        ("mean_reversion_mf", {"d": 1}),
+        ("mean_reversion_mf", {"d": 2}),
+        ("bounded_trig", {"d": 2}),
+    ],
+)
+def test_batch_rows_match_rows_alone(name, params):
+    # a row of a (4, n, d) batch never depends on the other rows, bit for bit
+    coeffs = scenario(name, params)
+    d = coeffs.d
+    rng = np.random.default_rng(12)
+    for n in (1, 5, 33):
+        for _ in range(25):
+            x = 2.0 * rng.standard_normal((4, n, d))
+            a = rng.uniform(-1.0, 1.0, (4, n, d))
+            t = rng.uniform(0.0, 1.0, 4)
+            batch = (
+                coeffs.drift(t, x, x, a),
+                coeffs.diffusion(t, x, a),
+                coeffs.common_diffusion(t),
+                coeffs.running_cost(t, x, x, a),
+                coeffs.terminal_cost(x, x),
+            )
+            for i in range(4):
+                alone = (
+                    coeffs.drift(t[i], x[i], x[i], a[i]),
+                    coeffs.diffusion(t[i], x[i], a[i]),
+                    coeffs.common_diffusion(t[i]),
+                    coeffs.running_cost(t[i], x[i], x[i], a[i]),
+                    coeffs.terminal_cost(x[i], x[i]),
+                )
+                for got, want in zip(batch, alone):
+                    # a (d, d) diffusion is shared by every row
+                    row = np.broadcast_to(got, (4,) + np.shape(want))[i]
+                    np.testing.assert_array_equal(row, want)
