@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mfhjb.dynamics import SimConfig, _generator, _half_trace, simulate
+from mfhjb.dynamics import SimConfig, _generator, _half_trace, _stderr, simulate
 from mfhjb.measures import ParticleEnsemble, sample_iid
 
 __all__ = [
@@ -312,12 +312,6 @@ def _cost_summary(per_path: np.ndarray) -> dict:
     return {"mean": float(mean), "stderr": _stderr(per_path), "per_path": per_path}
 
 
-def _stderr(samples: np.ndarray) -> float:
-    # one sample gives no spread estimate
-    k = samples.shape[0]
-    return float(samples.std(ddof=1) / math.sqrt(k)) if k > 1 else float("inf")
-
-
 @dataclass(frozen=True)
 class SearchSpec:
     """Finite policy class for value estimation.
@@ -387,23 +381,28 @@ def _feedback_ascent(coeffs, init, cfg, search, paths, path_offset) -> dict:
     acts = search.action_list(coeffs.action_space)
     lo = np.asarray(search.feedback_lo, dtype=float)
     hi = np.asarray(search.feedback_hi, dtype=float)
-    q = acts[0].shape[0]
     shape = tuple(search.feedback_shape)
     table = np.tile(np.mean(acts, axis=0), shape + (1,))
     trace = []
 
-    def evaluate(tab):
-        policy = StepControl(np.array([cfg.t0]), (FeedbackTable(lo, hi, tab),))
-        return cost_j(coeffs, init, policy, cfg, paths, path_offset)["mean"], policy
+    def policy_for(tab):
+        return StepControl(np.array([cfg.t0]), (FeedbackTable(lo, hi, tab),))
 
-    current, policy = evaluate(table)
+    policy = policy_for(table)
+    current = cost_j(coeffs, init, policy, cfg, paths, path_offset)["mean"]
     for _ in range(search.sweeps):
         improved = False
         for cell in itertools.product(*[range(c) for c in shape]):
+            # a cell's trials differ from the current table only at that
+            # cell, so they are fixed before its loop and share one pass
+            trials = []
             for a in acts:
                 trial = table.copy()
                 trial[cell] = a
-                val, pol = evaluate(trial)
+                trials.append((trial, policy_for(trial)))
+            per_path = _cost_paths(coeffs, init, tuple(p for _, p in trials), cfg, paths, path_offset, None)
+            for (trial, pol), row in zip(trials, per_path):
+                val = _cost_summary(row)["mean"]
                 trace.append({"policy": pol.describe(), "mean": val, "stderr": float("nan")})
                 if val > current:
                     current, policy, table = val, pol, trial
@@ -437,17 +436,15 @@ def value_fd_approx(
     """
     from mfhjb.mollify import MollifiedCoefficients, MollifierSpec
 
-    spec = MollifierSpec(m=m, offsets=offsets, seed=seed + 7)
+    # the offsets depend only on the spec and n, so one coefficient set serves every resample
+    mol = MollifiedCoefficients(coeffs, MollifierSpec(m=m, offsets=offsets, seed=seed + 7), n, horizon=cfg.t1)
     vals = []
     for r in range(resamples):
         init = sample_iid(mu_spec, n, coeffs.d, seed=seed + 1000 * r)
-        mol = MollifiedCoefficients(coeffs, spec, n, horizon=cfg.t1)
         run_cfg = cfg.replace(n=n, epsilon=eps, seed=cfg.seed + r)
         rec = value_estimate(mol, init, run_cfg, search, paths)
         vals.append(rec["value"])
-    mean = float(np.mean(vals))
-    spread = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return {"value": mean, "stderr": spread, "per_resample": vals}
+    return {"value": float(np.mean(vals)), "stderr": _stderr(np.asarray(vals)), "per_resample": vals}
 
 
 def dpp_residual(

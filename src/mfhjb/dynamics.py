@@ -138,6 +138,12 @@ def _half_trace(sig: np.ndarray, m: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...ij,...ji->...", m, ssT)
 
 
+def _stderr(samples: np.ndarray) -> float:
+    # standard error of the mean over axis 0; one sample gives no spread estimate
+    k = samples.shape[0]
+    return float(samples.std(ddof=1) / math.sqrt(k)) if k > 1 else float("inf")
+
+
 def _generator(drift, sig, sig0, dmu, dxdmu, h):
     """The chain rule's generator without dt u, from evaluated arrays.
 
@@ -318,11 +324,9 @@ def ito_expectation_check(
         lhs_vals[pidx] = lhs
         rhs_vals[pidx] = rhs
         diffs[pidx] = lhs - rhs
-    gap = float(diffs.mean())
-    stderr = float(diffs.std(ddof=1) / math.sqrt(paths)) if paths > 1 else float("inf")
     return {
         "lhs": float(lhs_vals.mean()),
         "rhs": float(rhs_vals.mean()),
-        "gap": gap,
-        "stderr": stderr,
+        "gap": float(diffs.mean()),
+        "stderr": _stderr(diffs),
     }

@@ -49,6 +49,7 @@ __all__ = [
     "sw2",
     "gauge_g",
     "rho",
+    "rho_matrix",
     "dmu_gauge",
     "dxdmu_gauge",
     "h_gauge",
@@ -140,9 +141,9 @@ class SphereQuadrature:
         return SphereQuadrature.quasi_uniform_sphere(d, count or 1024, seed)
 
 
-def _check_pair(mu: ParticleEnsemble, nu: ParticleEnsemble, quad: SphereQuadrature):
-    if mu.d != nu.d or mu.d != quad.d:
-        raise ValueError(f"dimension mismatch: mu {mu.d}, nu {nu.d}, quadrature {quad.d}")
+def _check_dims(quad: SphereQuadrature, *clouds: ParticleEnsemble):
+    if any(ens.d != quad.d for ens in clouds):
+        raise ValueError(f"dimension mismatch: ensembles {[e.d for e in clouds]}, quadrature {quad.d}")
 
 
 def _stratified_quantiles(
@@ -156,37 +157,37 @@ def _stratified_quantiles(
     return _mixture_quantile(v, sigma, pb)
 
 
-def _table_gap(quad: SphereQuadrature, qa: np.ndarray, qb: np.ndarray) -> float:
-    """sum_j w_j mean_p (qa - qb)^2 over two (directions, levels) quantile tables."""
-    return float(quad.weights @ np.mean((qa - qb) ** 2, axis=1))
+def _quantile_tables(clouds, sigma: float, quad: SphereQuadrature, m_points: int) -> np.ndarray:
+    """Stacked quantile tables of a sequence of clouds, shape (len(clouds),
+    directions, m_points): one _stratified_quantiles solve per distinct cloud
+    object."""
+    _check_dims(quad, *clouds)
+    solved = {}
+    for ens in clouds:
+        if id(ens) not in solved:
+            solved[id(ens)] = _stratified_quantiles(ens, sigma, quad, m_points)
+    return np.stack([solved[id(ens)] for ens in clouds])
 
 
-def _sw2_squared(
-    mu: ParticleEnsemble,
-    nu: ParticleEnsemble,
-    sigma: float,
-    quad: SphereQuadrature,
-    m_points: int = 256,
-) -> float:
-    """sum_j w_j W2^2 along all quadrature directions (no-1/2 convention).
+def _sliced_gap(qa: np.ndarray, qb: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The (La, Lb) matrix sum_j w_j mean_p (qa - qb)^2 between two stacks of
+    (directions, levels) quantile tables.  Only elementwise products and
+    last-axis sums, so a pair's value does not depend on the stacks it is in."""
+    sq = (qa[:, None] - qb[None, :]) ** 2  # (La, Lb, A, M), squared in place
+    return (sq.mean(axis=-1) * weights).sum(axis=-1)
 
-    For sigma > 0 each directional W2^2 is the probability-space midpoint rule
-    over m_points stratified quantiles; for sigma = 0 the exact discrete 1-d
-    coupling is used (requires equal particle counts).
-    """
-    _check_pair(mu, nu, quad)
-    if sigma < 0.0:
-        raise ValueError("sigma must be >= 0")
-    if sigma == 0.0:
-        if mu.n != nu.n:
-            raise ValueError("sigma = 0 requires equal particle counts")
-        total = 0.0
-        for w, th in zip(quad.weights, quad.nodes):
-            total += w * w2_discrete(mu.points @ th, nu.points @ th) ** 2
-        return total
-    qm = _stratified_quantiles(mu, sigma, quad, m_points)
-    qn = _stratified_quantiles(nu, sigma, quad, m_points)
-    return _table_gap(quad, qm, qn)
+
+def rho_matrix(times_a, clouds_a, times_b, clouds_b, sigma: float, quad: SphereQuadrature,
+               m_points: int = 256) -> np.ndarray:
+    """The (La, Lb) matrix of rho((t_a, mu_a), (t_b, mu_b)) = (t_a - t_b)^2 +
+    GAUGE_SQUARE_FACTOR * sliced gap, from one quantile table per distinct
+    cloud object on either side; each entry is the same bits as ``rho``."""
+    if sigma <= 0.0:
+        raise ValueError("gauge functional requires sigma > 0")
+    la = len(clouds_a)
+    q = _quantile_tables(tuple(clouds_a) + tuple(clouds_b), sigma, quad, m_points)
+    dt = np.subtract.outer(np.asarray(times_a, dtype=float), np.asarray(times_b, dtype=float))
+    return dt * dt + GAUGE_SQUARE_FACTOR * _sliced_gap(q[:la], q[la:], quad.weights)
 
 
 def sw2(
@@ -196,8 +197,26 @@ def sw2(
     quad: SphereQuadrature,
     m_points: int = 256,
 ) -> float:
-    """Smoothed sliced Wasserstein distance between two ensembles."""
-    return float(np.sqrt(max(_sw2_squared(mu, nu, sigma, quad, m_points), 0.0)))
+    """Smoothed sliced Wasserstein distance between two ensembles, the root of
+    sum_j w_j W2^2 along all quadrature directions (no-1/2 convention).
+
+    For sigma > 0 each directional W2^2 is the probability-space midpoint rule
+    over m_points stratified quantiles; for sigma = 0 the exact discrete 1-d
+    coupling is used (requires equal particle counts).
+    """
+    _check_dims(quad, mu, nu)
+    if sigma < 0.0:
+        raise ValueError("sigma must be >= 0")
+    if sigma == 0.0:
+        if mu.n != nu.n:
+            raise ValueError("sigma = 0 requires equal particle counts")
+        total = 0.0
+        for w, th in zip(quad.weights, quad.nodes):
+            total += w * w2_discrete(mu.points @ th, nu.points @ th) ** 2
+    else:
+        q = _quantile_tables((mu, nu), sigma, quad, m_points)
+        total = _sliced_gap(q[:1], q[1:], quad.weights)[0, 0]
+    return float(np.sqrt(max(total, 0.0)))
 
 
 def gauge_g(
@@ -207,10 +226,9 @@ def gauge_g(
     quad: SphereQuadrature,
     m_points: int = 256,
 ) -> float:
-    """The gauge functional s * sw2^2 whose derivatives are in closed form."""
-    if sigma <= 0.0:
-        raise ValueError("gauge functional requires sigma > 0")
-    return GAUGE_SQUARE_FACTOR * _sw2_squared(mu, nu, sigma, quad, m_points)
+    """The gauge functional s * sw2^2 whose derivatives are in closed form:
+    rho at equal times."""
+    return rho(0.0, mu, 0.0, nu, sigma, quad, m_points)
 
 
 def rho(
@@ -228,7 +246,7 @@ def rho(
     |t - s| and the sliced distance to be small (for eta <= eps^2/4, each of
     |t - s| and sqrt(gauge_g) is at most eps/2).
     """
-    return (t - s) ** 2 + gauge_g(mu, nu, sigma, quad, m_points)
+    return float(rho_matrix([s], (mu,), [t], (nu,), sigma, quad, m_points)[0, 0])
 
 
 def _noise_average(
@@ -245,7 +263,7 @@ def _noise_average(
     (or one point's A * K * n, if more); elementwise products and last-axis
     sums keep each point's arithmetic the same whatever chunk it falls in.
     """
-    _check_pair(mu, nu, quad)
+    _check_dims(quad, mu, nu)
     if sigma <= 0.0:
         raise ValueError("sigma must be > 0")
     xs = np.atleast_2d(np.asarray(x, dtype=float))
@@ -356,6 +374,12 @@ class GaugeAnchors:
     def weights(self) -> np.ndarray:
         return 0.5 ** np.arange(len(self.active()))
 
+    def series(self, rho_active: np.ndarray) -> np.ndarray:
+        """phi = sum_k 2^{-k} rho(., (t_k, mu_k)) from rho against the active
+        anchors along the last axis: one weighted last-axis sum, shared by
+        phi_delta and the variational certificate."""
+        return (rho_active * self.weights()).sum(axis=-1)
+
     def truncation_tail_bound(self, rho_sup: float) -> float:
         """2^{-k_max} * sup over rho values, bounding the dropped geometric tail."""
         if len(self.anchors) <= self.k_max + 1:
@@ -387,10 +411,9 @@ def phi_delta(
     m_points: int = 256,
 ) -> float:
     """Series sum_k 2^{-k} rho((t, mu), (t_k, mu_k)) at sigma = 1/delta."""
-    total = 0.0
-    for w, tk, muk in _grouped_anchor_weights(anchors):
-        total += w * rho(t, mu, tk, muk, anchors.sigma, quad, m_points)
-    return total
+    times, clouds = zip(*anchors.active())
+    row = rho_matrix([t], (mu,), times, clouds, anchors.sigma, quad, m_points)
+    return float(anchors.series(row)[0])
 
 
 def phi_delta_derivatives(
@@ -428,11 +451,9 @@ def _implied_lambda(anchors: GaugeAnchors, quad: SphereQuadrature, m_points: int
     variational construction relative to anchor 0: rho(anchor_0, anchor_k)
     <= lambda / (2^k delta^2)."""
     t0, mu0 = anchors.anchors[0]
-    lam = 0.0
-    for k, (tk, muk) in enumerate(anchors.active()):
-        r = rho(t0, mu0, tk, muk, anchors.sigma, quad, m_points)
-        lam = max(lam, 2.0**k * anchors.delta**2 * r)
-    return lam
+    times, clouds = zip(*anchors.active())
+    r = rho_matrix([t0], (mu0,), times, clouds, anchors.sigma, quad, m_points)[0]
+    return float(np.max(2.0 ** np.arange(r.size) * anchors.delta**2 * r))
 
 
 def phi_delta_derivative_bounds(
@@ -515,7 +536,7 @@ def lifted_gauge_fd_gradient(
 
     def gauge_from(points):
         qm = _stratified_quantiles(ParticleEnsemble(points), sigma, quad, m_points)
-        return s * _table_gap(quad, qm, qn)
+        return s * _sliced_gap(qm[None], qn[None], quad.weights)[0, 0]
 
     grad = np.zeros((n, d))
     for i in range(n):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mfhjb.sliced_gauge import GaugeAnchors, SphereQuadrature
+from mfhjb.sliced_gauge import GaugeAnchors, SphereQuadrature, rho_matrix
 
 __all__ = ["CandidateSet", "BPResult", "borwein_preiss"]
 
@@ -81,22 +81,10 @@ class BPResult:
 
 
 def _pairwise_rho(cands: CandidateSet, quad: SphereQuadrature, m_points: int) -> np.ndarray:
-    """All pairwise rho values from one quantile table per candidate.
-
-    Along each direction the squared distance between two smoothed
-    projections is the mean squared gap of their stratified quantiles, so the
-    L x L matrix needs only L quantile sweeps.
-    """
-    from mfhjb.sliced_gauge import GAUGE_SQUARE_FACTOR, _stratified_quantiles
-
-    sigma = 1.0 / cands.delta
-    tables = np.stack(
-        [_stratified_quantiles(ens, sigma, quad, m_points) for ens in cands.ensembles]
-    )  # (L, A, M)
-    sq = ((tables[:, None] - tables[None, :]) ** 2).mean(axis=3)  # (L, L, A)
-    gauge_sq = GAUGE_SQUARE_FACTOR * (sq @ quad.weights)
-    dt = cands.times[:, None] - cands.times[None, :]
-    return dt**2 + gauge_sq
+    """All pairwise rho values, from one quantile table per distinct candidate
+    cloud; each entry is the same bits as ``sliced_gauge.rho`` on its pair."""
+    times, clouds = cands.times, cands.ensembles
+    return rho_matrix(times, clouds, times, clouds, 1.0 / cands.delta, quad, m_points)
 
 
 def borwein_preiss(
@@ -146,7 +134,7 @@ def borwein_preiss(
         k_max=k_max,
     )
 
-    certificate = _verify_certificate(cands, quad, rho_mat, tilde, padded, m_points)
+    certificate = _verify_certificate(cands, rho_mat, tilde, padded, anchors)
     certificate["complete"] = complete
 
     return BPResult(
@@ -160,27 +148,21 @@ def borwein_preiss(
 
 def _verify_certificate(
     cands: CandidateSet,
-    quad: SphereQuadrature,
     rho_mat: np.ndarray,
     tilde: int,
     padded: list,
-    m_points: int,
+    anchors: GaugeAnchors,
 ) -> dict:
     dd = cands.delta**2
-    weights = 0.5 ** np.arange(len(padded))
 
     # item (1): every anchor lies within the geometric rho budget of tilde
-    budget_margin = np.inf
-    item1 = True
-    for k, idx in enumerate(padded):
-        allowed = cands.lam / (2.0**k * dd)
-        margin = allowed - rho_mat[tilde, idx]
-        budget_margin = min(budget_margin, margin)
-        if margin < 0.0:
-            item1 = False
+    margins = cands.lam / (2.0 ** np.arange(len(padded)) * dd) - rho_mat[tilde, padded]
+    budget_margin = float(margins.min())
+    item1 = bool(budget_margin >= 0.0)
 
-    # phi_delta over the candidate set, from the same pairwise table
-    phi_all = (rho_mat[:, padded] * weights).sum(axis=1)
+    # phi_delta over the candidate set, from the same pairwise table and the
+    # same series sum as sliced_gauge.phi_delta
+    phi_all = anchors.series(rho_mat[:, padded])
 
     # item (2): improvement over the start point net of the perturbation
     lhs2 = cands.g_values[cands.start]
@@ -190,20 +172,15 @@ def _verify_certificate(
 
     # item (3): strict maximality of G - delta^2 phi_delta at tilde
     perturbed = cands.g_values - dd * phi_all
-    others = np.delete(np.arange(cands.size), tilde)
-    if others.size:
-        item3_margin = float(perturbed[tilde] - perturbed[others].max())
-        item3 = item3_margin > 0.0
-    else:
-        item3_margin = np.inf
-        item3 = True
+    others = np.delete(perturbed, tilde)
+    item3_margin = float(perturbed[tilde] - others.max()) if others.size else np.inf
 
     return {
         "item1_ok": item1,
-        "item1_margin": float(budget_margin),
+        "item1_margin": budget_margin,
         "item2_ok": bool(item2),
         "item2_margin": item2_margin,
-        "item3_ok": bool(item3),
+        "item3_ok": item3_margin > 0.0,
         "item3_margin": item3_margin,
         "phi_tilde": float(phi_all[tilde]),
     }

@@ -128,6 +128,74 @@ def test_value_estimate_feedback_ascent_runs():
     np.testing.assert_array_equal(best.table, np.ones((2, 1)))
 
 
+def test_feedback_ascent_trace_matches_per_trial_cost_j():
+    # the per-cell batched pass must reproduce one cost_j per trial table,
+    # accepted in order on a strict improvement, bit for bit
+    mr = scenario("mean_reversion_mf", {"d": 2, "mf_center": 0.5})
+    init = sample_iid({"kind": "gaussian", "std": 0.8}, 24, 2, seed=50)
+    cfg = SimConfig(n=24, steps=8, t0=0.0, t1=1.0, seed=51)
+    lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    spec = SearchSpec(kind="feedback_ascent", feedback_shape=(2, 2),
+                      feedback_lo=lo, feedback_hi=hi, sweeps=2)
+    rec = value_estimate(mr, init, cfg, spec, paths=3)
+
+    def evaluate(tab):
+        policy = StepControl(np.array([cfg.t0]), (FeedbackTable(lo, hi, tab),))
+        return cost_j(mr, init, policy, cfg, paths=3)["mean"], policy
+
+    acts = spec.action_list(mr.action_space)
+    table = np.tile(np.mean(acts, axis=0), (2, 2, 1))
+    current, policy = evaluate(table)
+    trace = []
+    for _ in range(spec.sweeps):
+        improved = False
+        for cell in np.ndindex(2, 2):
+            for a in acts:
+                trial = table.copy()
+                trial[cell] = a
+                val, pol = evaluate(trial)
+                trace.append((pol.describe(), val))
+                if val > current:
+                    current, policy, table = val, pol, trial
+                    improved = True
+        if not improved:
+            break
+    assert [(r["policy"], r["mean"]) for r in rec["trace"]] == trace
+    assert rec["value"] == current
+    np.testing.assert_array_equal(rec["best_policy"].actions[0].table, table)
+    assert len({v for _, v in trace}) > 1  # the trials are not all alike
+
+
+def test_value_fd_approx_one_resample_has_infinite_stderr():
+    from mfhjb.control import value_fd_approx
+
+    lq = scenario("lq_drift", {"d": 2, "p": [1.0, -0.5]})
+    cfg = SimConfig(n=16, steps=4, t0=0.0, t1=1.0, seed=60)
+    rec = value_fd_approx(lq, {"kind": "gaussian", "std": 0.4}, 0.0, 0.0, n=16, m=8,
+                          cfg=cfg, search=SearchSpec(), paths=2, resamples=1,
+                          offsets=8, seed=61)
+    assert rec["stderr"] == math.inf
+    assert rec["value"] == rec["per_resample"][0]
+
+
+def test_value_fd_approx_resamples_match_fresh_coefficients():
+    # one mollified coefficient set serves every resample: each resample's
+    # value equals value_estimate on a freshly built set, bit for bit
+    from mfhjb.control import value_fd_approx
+    from mfhjb.mollify import MollifiedCoefficients, MollifierSpec
+
+    lq = scenario("lq_drift", {"d": 2, "p": [1.0, -0.5]})
+    mu_spec = {"kind": "gaussian", "std": 0.4}
+    cfg = SimConfig(n=16, steps=4, t0=0.0, t1=1.0, seed=62)
+    rec = value_fd_approx(lq, mu_spec, 0.0, 0.2, n=16, m=8, cfg=cfg, search=SearchSpec(),
+                          paths=2, resamples=3, offsets=8, seed=63)
+    for r, value in enumerate(rec["per_resample"]):
+        mol = MollifiedCoefficients(lq, MollifierSpec(m=8, offsets=8, seed=70), 16, horizon=1.0)
+        init = sample_iid(mu_spec, 16, 2, seed=63 + 1000 * r)
+        run_cfg = cfg.replace(epsilon=0.2, seed=62 + r)
+        assert value == value_estimate(mol, init, run_cfg, SearchSpec(), 2)["value"]
+
+
 def test_value_fd_approx_unperturbed_matches_plain_estimate():
     # mollifying already-smooth coefficients at m = 32 is near-identity, so
     # the finite-dimensional approximation reproduces the plain estimate

@@ -19,6 +19,7 @@ from mfhjb.sliced_gauge import (
     phi_delta_derivatives,
     pin_gauge_square_factor,
     rho,
+    rho_matrix,
     sw2,
 )
 from mfhjb.transport1d import SmoothedProjection, w2_discrete, w2_smoothed
@@ -339,6 +340,45 @@ def test_phi_delta_two_identical_anchors():
     assert phi_delta(double, 0.2, nu, QUAD2) == pytest.approx(
         1.5 * phi_delta(single, 0.2, nu, QUAD2), rel=1e-12
     )
+
+
+def test_phi_delta_one_table_for_mu_plus_one_per_anchor_group(monkeypatch):
+    mu, nu = random_pair(23)
+    other = translate(nu, np.array([0.5, -0.2]))
+    third = translate(mu, np.array([-0.3, 0.1]))
+    # nu at t = 0.1 appears twice, so four anchors form three groups
+    anchors = GaugeAnchors(((0.1, nu), (0.4, other), (0.1, nu), (0.7, third)), delta=0.8)
+    solve = sliced_gauge._stratified_quantiles
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(sliced_gauge, "_stratified_quantiles", counted)
+    val = phi_delta(anchors, 0.3, mu, QUAD2, 64)
+    assert len(calls) == 4
+    terms = [(1.25, 0.1, nu), (0.5, 0.4, other), (0.125, 0.7, third)]
+    expect = sum(w * rho(0.3, mu, t, m, anchors.sigma, QUAD2, 64) for w, t, m in terms)
+    assert val == pytest.approx(expect, rel=1e-14)
+
+
+def test_rho_matrix_entries_equal_rho_and_gauge_g():
+    rng = np.random.default_rng(24)
+    clouds = [ParticleEnsemble(rng.standard_normal((int(rng.integers(1, 7)), 2))) for _ in range(5)]
+    times = rng.uniform(0.0, 1.0, 5)
+    mat = rho_matrix(times[:2], clouds[:2], times, clouds, 0.7, QUAD2, 32)
+    assert mat.shape == (2, 5)
+    assert mat[0, 0] == 0.0 and mat[1, 1] == 0.0
+    for a in range(2):
+        for b in range(5):
+            assert mat[a, b] == rho(times[a], clouds[a], times[b], clouds[b], 0.7, QUAD2, 32)
+            # equal times leave the gauge term alone
+            assert rho(0.4, clouds[a], 0.4, clouds[b], 0.7, QUAD2, 32) == gauge_g(
+                clouds[a], clouds[b], 0.7, QUAD2, 32
+            )
+    with pytest.raises(ValueError):
+        rho_matrix([0.0], clouds[:1], [0.0], clouds[:1], 0.0, QUAD2)
 
 
 def test_phi_delta_truncation_tail_bound():

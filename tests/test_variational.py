@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from mfhjb import sliced_gauge
 from mfhjb.measures import ParticleEnsemble
-from mfhjb.sliced_gauge import SphereQuadrature, phi_delta
-from mfhjb.variational import CandidateSet, borwein_preiss
+from mfhjb.sliced_gauge import SphereQuadrature, phi_delta, phi_delta_derivative_bounds, rho
+from mfhjb.variational import CandidateSet, _pairwise_rho, borwein_preiss
 
 QUAD1 = SphereQuadrature.two_point_1d()
 QUAD2 = SphereQuadrature.equispaced_circle(16)
@@ -62,13 +63,80 @@ def test_start_hypothesis_enforced():
 
 
 def test_certificate_phi_matches_module_phi():
+    # phi_delta and the certificate share one rho kernel and one series sum,
+    # so phi_delta at the selected point is phi_tilde bit for bit
     rng = np.random.default_rng(4)
     cands = make_candidates(rng, 6, lam=0.5, delta=0.4)
     res = borwein_preiss(cands, QUAD1, m_points=64)
     t_tilde = cands.times[res.tilde_index]
     mu_tilde = cands.ensembles[res.tilde_index]
     direct = phi_delta(res.anchors, float(t_tilde), mu_tilde, QUAD1, m_points=64)
-    assert res.certificate["phi_tilde"] == pytest.approx(direct, rel=1e-9, abs=1e-12)
+    assert res.certificate["phi_tilde"] == direct
+    # d = 2, where the parent's two implementations differed in the last bit
+    # on seeds 27, 149 and 154
+    for seed in (0, 1, 2, 27, 149, 154):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(2, 30))
+        times = rng.uniform(0.0, 1.0, size)
+        clouds = tuple(ParticleEnsemble(rng.standard_normal((int(rng.integers(2, 6)), 2))) for _ in range(size))
+        g = rng.uniform(0.0, 1.0, size)
+        start = int(rng.integers(size))
+        cands = CandidateSet(times, clouds, g, lam=g.max() - g[start] + 0.05,
+                             delta=float(rng.uniform(0.1, 0.6)), start=start)
+        res = borwein_preiss(cands, QUAD2, m_points=48)
+        tilde = res.tilde_index
+        direct = phi_delta(res.anchors, float(times[tilde]), clouds[tilde], QUAD2, m_points=48)
+        assert direct == res.certificate["phi_tilde"], seed
+
+
+def test_rho_equals_pairwise_rho_bitwise():
+    # the pairwise matrix is batch invariant: each entry is rho on its pair alone
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        times = rng.uniform(0.0, 1.0, 6)
+        clouds = tuple(ParticleEnsemble(rng.standard_normal((int(rng.integers(2, 6)), 2))) for _ in range(6))
+        cands = CandidateSet(times, clouds, np.zeros(6), lam=1.0, delta=0.3)
+        mat = _pairwise_rho(cands, QUAD2, 48)
+        assert np.all(np.diag(mat) == 0.0)
+        for a in range(6):
+            for b in range(6):
+                assert rho(times[a], clouds[a], times[b], clouds[b], 1.0 / 0.3, QUAD2, 48) == mat[a, b]
+
+
+def _count_tables(monkeypatch):
+    solve = sliced_gauge._stratified_quantiles
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(sliced_gauge, "_stratified_quantiles", counted)
+    return calls
+
+
+def test_pairwise_rho_one_table_per_distinct_cloud(monkeypatch):
+    rng = np.random.default_rng(8)
+    cands = make_candidates(rng, 5)
+    shared = cands.ensembles[0]
+    cands = CandidateSet(cands.times, (shared,) + cands.ensembles[1:4] + (shared,),
+                         cands.g_values, cands.lam, cands.delta, cands.start)
+    calls = _count_tables(monkeypatch)
+    _pairwise_rho(cands, QUAD1, 48)
+    assert len(calls) == 4
+
+
+def test_implied_lambda_one_table_per_distinct_anchor(monkeypatch):
+    # a constant score makes the start point the only anchor, padded to k_max + 1
+    rng = np.random.default_rng(9)
+    cands = make_candidates(rng, 4, g_values=[0.5] * 4, lam=0.4, delta=0.25, start=0)
+    res = borwein_preiss(cands, QUAD1, m_points=48)
+    assert len(res.anchors.anchors) == 41 and len(res.anchor_indices) == 1
+    calls = _count_tables(monkeypatch)
+    rec = phi_delta_derivative_bounds(res.anchors, 0.5, cands.ensembles[1], QUAD1, horizon=1.0,
+                                      noise_nodes=16, m_points=48)
+    assert len(calls) == 1
+    assert rec["lam"] == 0.0
 
 
 def test_s_trace_non_increasing():
