@@ -420,11 +420,13 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
+        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"seed must be a JSON integer, got {json.dumps(seed)}")
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 1
 
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     out_dir = args.out
     try:
         os.makedirs(out_dir, exist_ok=True)

@@ -12,6 +12,11 @@ where mu_k is the empirical measure of all n particles at step k: within one
 realization of the shared path W^0 the cloud itself represents the
 conditional law of the state given W^0.
 
+The scheme is written once, as a generator over the steps that keeps
+nothing itself.  Its consumers fold it: ``simulate`` integrates the running
+cost (and records the path of a single policy), and
+``ito_expectation_check`` adds the chain rule's drift terms step by step.
+
 Noise is drawn from counter-based (Philox) streams keyed by
 (seed, channel, path, step).  Within a step's block, row i belongs to noise
 identity i, so pairing two simulations on the same identities produces a
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -90,10 +96,6 @@ class PathBundle:
     trajectories: np.ndarray  # (steps + 1, n, d)
     controls_used: np.ndarray  # (steps, n, q)
     running: np.ndarray  # (n,)
-
-    @property
-    def terminal(self) -> ParticleEnsemble:
-        return ParticleEnsemble(self.trajectories[-1])
 
 
 class _NoiseStream:
@@ -165,62 +167,67 @@ def simulate(
     path_index: int = 0,
     noise_ids: np.ndarray | None = None,
 ) -> PathBundle | tuple[np.ndarray, np.ndarray]:
-    """Run the Euler-Maruyama scheme for one common-noise realization.
+    """Run the Euler-Maruyama scheme for one common-noise realization and
+    integrate the left-Riemann running cost along it.
 
     ``coeffs`` is a control.CoefficientSet, called with the current state as
-    its own cloud; ``policy.actions_at(t, X)`` supplies the per-particle
-    actions.  The running cost is integrated along the way.  Any non-finite
-    state aborts with the step index.
+    its own cloud; ``policy.actions_at(t, X)`` supplies the (n, q) actions.
+    Any non-finite state aborts with the step index.
 
     One policy returns its whole path as a PathBundle.  A tuple of A policies
     is advanced as one (A, n, d) state on one noise draw per step, shared by
     every candidate (common random numbers); it returns only the running
-    costs (A, n) and the terminal states (A, n, d), with no history.  Either
-    way a candidate's numbers are bit-identical to simulating it alone,
-    because the coefficients treat batch rows independently.
+    costs (A, n) and the terminal states (A, n, d), and keeps nothing per
+    step.  Either way a candidate's numbers are bit-identical to simulating
+    it alone, because the coefficients treat batch rows independently.
     """
-    if isinstance(policy, tuple):
-        return _euler(coeffs, init, policy, cfg, path_index, noise_ids, record=False)
-    return _euler(coeffs, init, (policy,), cfg, path_index, noise_ids, record=True)
+    batch = isinstance(policy, tuple)
+    policies = policy if batch else (policy,)
+    scheme = _euler(coeffs, init, policies, cfg, path_index, noise_ids)
+    running = np.zeros((len(policies), init.n))
+    if batch:
+        for t, x, a, _ in islice(scheme, cfg.steps):
+            running += coeffs.running_cost(t, x, x, a) * cfg.dt
+        return running, next(scheme)
+
+    traj = np.empty((cfg.steps + 1, init.n, init.d))
+    common = np.empty((cfg.steps, init.d))
+    for k, (t, x, a, dw0) in enumerate(islice(scheme, cfg.steps)):
+        running += coeffs.running_cost(t, x, x, a) * cfg.dt
+        if k == 0:
+            controls = np.empty((cfg.steps,) + a.shape[1:])
+        traj[k], controls[k], common[k] = x[0], a[0], dw0
+    traj[-1] = next(scheme)[0]
+    times = cfg.t0 + cfg.dt * np.arange(cfg.steps + 1)
+    return PathBundle(times, common, traj, controls, running[0])
 
 
-def _actions(policy, t: float, x: np.ndarray) -> np.ndarray:
-    # one action row may stand for all n particles
-    a = np.atleast_2d(policy.actions_at(t, x))
-    return np.broadcast_to(a, (x.shape[0], a.shape[-1]))
-
-
-def _euler(coeffs, init, policies, cfg, path_index, noise_ids, record):
-    """The one Euler-Maruyama loop behind ``simulate``: the policies' states
-    advance together as (A, n, d), and ``record`` keeps the A = 1 path."""
+def _euler(coeffs, init, policies, cfg, path_index, noise_ids):
+    """The one Euler-Maruyama scheme: the policies' states advance together
+    as (A, n, d).  Yields (t_k, X_k, a_k, dW0_k) for each step k before
+    taking it, with X_k (A, n, d) and a_k (A, n, q), then the terminal state.
+    """
     n, d = init.n, init.d
     dt = cfg.dt
     sq = math.sqrt(dt)
-    ids = np.arange(n) if noise_ids is None else np.asarray(noise_ids, dtype=int)
-    if ids.shape != (n,):
-        raise ValueError("noise_ids must have one entry per particle")
-    rows = int(ids.max()) + 1
+    ids, rows = slice(None), n  # without noise_ids the blocks are used as drawn
+    if noise_ids is not None:
+        ids = np.asarray(noise_ids, dtype=int)
+        if ids.shape != (n,):
+            raise ValueError("noise_ids must have one entry per particle")
+        rows = int(ids.max()) + 1
     common_noise = _NoiseStream(cfg.seed, _COMMON)
     idio_noise = _NoiseStream(cfg.idio_seed, _IDIO)
     perturb_noise = _NoiseStream(cfg.idio_seed, _PERTURB) if cfg.epsilon > 0.0 else None
 
-    times = cfg.t0 + dt * np.arange(cfg.steps + 1)
-    if record:
-        traj = np.empty((cfg.steps + 1, n, d))
-        traj[0] = init.points
-        common = np.empty((cfg.steps, d))
-        controls = None
-    running = np.zeros((len(policies), n))
-
     x = np.repeat(init.points[None], len(policies), axis=0)
     for k in range(cfg.steps):
-        t = float(times[k])
-        a = np.stack([_actions(pol, t, xi) for pol, xi in zip(policies, x)], dtype=float)
-        running += coeffs.running_cost(t, x, x, a) * dt
-
+        t = cfg.t0 + dt * k
+        a = np.stack([pol.actions_at(t, xi) for pol, xi in zip(policies, x)], dtype=float)
         dw0 = sq * common_noise.block(path_index, k, 1, d)[0]
-        dw = sq * idio_noise.block(path_index, k, rows, d)[ids]
+        yield t, x, a, dw0
 
+        dw = sq * idio_noise.block(path_index, k, rows, d)[ids]
         x = (
             x
             + coeffs.drift(t, x, x, a) * dt
@@ -232,16 +239,7 @@ def _euler(coeffs, init, policies, cfg, path_index, noise_ids, record):
             x = x + cfg.epsilon * db
         if not np.isfinite(x).all():
             raise FloatingPointError(f"non-finite state at step {k + 1} (t = {t + dt:.6g})")
-        if record:
-            if controls is None:
-                controls = np.empty((cfg.steps, n, a.shape[-1]))
-            controls[k] = a[0]
-            common[k] = dw0
-            traj[k + 1] = x[0]
-
-    if record:
-        return PathBundle(times, common, traj, controls, running[0])
-    return running, x
+    yield x
 
 
 def moment_checks(
@@ -300,27 +298,28 @@ def ito_expectation_check(
         dphi/dt + E^1[dmu phi . b] + (1/2) E^1 tr[dxdmu phi sigma sigma^T]
                 + (1/2) tr[H phi sigma0 sigma0^T]
 
-    over the time grid; the martingale part has zero mean and is omitted.
-    The gap is the path average of lhs_p - rhs_p with its standard error.
+    as each step of the scheme is taken, so no path is kept; the martingale
+    part has zero mean and is omitted.  The gap is the path average of
+    lhs_p - rhs_p with its standard error.
     """
     diffs = np.empty(paths)
     lhs_vals = np.empty(paths)
     rhs_vals = np.empty(paths)
     for pidx in range(paths):
-        bundle = simulate(coeffs, init, policy, cfg, path_index=pidx)
-        traj = bundle.trajectories
-        lhs = testfn.value(cfg.t1, traj[-1]) - testfn.value(cfg.t0, traj[0])
-        t, x, a = bundle.times[:-1], traj[:-1], bundle.controls_used
-        per_particle, common = _generator(
-            coeffs.drift(t, x, x, a),
-            np.asarray(coeffs.diffusion(t, x, a), dtype=float),
-            np.asarray(coeffs.common_diffusion(t), dtype=float),
-            testfn.dmu(t, x),
-            testfn.dxdmu(t, x),
-            testfn.h_op(t, x),
-        )
-        steps = cfg.dt * (testfn.dt(t, x) + per_particle.mean(axis=-1) + common)
-        rhs = float(np.cumsum(steps)[-1])  # left to right, in step order
+        scheme = _euler(coeffs, init, (policy,), cfg, pidx, None)
+        rhs = -0.0  # the exact additive identity: the sum runs in step order, like np.cumsum
+        for t, x, a, _ in islice(scheme, cfg.steps):
+            x, a = x[0], a[0]
+            per_particle, common = _generator(
+                coeffs.drift(t, x, x, a),
+                np.asarray(coeffs.diffusion(t, x, a), dtype=float),
+                np.asarray(coeffs.common_diffusion(t), dtype=float),
+                testfn.dmu(t, x),
+                testfn.dxdmu(t, x),
+                testfn.h_op(t, x),
+            )
+            rhs += cfg.dt * (testfn.dt(t, x) + per_particle.mean(axis=-1) + common)
+        lhs = testfn.value(cfg.t1, next(scheme)[0]) - testfn.value(cfg.t0, init.points)
         lhs_vals[pidx] = lhs
         rhs_vals[pidx] = rhs
         diffs[pidx] = lhs - rhs

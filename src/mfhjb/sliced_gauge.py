@@ -67,7 +67,8 @@ __all__ = [
 GAUGE_SQUARE_FACTOR = 0.5
 
 #: Upper bound on directions x points x noise nodes x particles in one chunk
-#: of the derivative evaluations, so their temporaries stay near 8 MB each.
+#: of the derivative evaluations, and on the pairs x directions x levels of
+#: one chunk of _sliced_gap, so their temporaries stay near 8 MB each.
 _CHUNK_ATOMS = 2**20
 
 
@@ -172,9 +173,14 @@ def _quantile_tables(clouds, sigma: float, quad: SphereQuadrature, m_points: int
 def _sliced_gap(qa: np.ndarray, qb: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The (La, Lb) matrix sum_j w_j mean_p (qa - qb)^2 between two stacks of
     (directions, levels) quantile tables.  Only elementwise products and
-    last-axis sums, so a pair's value does not depend on the stacks it is in."""
-    sq = (qa[:, None] - qb[None, :]) ** 2  # (La, Lb, A, M), squared in place
-    return (sq.mean(axis=-1) * weights).sum(axis=-1)
+    last-axis sums, so a pair's value does not depend on the stacks it is in,
+    and rows of qa are taken in chunks of at most _CHUNK_ATOMS differences."""
+    rows = max(1, _CHUNK_ATOMS // qb.size)
+    gaps = []
+    for s in range(0, qa.shape[0], rows):
+        sq = (qa[s : s + rows, None] - qb[None, :]) ** 2  # (rows, Lb, A, M), squared in place
+        gaps.append((sq.mean(axis=-1) * weights).sum(axis=-1))
+    return np.concatenate(gaps)
 
 
 def rho_matrix(times_a, clouds_a, times_b, clouds_b, sigma: float, quad: SphereQuadrature,
@@ -387,22 +393,6 @@ class GaugeAnchors:
         return 2.0 ** (-self.k_max) * rho_sup
 
 
-def _grouped_anchor_weights(anchors: GaugeAnchors):
-    """Collapse repeated anchor objects, summing their geometric weights.
-
-    The variational construction pads its anchor list by repeating the final
-    point; grouping by object identity avoids recomputing identical terms.
-    """
-    groups: dict[int, list] = {}
-    for w, (tk, muk) in zip(anchors.weights(), anchors.active()):
-        key = (tk, id(muk))
-        if key in groups:
-            groups[key][0] += w
-        else:
-            groups[key] = [w, tk, muk]
-    return [(w, tk, muk) for w, tk, muk in groups.values()]
-
-
 def phi_delta(
     anchors: GaugeAnchors,
     t: float,
@@ -426,17 +416,23 @@ def phi_delta_derivatives(
     """Term-wise derivatives of phi_delta at (t, mu).
 
     Returns dt (scalar), dmu (n, d) and dxdmu (n, d, d) evaluated at the
-    particles of mu (one transport solve per anchor group), and the matrix h.
+    particles of mu (one transport solve per distinct anchor cloud: the gauge
+    derivatives do not depend on the anchor times), and the matrix h.
     """
-    dt = 0.0
+    weights = anchors.weights()
+    times, clouds = zip(*anchors.active())
+    dt = float((weights * 2.0 * (t - np.asarray(times, dtype=float))).sum())
+    # the variational construction pads its anchors by repeating the last one
+    groups: dict[int, list] = {}
+    for w, muk in zip(weights, clouds):
+        groups.setdefault(id(muk), [0.0, muk])[0] += w
     dmu = np.zeros_like(mu.points)
     dxdmu = np.zeros((mu.n, mu.d, mu.d))
-    for w, tk, muk in _grouped_anchor_weights(anchors):
-        dt += w * 2.0 * (t - tk)
+    for w, muk in groups.values():
         dmu_k, dxdmu_k = _gauge_derivatives(mu, muk, anchors.sigma, quad, mu.points, noise_nodes)
         dmu += w * dmu_k
         dxdmu += w * dxdmu_k
-    h = float(anchors.weights().sum()) * h_gauge(mu.d, quad)
+    h = float(weights.sum()) * h_gauge(mu.d, quad)
     return {"dt": dt, "dmu": dmu, "dxdmu": dxdmu, "h": h}
 
 

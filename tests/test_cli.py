@@ -69,6 +69,16 @@ def test_config_error_inside_run_exits_one(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("seed", ["abc", [1], 1.5, True, None], ids=["string", "list", "float", "bool", "null"])
+def test_config_seed_must_be_an_integer(tmp_path, capsys, seed):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": seed}))
+    assert main(["metric", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_tolerance_failure_exits_three(tmp_path):
     # coarse Monte Carlo direction quadrature in d = 3 cannot hit the
     # translation identity at 1e-4, so the metric gate must fail

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from mfhjb.control import (
 )
 from mfhjb.dynamics import (
     SimConfig,
+    _generator,
     _NoiseStream,
+    _stderr,
     ito_expectation_check,
     moment_checks,
     noise_block,
@@ -376,3 +380,74 @@ def test_policy_batch_matches_each_policy_alone():
         bundle = simulate(coeffs, init, policy, cfg, path_index=2, noise_ids=ids)
         np.testing.assert_array_equal(running[i], bundle.running)
         np.testing.assert_array_equal(terminal[i], bundle.trajectories[-1])
+
+
+def _ito_on_recorded_paths(coeffs, init, tf, cfg, policy, paths):
+    # the chain rule's sides from whole recorded paths: the generator on a
+    # path's (steps, n, d) history at once, summed in step order by cumsum
+    lhs, rhs = np.empty(paths), np.empty(paths)
+    for p in range(paths):
+        bundle = simulate(coeffs, init, policy, cfg, path_index=p)
+        traj = bundle.trajectories
+        lhs[p] = tf.value(cfg.t1, traj[-1]) - tf.value(cfg.t0, traj[0])
+        t, x, a = bundle.times[:-1], traj[:-1], bundle.controls_used
+        per_particle, common = _generator(
+            coeffs.drift(t, x, x, a),
+            np.asarray(coeffs.diffusion(t, x, a), dtype=float),
+            np.asarray(coeffs.common_diffusion(t), dtype=float),
+            tf.dmu(t, x),
+            tf.dxdmu(t, x),
+            tf.h_op(t, x),
+        )
+        rhs[p] = np.cumsum(cfg.dt * (tf.dt(t, x) + per_particle.mean(axis=-1) + common))[-1]
+    diffs = lhs - rhs
+    return {"lhs": lhs.mean(), "rhs": rhs.mean(), "gap": diffs.mean(), "stderr": _stderr(diffs)}
+
+
+def _second_moment_case():
+    # c07's second-moment case: idiosyncratic noise only
+    tf = TestFunction(
+        value=lambda t, cloud: float(np.mean(np.sum(cloud**2, axis=1))),
+        dt=lambda t, cloud: 0.0,
+        dmu=lambda t, cloud: 2.0 * cloud,
+        dxdmu=lambda t, cloud: np.broadcast_to(2.0 * EYE, (cloud.shape[-2], D, D)),
+        h_op=lambda t, cloud: 2.0 * EYE,
+    )
+    init = sample_iid({"kind": "point_mass", "center": [0.0, 0.0]}, 200, D, seed=0)
+    cfg = SimConfig(n=200, steps=30, t0=0.0, t1=1.0, seed=707)
+    return const_coeffs(sig=EYE), init, tf, cfg, ZERO_POLICY
+
+
+def _state_dependent_run():
+    coeffs, tf = _state_dependent_case()
+    init = sample_iid({"kind": "gaussian", "std": 0.7}, 32, D, seed=23)
+    cfg = SimConfig(n=32, steps=12, t0=0.1, t1=0.7, seed=24)
+    policy = StepControl(np.array([0.1, 0.4]), (np.array([0.5, -0.5]), np.array([-1.0, 0.2])))
+    return coeffs, init, tf, cfg, policy
+
+
+@pytest.mark.parametrize("case", [_state_dependent_run, _second_moment_case], ids=["state-dependent", "c07"])
+def test_ito_fold_matches_recorded_paths_bitwise(case):
+    # folding the generator step by step gives the same bits as evaluating
+    # it on each recorded path and taking the last cumulative sum
+    coeffs, init, tf, cfg, policy = case()
+    rec = ito_expectation_check(coeffs, init, tf, cfg, policy, paths=5)
+    expect = _ito_on_recorded_paths(coeffs, init, tf, cfg, policy, paths=5)
+    for key in ("lhs", "rhs", "gap", "stderr"):
+        assert rec[key] == expect[key], key
+
+
+@pytest.mark.parametrize("steps", [50, 400])
+def test_ito_check_keeps_no_path_history(steps):
+    # a recorded path at n = 2000 alone is (steps + 1) * 32 kB
+    coeffs, tf = _state_dependent_case()
+    init = sample_iid({"kind": "gaussian", "std": 0.7}, 2000, D, seed=25)
+    cfg = SimConfig(n=2000, steps=steps, t0=0.0, t1=1.0, seed=26)
+    policy = StepControl(np.array([0.0]), (np.array([0.5, -0.5]),))
+    tracemalloc.start()
+    try:
+        ito_expectation_check(coeffs, init, tf, cfg, policy, paths=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

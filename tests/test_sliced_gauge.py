@@ -269,6 +269,27 @@ def test_phi_delta_derivatives_one_solve_per_anchor_group(monkeypatch):
     assert np.abs(der["dxdmu"] - dxdmu).max() <= 1e-15
 
 
+def test_phi_delta_derivatives_one_solve_per_cloud_at_any_times(monkeypatch):
+    # the gauge derivatives do not depend on the anchor times, so one cloud
+    # anchored at three times costs one transport solve
+    mu, nu = random_pair(23)
+    anchors = GaugeAnchors(((0.1, nu), (0.4, nu), (0.7, nu)), 0.5)
+    solve = sliced_gauge._transport
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(sliced_gauge, "_transport", counted)
+    der = phi_delta_derivatives(anchors, 0.3, mu, QUAD2, noise_nodes=48)
+    assert len(calls) == 1
+    dt = sum(w * 2.0 * (0.3 - tk) for w, tk in ((1.0, 0.1), (0.5, 0.4), (0.25, 0.7)))
+    assert der["dt"] == pytest.approx(dt, rel=1e-15)
+    dmu = 1.75 * dmu_gauge(mu, nu, anchors.sigma, QUAD2, mu.points, 48)
+    assert np.abs(der["dmu"] - dmu).max() <= 1e-15
+
+
 def test_h_gauge_exact_values():
     np.testing.assert_allclose(h_gauge(2, QUAD2), 0.5 * np.eye(2), atol=1e-14)
     np.testing.assert_allclose(h_gauge(1, QUAD1), np.eye(1), atol=0)
@@ -361,6 +382,19 @@ def test_phi_delta_one_table_for_mu_plus_one_per_anchor_group(monkeypatch):
     terms = [(1.25, 0.1, nu), (0.5, 0.4, other), (0.125, 0.7, third)]
     expect = sum(w * rho(0.3, mu, t, m, anchors.sigma, QUAD2, 64) for w, t, m in terms)
     assert val == pytest.approx(expect, rel=1e-14)
+
+
+def test_rho_matrix_chunked_rows_match_one_chunk(monkeypatch):
+    # the kernel is batch invariant, so chunking the rows changes no bit
+    rng = np.random.default_rng(24)
+    clouds = tuple(ParticleEnsemble(rng.standard_normal((int(rng.integers(2, 6)), 2))) for _ in range(9))
+    times = rng.uniform(0.0, 1.0, 9)
+    whole = rho_matrix(times, clouds, times[:7], clouds[:7], 2.0, QUAD2, 48)
+    # two rows of the (rows, 7, 64, 48) temporary per chunk: five chunks
+    monkeypatch.setattr(sliced_gauge, "_CHUNK_ATOMS", 2 * 7 * QUAD2.count * 48)
+    chunked = rho_matrix(times, clouds, times[:7], clouds[:7], 2.0, QUAD2, 48)
+    assert chunked.shape == (9, 7)
+    assert np.array_equal(chunked, whole)
 
 
 def test_rho_matrix_entries_equal_rho_and_gauge_g():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,21 @@ def test_rho_equals_pairwise_rho_bitwise():
         for a in range(6):
             for b in range(6):
                 assert rho(times[a], clouds[a], times[b], clouds[b], 1.0 / 0.3, QUAD2, 48) == mat[a, b]
+
+
+def test_pairwise_rho_memory_is_chunked():
+    # the (L, L, directions, levels) differences of 100 candidates would take
+    # 250 MB at once
+    rng = np.random.default_rng(10)
+    cands = make_candidates(rng, 100, d=2)
+    quad = SphereQuadrature.equispaced_circle(64)
+    tracemalloc.start()
+    try:
+        _pairwise_rho(cands, quad, 48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def _count_tables(monkeypatch):
