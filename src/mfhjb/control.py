@@ -281,7 +281,6 @@ def cost_j(
     policy: StepControl,
     cfg: SimConfig,
     paths: int = 32,
-    path_offset: int = 0,
     noise_ids: np.ndarray | None = None,
 ) -> dict:
     """Monte Carlo cost: the left-Riemann running cost ``simulate`` integrates
@@ -292,16 +291,16 @@ def cost_j(
     under joint permutations of initial points and noise identities.  This is
     the one-candidate case of the batched pass ``value_estimate`` makes.
     """
-    per_path = _cost_paths(coeffs, init, (policy,), cfg, paths, path_offset, noise_ids)
+    per_path = _cost_paths(coeffs, init, (policy,), cfg, paths, noise_ids)
     return _cost_summary(per_path[0])
 
 
-def _cost_paths(coeffs, init, policies: tuple, cfg, paths, path_offset, noise_ids) -> np.ndarray:
+def _cost_paths(coeffs, init, policies: tuple, cfg, paths, noise_ids) -> np.ndarray:
     """Per-path costs, shape (A, paths), of A policies simulated together:
     one (A, n, d) pass per path on that path's single noise draw."""
     per_path = np.empty((len(policies), paths))
     for p in range(paths):
-        running, x = simulate(coeffs, init, policies, cfg, path_offset + p, noise_ids)
+        running, x = simulate(coeffs, init, policies, cfg, p, noise_ids)
         for i, row in enumerate(running + coeffs.terminal_cost(x, x)):
             per_path[i, p] = math.fsum(row) / init.n
     return per_path
@@ -349,7 +348,6 @@ def value_estimate(
     cfg: SimConfig,
     search: SearchSpec,
     paths: int = 32,
-    path_offset: int = 0,
 ) -> dict:
     """Maximize the Monte Carlo cost over the policy class.
 
@@ -362,11 +360,11 @@ def value_estimate(
     policy, and the full evaluation trace in enumeration order.
     """
     if search.kind == "feedback_ascent":
-        return _feedback_ascent(coeffs, init, cfg, search, paths, path_offset)
+        return _feedback_ascent(coeffs, init, cfg, search, paths)
     policies = tuple(_exhaustive_policies(search, coeffs.action_space, cfg.t0, cfg.t1))
     if not policies:
         raise ValueError("empty policy class")
-    per_path = _cost_paths(coeffs, init, policies, cfg, paths, path_offset, None)
+    per_path = _cost_paths(coeffs, init, policies, cfg, paths, None)
     trace = []
     best = None
     for policy, row in zip(policies, per_path):
@@ -377,7 +375,7 @@ def value_estimate(
     return {"value": best[0], "best_policy": best[1], "stderr": best[2], "trace": trace}
 
 
-def _feedback_ascent(coeffs, init, cfg, search, paths, path_offset) -> dict:
+def _feedback_ascent(coeffs, init, cfg, search, paths) -> dict:
     acts = search.action_list(coeffs.action_space)
     lo = np.asarray(search.feedback_lo, dtype=float)
     hi = np.asarray(search.feedback_hi, dtype=float)
@@ -389,7 +387,7 @@ def _feedback_ascent(coeffs, init, cfg, search, paths, path_offset) -> dict:
         return StepControl(np.array([cfg.t0]), (FeedbackTable(lo, hi, tab),))
 
     policy = policy_for(table)
-    current = cost_j(coeffs, init, policy, cfg, paths, path_offset)["mean"]
+    current = cost_j(coeffs, init, policy, cfg, paths)["mean"]
     for _ in range(search.sweeps):
         improved = False
         for cell in itertools.product(*[range(c) for c in shape]):
@@ -400,7 +398,7 @@ def _feedback_ascent(coeffs, init, cfg, search, paths, path_offset) -> dict:
                 trial = table.copy()
                 trial[cell] = a
                 trials.append((trial, policy_for(trial)))
-            per_path = _cost_paths(coeffs, init, tuple(p for _, p in trials), cfg, paths, path_offset, None)
+            per_path = _cost_paths(coeffs, init, tuple(p for _, p in trials), cfg, paths, None)
             for (trial, pol), row in zip(trials, per_path):
                 val = _cost_summary(row)["mean"]
                 trace.append({"policy": pol.describe(), "mean": val, "stderr": float("nan")})

@@ -6,7 +6,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import qmc
 
 __all__ = ["gauss_hermite_normal", "quasi_uniform", "quasi_normal"]
 
@@ -30,6 +29,8 @@ def gauss_hermite_normal(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def quasi_uniform(count: int, dim: int, seed: int) -> np.ndarray:
     """Scrambled Sobol points in (0, 1)^dim, clipped away from the boundary."""
+    from scipy.stats import qmc  # about half a second to import, so only when a rule is drawn
+
     eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
     pts = eng.random(count)
     return np.clip(pts, 1e-12, 1.0 - 1e-12)

@@ -66,9 +66,9 @@ __all__ = [
 #: oracle in pin_gauge_square_factor (and re-verified by the acceptance suite).
 GAUGE_SQUARE_FACTOR = 0.5
 
-#: Upper bound on directions x points x noise nodes x particles in one chunk
-#: of the derivative evaluations, and on the pairs x directions x levels of
-#: one chunk of _sliced_gap, so their temporaries stay near 8 MB each.
+#: Upper bound on the numbers in one chunk: directions x points x noise nodes
+#: x particles (derivatives), rows x levels x particles (quantile blocks) and
+#: pairs x directions x levels (_sliced_gap), so temporaries stay near 8 MB each.
 _CHUNK_ATOMS = 2**20
 
 
@@ -147,26 +147,29 @@ def _check_dims(quad: SphereQuadrature, *clouds: ParticleEnsemble):
         raise ValueError(f"dimension mismatch: ensembles {[e.d for e in clouds]}, quadrature {quad.d}")
 
 
-def _stratified_quantiles(
-    ens: ParticleEnsemble, sigma: float, quad: SphereQuadrature, m_points: int
-) -> np.ndarray:
-    """Per-direction quantiles of the smoothed projections at the midpoint
-    probability levels, shape (directions, m_points)."""
-    v = (ens.points @ quad.nodes.T).T.copy()
+def _stratified_quantiles(rows: np.ndarray, sigma: float, m_points: int) -> np.ndarray:
+    """Quantiles of each row of smoothed (rows, n) values at the midpoint
+    probability levels, shape (rows, m_points), from one _mixture_quantile solve."""
     p = (np.arange(m_points) + 0.5) / m_points
-    pb = np.broadcast_to(p, (quad.count, m_points))
-    return _mixture_quantile(v, sigma, pb)
+    return _mixture_quantile(rows, sigma, np.broadcast_to(p, (rows.shape[0], m_points)))
 
 
 def _quantile_tables(clouds, sigma: float, quad: SphereQuadrature, m_points: int) -> np.ndarray:
     """Stacked quantile tables of a sequence of clouds, shape (len(clouds),
-    directions, m_points): one _stratified_quantiles solve per distinct cloud
-    object."""
+    directions, m_points), one per distinct cloud object: the distinct clouds
+    of one particle count are the rows of one _stratified_quantiles solve, in
+    chunks of at most _CHUNK_ATOMS rows x levels x particles (at least one
+    cloud each).  An entry's solve reads only its own row, so chunks change no bit."""
     _check_dims(quad, *clouds)
+    distinct = {id(ens): ens for ens in clouds}.values()
     solved = {}
-    for ens in clouds:
-        if id(ens) not in solved:
-            solved[id(ens)] = _stratified_quantiles(ens, sigma, quad, m_points)
+    for n in {ens.n for ens in distinct}:
+        group = [ens for ens in distinct if ens.n == n]
+        step = max(1, _CHUNK_ATOMS // (quad.count * m_points * n))
+        for chunk in (group[s : s + step] for s in range(0, len(group), step)):
+            rows = np.concatenate([(ens.points @ quad.nodes.T).T for ens in chunk])
+            tables = _stratified_quantiles(rows, sigma, m_points).reshape(len(chunk), quad.count, m_points)
+            solved.update(zip(map(id, chunk), tables))
     return np.stack([solved[id(ens)] for ens in clouds])
 
 
@@ -255,15 +258,13 @@ def rho(
     return float(rho_matrix([s], (mu,), [t], (nu,), sigma, quad, m_points)[0, 0])
 
 
-def _noise_average(
-    mu: ParticleEnsemble, nu: ParticleEnsemble, sigma: float, quad: SphereQuadrature,
-    x: np.ndarray, noise_nodes: int,
-):
-    """Directional projections g = theta_j.x, shape (A, k), and the
-    Gauss-Hermite averages E[T_j(g + sigma Z)] and E[T_j'(g + sigma Z)],
-    Z ~ N(0, 1), with noise_nodes nodes, from one transport solve.  T_j is
-    the smoothed transport from mu's projection on theta_j to nu's, and
-    T_j' = f_mu / (f_nu o T_j).  x is (d,) or (k, d).
+def _gauge_derivatives(mu, nu, sigma, quad, x, noise_nodes, mixed=True):
+    """dmu_gauge and, if mixed, dxdmu_gauge at x of shape (d,) or (k, d), from
+    one transport solve.  With g = theta_j.x and Z ~ N(0, 1) on noise_nodes
+    Gauss-Hermite nodes, dmu_gauge reads E[T_j(g + sigma Z)] and dxdmu_gauge
+    E[T_j'(g + sigma Z)], where T_j is the smoothed transport from mu's
+    projection on theta_j to nu's and T_j' = f_mu / (f_nu o T_j); dmu_gauge
+    alone makes no density pass.
 
     Points are taken in chunks of at most _CHUNK_ATOMS numbers per temporary
     (or one point's A * K * n, if more); elementwise products and last-axis
@@ -284,17 +285,14 @@ def _noise_average(
     for s in range(0, g.shape[1], chunk):
         args = g[:, s : s + chunk, None] + sigma * z_nodes  # (A, chunk, K)
         t = _transport(vm, sigma, vn, sigma, args)
-        slope = _mixture_pdf(vm, sigma, args) / _mixture_pdf(vn, sigma, t)
         mean_t[:, s : s + chunk] = (t * z_w).sum(axis=-1)
-        mean_slope[:, s : s + chunk] = (slope * z_w).sum(axis=-1)
-    return g, mean_t, mean_slope
-
-
-def _gauge_derivatives(mu, nu, sigma, quad, x, noise_nodes):
-    """dmu_gauge and dxdmu_gauge at x, both from one noise average."""
-    g, mean_t, mean_slope = _noise_average(mu, nu, sigma, quad, x, noise_nodes)
+        if mixed:
+            slope = _mixture_pdf(vm, sigma, args) / _mixture_pdf(vn, sigma, t)
+            mean_slope[:, s : s + chunk] = (slope * z_w).sum(axis=-1)
     resid = quad.weights[:, None] * (g - mean_t)  # (A, k)
     dmu = (resid.T[:, None, :] * quad.nodes.T).sum(axis=-1)  # (k, d)
+    if not mixed:
+        return dmu[0] if np.ndim(x) == 1 else dmu
     coeff = quad.weights[:, None] * (1.0 - mean_slope)  # (A, k)
     outer = quad.nodes[:, :, None] * quad.nodes[:, None, :]  # (A, d, d)
     dxdmu = (coeff.T[:, None, None, :] * outer.transpose(1, 2, 0)).sum(axis=-1)
@@ -315,7 +313,7 @@ def dmu_gauge(
     the 1-d noise expectation taken by Gauss-Hermite quadrature with
     noise_nodes nodes.  Accepts x of shape (d,) or (k, d).
     """
-    return _gauge_derivatives(mu, nu, sigma, quad, x, noise_nodes)[0]
+    return _gauge_derivatives(mu, nu, sigma, quad, x, noise_nodes, mixed=False)
 
 
 def dxdmu_gauge(
@@ -528,10 +526,10 @@ def lifted_gauge_fd_gradient(
     s = GAUGE_SQUARE_FACTOR if factor is None else factor
     n, d = mu.n, mu.d
     # nu is fixed across the sweep, so its table is solved once
-    qn = _stratified_quantiles(nu, sigma, quad, m_points)
+    qn = _stratified_quantiles((nu.points @ quad.nodes.T).T.copy(), sigma, m_points)
 
     def gauge_from(points):
-        qm = _stratified_quantiles(ParticleEnsemble(points), sigma, quad, m_points)
+        qm = _stratified_quantiles((points @ quad.nodes.T).T.copy(), sigma, m_points)
         return s * _sliced_gap(qm[None], qn[None], quad.weights)[0, 0]
 
     grad = np.zeros((n, d))

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfhjb
 from mfhjb.cli import main
 from mfhjb.control import StepControl
 from mfhjb.dynamics import SimConfig, simulate
@@ -45,8 +50,10 @@ def test_identical_ensembles_report_zero(tmp_path):
         ("metric", {"n": 8, "quad": 32}, ["results.json"]),
         ("simulate", {"n": 8, "steps": 5}, ["results.json", "trajectory.csv"]),
         ("hjb-residual", {"probes": 4}, ["results.json"]),
+        ("variational", {"sets": 3, "max_size": 8, "m_points": 24}, ["results.json"]),
+        ("gradient-check", {"n": 4, "quad": 8, "m_points": 32}, ["results.json"]),
     ],
-    ids=["metric", "simulate", "hjb-residual"],
+    ids=["metric", "simulate", "hjb-residual", "variational", "gradient-check"],
 )
 def test_rerun_byte_identical(tmp_path, sub, cfg, files):
     _, out1, _ = run_cli(tmp_path, sub, cfg, seed=5, name="a")
@@ -204,3 +211,11 @@ def test_numerical_failure_exits_four(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: numerical failure: non-finite state at step")
     assert len(err.splitlines()) == 1
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about half a second to import; only Sobol rules use it
+    src = str(Path(mfhjb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, mfhjb.cli; assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'"
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)

@@ -363,22 +363,16 @@ def test_phi_delta_two_identical_anchors():
     )
 
 
-def test_phi_delta_one_table_for_mu_plus_one_per_anchor_group(monkeypatch):
+def test_phi_delta_one_table_for_mu_plus_one_per_anchor_group(table_solves):
     mu, nu = random_pair(23)
     other = translate(nu, np.array([0.5, -0.2]))
     third = translate(mu, np.array([-0.3, 0.1]))
     # nu at t = 0.1 appears twice, so four anchors form three groups
     anchors = GaugeAnchors(((0.1, nu), (0.4, other), (0.1, nu), (0.7, third)), delta=0.8)
-    solve = sliced_gauge._stratified_quantiles
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(sliced_gauge, "_stratified_quantiles", counted)
     val = phi_delta(anchors, 0.3, mu, QUAD2, 64)
-    assert len(calls) == 4
+    # mu and third have 6 particles, nu and other 5: two blocks, not four solves
+    assert len(table_solves.blocks) == 2
+    table_solves.assert_one_block_per_particle_count((mu, nu, other, third), QUAD2)
     terms = [(1.25, 0.1, nu), (0.5, 0.4, other), (0.125, 0.7, third)]
     expect = sum(w * rho(0.3, mu, t, m, anchors.sigma, QUAD2, 64) for w, t, m in terms)
     assert val == pytest.approx(expect, rel=1e-14)
@@ -395,6 +389,24 @@ def test_rho_matrix_chunked_rows_match_one_chunk(monkeypatch):
     chunked = rho_matrix(times, clouds, times[:7], clouds[:7], 2.0, QUAD2, 48)
     assert chunked.shape == (9, 7)
     assert np.array_equal(chunked, whole)
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 0.7])
+@pytest.mark.parametrize("chunk_atoms", [_CHUNK_ATOMS, 2 * QUAD2.count * 32], ids=["one_chunk", "small_chunks"])
+def test_quantile_tables_equal_each_cloud_solved_alone(monkeypatch, sigma, chunk_atoms):
+    # a shuffled mix of particle counts, n = 1, duplicate points, separated
+    # points and repeated objects; small chunks hold at most one cloud of n >= 2
+    rng = np.random.default_rng(31)
+    pe = ParticleEnsemble
+    mix = [pe(rng.standard_normal((n, 2))) for n in (1, 1, 2, 2, 3, 4, 4, 4, 5)]
+    mix += [pe(np.zeros((1, 2))), pe(np.array([[0.0, 0.0], [1e6, 0.0]])),
+            pe(np.array([[0.5, 0.5]] * 3 + [[-1.0, 0.2]])), pe(np.array([[0.3, -0.1]] * 2))]
+    clouds = tuple(mix[i] for i in rng.permutation(len(mix) + 4) % len(mix))
+    monkeypatch.setattr(sliced_gauge, "_CHUNK_ATOMS", chunk_atoms)
+    tables = sliced_gauge._quantile_tables(clouds, sigma, QUAD2, 32)
+    for ens, table in zip(clouds, tables):
+        alone = sliced_gauge._stratified_quantiles((ens.points @ QUAD2.nodes.T).T.copy(), sigma, 32)
+        assert np.array_equal(table, alone)
 
 
 def test_rho_matrix_entries_equal_rho_and_gauge_g():

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mfhjb import sliced_gauge
 from mfhjb.measures import ParticleEnsemble
 from mfhjb.sliced_gauge import SphereQuadrature, phi_delta, phi_delta_derivative_bounds, rho
 from mfhjb.variational import CandidateSet, _pairwise_rho, borwein_preiss
@@ -120,39 +119,29 @@ def test_pairwise_rho_memory_is_chunked():
     assert peak < 32 * 2**20
 
 
-def _count_tables(monkeypatch):
-    solve = sliced_gauge._stratified_quantiles
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(sliced_gauge, "_stratified_quantiles", counted)
-    return calls
-
-
-def test_pairwise_rho_one_table_per_distinct_cloud(monkeypatch):
+def test_pairwise_rho_one_table_per_distinct_cloud(table_solves):
     rng = np.random.default_rng(8)
     cands = make_candidates(rng, 5)
     shared = cands.ensembles[0]
     cands = CandidateSet(cands.times, (shared,) + cands.ensembles[1:4] + (shared,),
                          cands.g_values, cands.lam, cands.delta, cands.start)
-    calls = _count_tables(monkeypatch)
     _pairwise_rho(cands, QUAD1, 48)
-    assert len(calls) == 4
+    # four distinct clouds of three particle counts: three blocks, not four solves
+    assert len(table_solves.blocks) == 3
+    table_solves.assert_one_block_per_particle_count(cands.ensembles, QUAD1)
 
 
-def test_implied_lambda_one_table_per_distinct_anchor(monkeypatch):
+def test_implied_lambda_one_table_per_distinct_anchor(table_solves):
     # a constant score makes the start point the only anchor, padded to k_max + 1
     rng = np.random.default_rng(9)
     cands = make_candidates(rng, 4, g_values=[0.5] * 4, lam=0.4, delta=0.25, start=0)
     res = borwein_preiss(cands, QUAD1, m_points=48)
     assert len(res.anchors.anchors) == 41 and len(res.anchor_indices) == 1
-    calls = _count_tables(monkeypatch)
+    table_solves.blocks.clear()  # count only the implied budget's tables
     rec = phi_delta_derivative_bounds(res.anchors, 0.5, cands.ensembles[1], QUAD1, horizon=1.0,
                                       noise_nodes=16, m_points=48)
-    assert len(calls) == 1
+    assert len(table_solves.blocks) == 1
+    table_solves.assert_one_block_per_particle_count([muk for _, muk in res.anchors.anchors], QUAD1)
     assert rec["lam"] == 0.0
 
 
