@@ -13,7 +13,9 @@ the monotone coupling is a uniform-weight midpoint rule in probability space:
     W2^2 = integral |z - T(z)|^2 dF_source(z)
          = integral_0^1 |F_source^{-1}(p) - F_target^{-1}(p)|^2 dp.
 
-Quantiles come from one safeguarded Newton solve against the raw CDF (see
+Quantiles come from one safeguarded Newton solve, against the CDF below the
+median and against the survival function 1 - F above it, with steps taken
+in the Gaussian-quantile frame Phi^{-1}(F) deep in either tail (see
 ``_mixture_quantile`` for its residual contract).  Probability levels are
 clamped to [P_MIN, 1 - P_MIN] before the solve: the inverse map grows like
 exp(z^2 / (4 sigma^2)) in the tails, and the clamp keeps quantile
@@ -53,67 +55,107 @@ def _aligned_arg(values: np.ndarray, sigma: float, z: np.ndarray) -> np.ndarray:
 def _mixture_cdf(values: np.ndarray, sigma: float, z: np.ndarray) -> np.ndarray:
     """Raw (unclamped) CDF of the Gaussian-smoothed point cloud, vectorized over z."""
     arg = _aligned_arg(values, sigma, z)
-    return ndtr(arg, out=arg).mean(axis=-1)
+    return ndtr(arg, out=arg).sum(axis=-1) / arg.shape[-1]
 
 
 def _mixture_pdf(values: np.ndarray, sigma: float, z: np.ndarray) -> np.ndarray:
     arg = _aligned_arg(values, sigma, z)
     arg *= arg
     arg *= -0.5
-    return np.exp(arg, out=arg).mean(axis=-1) / (sigma * np.sqrt(2.0 * np.pi))
+    return np.exp(arg, out=arg).sum(axis=-1) / arg.shape[-1] / (sigma * np.sqrt(2.0 * np.pi))
+
+
+_EPS = np.finfo(float).eps
+_TAIL = 1e-3  # levels below this take Gaussian-frame steps while |F - p| > _TAIL p
 
 
 def _mixture_quantile(values: np.ndarray, sigma: float, p: np.ndarray) -> np.ndarray:
-    """Solve F(z) = p for the raw mixture CDF F by safeguarded Newton.
+    """Solve F(z) = p for the mixture CDF F by safeguarded Newton.
 
-    p is first clamped to [P_MIN, 1 - P_MIN].  With q = Phi^{-1}(p), every
-    term Phi((z - v_i) / sigma) is <= p at z = min v + sigma q and >= p at
-    z = max v + sigma q, so that pair brackets the root.  Each entry starts
-    from the moment-matched seed mean v + sqrt(var v + sigma^2) q, clipped
-    into its bracket.  Every CDF evaluation moves one bracket end to z, and
-    a Newton step that does not land strictly inside the bracket is replaced
-    by its midpoint.  Only entries still running are evaluated.
+    p is first clamped to [P_MIN, 1 - P_MIN].  An entry with p > 1/2 solves
+    the mirrored problem, values -v at level 1 - p (exact for p >= 1/2), and
+    returns the negated root: the upper tail is solved against the survival
+    function 1 - F, so every solve runs at a level p' <= 1/2.  With
+    q = Phi^{-1}(p'), every term Phi((z - v_i) / sigma) is <= p' at
+    z = min v + sigma q and >= p' at z = max v + sigma q, so that pair
+    brackets the root.  Each entry starts from the moment-matched seed
+    mean v + sqrt(var v + sigma^2) q, clipped into its bracket.  Every CDF
+    evaluation moves one bracket end to z.  While p' < 1e-3 and
+    |F(z) - p'| > 1e-3 p', the step is Newton's on Phi^{-1}(F(z)) - q,
+    which is linear in z for one point, so deep-tail entries do not crawl
+    at sigma / |q| per step; otherwise it is Newton's on F(z) - p'.  A step
+    that does not land strictly inside the bracket is replaced by its
+    midpoint.  Only entries still running are evaluated, and entries of
+    one row at the same clamp level are solved once.
 
     Contract: an entry stops at the first z with
 
-        |F(z) - p| <= F'(z) ulp(z) + eps p,
+        |F(z) - p'| <= F'(z) ulp(z) + eps p',
 
     the change one ulp of z makes in F plus one rounding of F, or once no
     double lies strictly inside its bracket.  Either way the returned z is
     within a few ulps of max(|z|, max |v|) of a sign change of the computed
-    F(z) - p: F sees z only through z - v_i, so near a root much smaller
-    than the values, ulps of z alone do not move F.  In the upper tail F moves
-    in steps of eps/2 near p = 1 - P_MIN, where F' is about 8e-14 / sigma, so
-    z is fixed only to about 1e-3 sigma: for {0, 0.1} at sigma = 1 it is
-    2.1e-4 above the root of 1 - F = 1 - p.  The lower tail is exact.
+    F(z) - p (of 1 - F(z) - (1 - p) above the median): F sees z only through
+    z - v_i, so near a root much smaller than the values, ulps of z alone do
+    not move F.  Both tails are solved to that relative accuracy.
     """
     p = np.clip(np.asarray(p, dtype=float), P_MIN, 1.0 - P_MIN)
     shape = p.shape
     p = p.ravel()
-    q = ndtri(p)
     table = np.atleast_2d(values)  # one row for (n,) values, else row a pairs with p[a]
-    row = np.repeat(np.arange(table.shape[0]), p.size // table.shape[0])
+    rows, n = table.shape
+    upper = p > 0.5
+    # rows + a holds -v of row a; srow is the row an entry solves against
+    signed = np.concatenate((table, -table))
+    lows, highs, means = signed.min(axis=-1), signed.max(axis=-1), signed.sum(axis=-1) / n
     spread = np.sqrt(table.var(axis=-1) + sigma**2)
-    lo = table.min(axis=-1)[row] + sigma * q
-    hi = table.max(axis=-1)[row] + sigma * q
-    z = np.clip(table.mean(axis=-1)[row] + spread[row] * q, lo, hi)
+    srow = np.arange(p.size) // (p.size // rows) + rows * upper
+    level = np.where(upper, 1.0 - p, p)
+    copied = (p == P_MIN) | (p == 1.0 - P_MIN)
+    source = None
+    if copied.any():  # entries of one row at one clamp level are solved once
+        at = np.flatnonzero(copied)
+        solver = np.empty(2 * rows, dtype=np.intp)
+        solver[srow[at]] = at  # any one entry per key: they all solve the same problem
+        source = solver[srow[at]]
+        copied[source] = False
+    todo = np.flatnonzero(~copied)
+    srow, level = srow[todo], level[todo]
+    q = ndtri(level)
+    tail = level < _TAIL
+    has_tail = tail.any()
+    lo = lows[srow] + sigma * q
+    hi = highs[srow] + sigma * q
+    z = np.clip(means[srow] + spread[srow % rows] * q, lo, hi)
     out = np.empty_like(p)
-    todo = np.arange(p.size)
     while todo.size:
-        v = values if values.ndim == 1 else table[row]
-        f = _mixture_cdf(v, sigma, z) - p
+        v = np.take(signed, srow, axis=0)
+        cdf = _mixture_cdf(v, sigma, z)
+        f = cdf - level
         dens = _mixture_pdf(v, sigma, z)
         lo = np.where(f < 0.0, z, lo)
         hi = np.where(f > 0.0, z, hi)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             z_next = z - f / dens
+            if has_tail:  # Newton on Phi^{-1}(F) - q; F >= p' / n inside the bracket
+                far = np.flatnonzero(tail & (np.abs(f) > _TAIL * level))
+                w = ndtri(cdf[far])
+                slope = dens[far] * np.sqrt(2.0 * np.pi) * np.exp(0.5 * w * w)  # d Phi^{-1}(F) / dz
+                z_next[far] = z[far] - (w - q[far]) / slope
         z_next = np.where((lo < z_next) & (z_next < hi), z_next, 0.5 * (lo + hi))
         # NaN residuals compare False, so they stop too
-        tol = dens * np.spacing(np.abs(z)) + np.finfo(float).eps * p
+        tol = dens * np.spacing(np.abs(z)) + _EPS * level
         going = (np.abs(f) > tol) & (lo < z_next) & (z_next < hi)
+        if going.all():
+            z = z_next
+            continue
         out[todo[~going]] = z[~going]
-        todo, row, p, lo, hi, z = todo[going], row[going], p[going], lo[going], hi[going], z_next[going]
-    return out.reshape(shape)
+        todo, srow, level, q, tail = todo[going], srow[going], level[going], q[going], tail[going]
+        has_tail = has_tail and tail.any()
+        lo, hi, z = lo[going], hi[going], z_next[going]
+    if source is not None:
+        out[at] = out[source]
+    return np.where(upper, -out, out).reshape(shape)
 
 
 def _transport(src_values, src_sigma, tgt_values, tgt_sigma, z):
@@ -148,11 +190,13 @@ class SmoothedProjection:
 
     def pdf(self, z):
         z = np.asarray(z, dtype=float)
+        if not np.isfinite(z).all():
+            raise ValueError("pdf argument must be finite")
         return _mixture_pdf(self.values, self.sigma, z)
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
-        if np.any(p <= 0.0) or np.any(p >= 1.0):
+        if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails both comparisons
             raise ValueError("quantile argument must lie in (0, 1)")
         return _mixture_quantile(self.values, self.sigma, p)
 

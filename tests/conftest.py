@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from mfhjb import sliced_gauge
+from mfhjb import sliced_gauge, transport1d
 
 
 class TableSolves:
@@ -29,3 +30,26 @@ class TableSolves:
 @pytest.fixture
 def table_solves(monkeypatch):
     return TableSolves(monkeypatch)
+
+
+class CdfPasses:
+    """Passes of transport1d._mixture_cdf and the atoms (points x particles) they evaluate."""
+
+    def __init__(self, monkeypatch):
+        self.passes = self.atoms = 0
+        cdf = transport1d._mixture_cdf
+
+        def counted(values, sigma, z):
+            self.passes += 1
+            self.atoms += np.size(z) * np.shape(values)[-1]
+            return cdf(values, sigma, z)
+
+        monkeypatch.setattr(transport1d, "_mixture_cdf", counted)
+
+    def reset(self):
+        self.passes = self.atoms = 0
+
+
+@pytest.fixture
+def cdf_passes(monkeypatch):
+    return CdfPasses(monkeypatch)

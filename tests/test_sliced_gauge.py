@@ -203,6 +203,22 @@ def test_dmu_gauge_batched_x_matches_single():
         assert np.array_equal(batched[i], dmu_gauge(mu, nu, 0.5, QUAD2, xs[i]))
 
 
+def test_quantile_work_on_dense_derivatives_and_sw2_table(cdf_passes):
+    # the benchmark's gauge_dense sizes: dmu_gauge at all 14 particles puts
+    # Gauss-Hermite nodes out to +-15 sigma, where Newton on the raw CDF moves
+    # only about sigma / |z| per step; sw2's midpoint tables never reach the tail
+    rng = np.random.default_rng(0)
+    quad = SphereQuadrature.equispaced_circle(32)
+    mu = ParticleEnsemble(rng.standard_normal((14, 2)))
+    nu = ParticleEnsemble(1.2 * rng.standard_normal((14, 2)) + 0.3)
+    dmu_gauge(mu, nu, 0.5, quad, mu.points, 64)
+    assert cdf_passes.atoms <= 2_500_000
+    mu_s = ParticleEnsemble(rng.standard_normal((128, 2)))
+    cdf_passes.reset()
+    sw2(mu_s, translate(mu_s, np.array([0.4, -0.3])), 0.5, quad, 64)
+    assert cdf_passes.passes <= 7
+
+
 def test_dxdmu_gauge_translation_is_zero():
     rng = np.random.default_rng(11)
     mu = ParticleEnsemble(rng.standard_normal((5, 2)))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from mfhjb.transport1d import (
@@ -133,6 +134,78 @@ def _assert_quantile_contract(values, sigma, p):
     slack = 4.0 * np.finfo(float).eps * target
     assert np.all(_mixture_cdf(values, sigma, z - step) <= target + slack)
     assert np.all(_mixture_cdf(values, sigma, z + step) >= target - slack)
+    # above the median the same holds for the survival function at 1 - p,
+    # which keeps the relative precision F loses near 1
+    upper = target > 0.5
+    level = 1.0 - target
+    slack = 4.0 * np.finfo(float).eps * level
+    assert np.all((_survival(values, sigma, z - step) >= level - slack)[upper])
+    assert np.all((_survival(values, sigma, z + step) <= level + slack)[upper])
+
+
+def _survival(values, sigma, z):
+    # mean Phi((v - z) / sigma), evaluated as the CDF of -v at -z: negation is exact
+    return _mixture_cdf(-values, sigma, -z)
+
+
+# log-uniform tail levels in [1e-16, 1e-2], half of them mirrored to 1 - p
+TAIL_LEVELS = st.tuples(st.floats(-16.0, -2.0), st.booleans()).map(
+    lambda eb: 1.0 - 10.0 ** eb[0] if eb[1] else 10.0 ** eb[0]
+)
+# clusters of points within 1e-3 of up to three centers, separated by up to 2e6
+CLUSTERS = st.tuples(
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=3),
+    st.lists(st.floats(-1e-3, 1e-3), min_size=1, max_size=3),
+).map(lambda cj: np.add.outer(cj[0], cj[1]).ravel())
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    values=st.one_of(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8).map(np.array), CLUSTERS),
+    sigma=st.one_of(st.floats(1e-6, 1e2), st.floats(1e-6, 1e-3)),
+    p=st.lists(TAIL_LEVELS, min_size=1, max_size=8).map(np.array),
+)
+def test_quantile_tail_contract_property(values, sigma, p):
+    _assert_quantile_contract(values, sigma, p)
+
+
+@pytest.mark.parametrize("p", [1.0 - 1e-14, 1.0 - 1e-10, 1.0 - 1e-6])
+def test_quantile_upper_tail_matches_survival_root(p):
+    # F rounds in steps of eps / 2 near 1, so a solve on F alone fixes this z
+    # only to about 1e-3 sigma; the survival function 1 - F does not round so
+    values, sigma = np.array([0.0, 0.1]), 1.0
+    root = brentq(
+        lambda z: ndtr((values - z) / sigma).mean() - (1.0 - p),
+        0.0, 20.0, xtol=1e-300, rtol=4.0 * np.finfo(float).eps,
+    )
+    z = SmoothedProjection(values, sigma).quantile(p)
+    assert abs(z - root) <= 4.0 * np.spacing(root)
+
+
+# both clamp levels several times over, between ordinary levels
+CLAMP_MIX = np.array(
+    [0.0, 1e-300, P_MIN, 0.2, 1e-15, 1.0 - P_MIN, 1.0, 0.7, P_MIN, 1.0 - 1e-16, 0.5, 1.0 - P_MIN, 1e-15]
+)
+
+
+@pytest.mark.parametrize("layout", ["1d", "rows"])
+@pytest.mark.parametrize(
+    "values, sigma",
+    [(np.array([0.3]), 0.7), (np.array([0.5, 0.5, 0.5, -1.0]), 0.2), (np.array([0.0, 1e6]), 1e-3)],
+    ids=["single_point", "duplicates", "separated"],
+)
+def test_quantile_clamp_levels_match_each_entry_alone(values, sigma, layout):
+    # entries of one row at one clamp level are solved once; each must still
+    # carry exactly the bits of its own solve
+    if layout == "1d":
+        table, p = values, CLAMP_MIX
+    else:
+        table = np.stack([values, 2.0 - 3.0 * values])
+        p = np.stack([CLAMP_MIX, CLAMP_MIX[::-1]])
+    z = _mixture_quantile(table, sigma, p)
+    for idx in np.ndindex(p.shape):
+        alone = _mixture_quantile(table if table.ndim == 1 else table[idx[0]], sigma, np.array([p[idx]]))
+        assert z[idx].tobytes() == alone.tobytes()
 
 
 def test_quantile_rejects_bad_p():
@@ -140,6 +213,14 @@ def test_quantile_rejects_bad_p():
     for p in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ValueError):
             sp.quantile(p)
+
+
+@pytest.mark.parametrize("method", ["quantile", "pdf"])
+@pytest.mark.parametrize("arg", [np.nan, np.array([0.5, np.nan]), np.array([0.25, np.inf])])
+def test_pdf_and_quantile_reject_nonfinite(method, arg):
+    sp = SmoothedProjection(np.array([0.0]), sigma=1.0)
+    with pytest.raises(ValueError):
+        getattr(sp, method)(arg)
 
 
 def test_transport_identity():
