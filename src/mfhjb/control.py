@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mfhjb.dynamics import SimConfig, _generator, _half_trace, _stderr, simulate
+from mfhjb.dynamics import SimConfig, _check_counts, _generator, _half_trace, _stderr, simulate
 from mfhjb.measures import ParticleEnsemble, sample_iid
 
 __all__ = [
@@ -36,6 +36,10 @@ __all__ = [
     "viscosity_check",
     "h_via_second_derivative",
 ]
+
+#: Most state numbers (paths x clouds x policies x n x d) one Monte Carlo
+#: pass advances; beyond one path per pass, larger states only add memory.
+_CHUNK_STATE = 2**14
 
 @dataclass(frozen=True)
 class ActionSpace:
@@ -108,11 +112,12 @@ class FeedbackTable:
         object.__setattr__(self, "table", table)
 
     def actions_for(self, x: np.ndarray) -> np.ndarray:
+        """The (..., n, q) actions at the points x of shape (..., n, d)."""
         shape = self.table.shape[:-1]
         frac = (x - self.lo) / (self.hi - self.lo)
         idx = []
         for j, cells in enumerate(shape):
-            k = np.clip((frac[:, j] * cells).astype(int), 0, cells - 1)
+            k = np.clip((frac[..., j] * cells).astype(int), 0, cells - 1)
             idx.append(k)
         return self.table[tuple(idx)]
 
@@ -143,13 +148,15 @@ class StepControl:
         return StepControl(np.array([t0]), (np.asarray(a, dtype=float).ravel(),))
 
     def actions_at(self, t: float, x: np.ndarray) -> np.ndarray:
+        """The (..., n, q) actions at time t for states x of shape (..., n, d)."""
         idx = int(np.searchsorted(self.breakpoints, t + 1e-12, side="right") - 1)
         idx = max(idx, 0)
         act = self.actions[idx]
+        x = np.atleast_2d(x)
         if isinstance(act, FeedbackTable):
-            return act.actions_for(np.atleast_2d(x))
+            return act.actions_for(x)
         a = np.asarray(act, dtype=float).ravel()
-        return np.broadcast_to(a, (np.atleast_2d(x).shape[0], a.shape[0]))
+        return np.broadcast_to(a, x.shape[:-1] + a.shape)
 
     def describe(self) -> str:
         parts = []
@@ -291,24 +298,36 @@ def cost_j(
     under joint permutations of initial points and noise identities.  This is
     the one-candidate case of the batched pass ``value_estimate`` makes.
     """
-    per_path = _cost_paths(coeffs, init, (policy,), cfg, paths, noise_ids)
-    return _cost_summary(per_path[0])
+    _check_counts(paths=paths)
+    per_path = _cost_paths(coeffs, init, (policy,), cfg, paths, noise_ids)[0, 0]
+    return {"mean": _mean(per_path), "stderr": _stderr(per_path), "per_path": per_path}
 
 
-def _cost_paths(coeffs, init, policies: tuple, cfg, paths, noise_ids) -> np.ndarray:
-    """Per-path costs, shape (A, paths), of A policies simulated together:
-    one (A, n, d) pass per path on that path's single noise draw."""
-    per_path = np.empty((len(policies), paths))
-    for p in range(paths):
-        running, x = simulate(coeffs, init, policies, cfg, p, noise_ids)
-        for i, row in enumerate(running + coeffs.terminal_cost(x, x)):
-            per_path[i, p] = math.fsum(row) / init.n
+def _passes(coeffs, init, policies: tuple, cfg, paths, noise_ids=None, starts=None):
+    """``simulate`` over paths 0 .. paths - 1, one pass per chunk of at most
+    _CHUNK_STATE state numbers (at least one path): yields each chunk's
+    path range, running costs (P, L, A, n) and terminal states."""
+    clouds = init.points[None] if starts is None else starts
+    per_pass = max(1, _CHUNK_STATE // (clouds.size * len(policies)))
+    for lo in range(0, paths, per_pass):
+        chunk = range(lo, min(lo + per_pass, paths))
+        yield (chunk, *simulate(coeffs, init, policies, cfg, chunk, noise_ids, starts=clouds))
+
+
+def _cost_paths(coeffs, init, policies: tuple, cfg, paths, noise_ids, starts=None) -> np.ndarray:
+    """Per-path costs, shape (L, A, paths), of A policies from L start clouds
+    (one, init's, when ``starts`` is None): one pass per chunk of paths, each
+    path on its own noise, each row's particle mean summed exactly."""
+    per_path = np.empty((1 if starts is None else len(starts), len(policies), paths))
+    for chunk, running, x in _passes(coeffs, init, policies, cfg, paths, noise_ids, starts):
+        costs = running + coeffs.terminal_cost(x, x)
+        for idx in np.ndindex(costs.shape[:-1]):
+            per_path[idx[1:] + (chunk[idx[0]],)] = math.fsum(costs[idx]) / init.n
     return per_path
 
 
-def _cost_summary(per_path: np.ndarray) -> dict:
-    mean = math.fsum(per_path) / per_path.shape[0]
-    return {"mean": float(mean), "stderr": _stderr(per_path), "per_path": per_path}
+def _mean(per_path: np.ndarray) -> float:
+    return math.fsum(per_path) / per_path.shape[0]
 
 
 @dataclass(frozen=True)
@@ -354,25 +373,30 @@ def value_estimate(
     All candidates are evaluated on the same noise (common random numbers),
     so policy comparisons are exact whenever the pathwise cost difference is
     noise-free (e.g. action-independent diffusion).  The exhaustive search
-    draws that noise once: each path simulates every candidate in one
-    batched pass, and each candidate's cost is bit-identical to ``cost_j``'s.
+    draws that noise once: each chunk of paths simulates every candidate in
+    one batched pass, and each candidate's cost is bit-identical to
+    ``cost_j``'s.
     Returns the best value (the first of equal maxima), the maximizing
     policy, and the full evaluation trace in enumeration order.
     """
+    _check_counts(paths=paths)
     if search.kind == "feedback_ascent":
         return _feedback_ascent(coeffs, init, cfg, search, paths)
     policies = tuple(_exhaustive_policies(search, coeffs.action_space, cfg.t0, cfg.t1))
     if not policies:
         raise ValueError("empty policy class")
-    per_path = _cost_paths(coeffs, init, policies, cfg, paths, None)
-    trace = []
-    best = None
-    for policy, row in zip(policies, per_path):
-        rec = _cost_summary(row)
-        trace.append({"policy": policy.describe(), "mean": rec["mean"], "stderr": rec["stderr"]})
-        if best is None or rec["mean"] > best[0]:
-            best = (rec["mean"], policy, rec["stderr"])
-    return {"value": best[0], "best_policy": best[1], "stderr": best[2], "trace": trace}
+    per_path = _cost_paths(coeffs, init, policies, cfg, paths, None)[0]
+    trace = [
+        {"policy": policy.describe(), "mean": _mean(row), "stderr": _stderr(row)}
+        for policy, row in zip(policies, per_path)
+    ]
+    best = max(range(len(trace)), key=lambda i: trace[i]["mean"])  # the first of equal maxima
+    return {
+        "value": trace[best]["mean"],
+        "best_policy": policies[best],
+        "stderr": trace[best]["stderr"],
+        "trace": trace,
+    }
 
 
 def _feedback_ascent(coeffs, init, cfg, search, paths) -> dict:
@@ -398,9 +422,9 @@ def _feedback_ascent(coeffs, init, cfg, search, paths) -> dict:
                 trial = table.copy()
                 trial[cell] = a
                 trials.append((trial, policy_for(trial)))
-            per_path = _cost_paths(coeffs, init, tuple(p for _, p in trials), cfg, paths, None)
+            per_path = _cost_paths(coeffs, init, tuple(p for _, p in trials), cfg, paths, None)[0]
             for (trial, pol), row in zip(trials, per_path):
-                val = _cost_summary(row)["mean"]
+                val = _mean(row)
                 trace.append({"policy": pol.describe(), "mean": val, "stderr": float("nan")})
                 if val > current:
                     current, policy, table = val, pol, trial
@@ -434,6 +458,7 @@ def value_fd_approx(
     """
     from mfhjb.mollify import MollifiedCoefficients, MollifierSpec
 
+    _check_counts(paths=paths, resamples=resamples)
     # the offsets depend only on the spec and n, so one coefficient set serves every resample
     mol = MollifiedCoefficients(coeffs, MollifierSpec(m=m, offsets=offsets, seed=seed + 7), n, horizon=cfg.t1)
     vals = []
@@ -464,43 +489,50 @@ def dpp_residual(
     the realized conditional cloud at s_mid (a fresh estimate per common-noise
     path, since the continuation value is a function of the W^0-conditional
     law).  The gap lhs - rhs should vanish within Monte Carlo error; with a
-    single outer path its standard error is inf, as in ``cost_j``.  Each
-    outer path simulates every first-leg policy in one batched pass.
+    single outer path its standard error is inf, as in ``cost_j``.
+
+    The n_steps grid splits into a leg of round(n_steps (s_mid - t) / (t1 -
+    t)) steps, kept in [1, n_steps - 1], and a tail of the rest.  The lhs
+    search and the legs run in chunked passes over the outer paths; per
+    outer path the tails of every leg cloud, tail policy and inner path
+    share passes, bit-identical to estimating each cloud on its own.
     """
     if not (t < s_mid < t1):
         raise ValueError("need t < s_mid < t1")
+    if n_steps < 2:
+        raise ValueError("need n_steps >= 2: the leg and the tail take a step each")
+    _check_counts(paths_outer=paths_outer, paths_inner=paths_inner)
     n = init.n
-    steps_total = n_steps
-    steps_leg = max(1, int(round(steps_total * (s_mid - t) / (t1 - t))))
-    steps_tail = max(1, steps_total - steps_leg)
+    steps_leg = min(max(1, int(round(n_steps * (s_mid - t) / (t1 - t)))), n_steps - 1)
 
-    cfg_full = SimConfig(n=n, steps=steps_total, t0=t, t1=t1, seed=seed)
+    cfg_full = SimConfig(n=n, steps=n_steps, t0=t, t1=t1, seed=seed)
     lhs_rec = value_estimate(coeffs, init, cfg_full, search, paths=paths_outer)
 
     cfg_leg = SimConfig(n=n, steps=steps_leg, t0=t, t1=s_mid, seed=seed + 17)
     legs = tuple(_exhaustive_policies(search, coeffs.action_space, t, s_mid))
+    tails = tuple(_exhaustive_policies(search, coeffs.action_space, s_mid, t1))
     totals = np.empty((len(legs), paths_outer))
-    for p in range(paths_outer):
-        # every leg policy in one pass on this path's noise; each leg's tail
-        # starts from its own cloud, so the tails run one by one
-        running, clouds = simulate(coeffs, init, legs, cfg_leg, p)
-        cfg_tail = SimConfig(n=n, steps=steps_tail, t0=s_mid, t1=t1, seed=seed + 31 * (p + 1))
-        for i, (leg_running, cloud) in enumerate(zip(running, clouds)):
-            cont = value_estimate(coeffs, ParticleEnsemble(cloud), cfg_tail, search, paths=paths_inner)
-            totals[i, p] = math.fsum(leg_running) / n + cont["value"]
-    best_rhs = None
-    for leg_policy, leg_totals in zip(legs, totals):
-        mean = float(leg_totals.mean())
-        if best_rhs is None or mean > best_rhs[0]:
-            best_rhs = (mean, leg_totals, leg_policy)
-    rhs, leg_totals, best_leg = best_rhs
-    stderr = math.sqrt(lhs_rec["stderr"] ** 2 + _stderr(leg_totals) ** 2)
+    for chunk, running, clouds in _passes(coeffs, init, legs, cfg_leg, paths_outer):
+        for p, leg_running, leg_clouds in zip(chunk, running[:, 0], clouds[:, 0]):
+            cfg_tail = SimConfig(n=n, steps=n_steps - steps_leg, t0=s_mid, t1=t1, seed=seed + 31 * (p + 1))
+            if search.kind == "feedback_ascent":
+                cont = [
+                    value_estimate(coeffs, ParticleEnsemble(cloud), cfg_tail, search, paths_inner)["value"]
+                    for cloud in leg_clouds
+                ]
+            else:
+                per_path = _cost_paths(coeffs, init, tails, cfg_tail, paths_inner, None, leg_clouds)
+                cont = [max(_mean(row) for row in rows) for rows in per_path]
+            for i, (r, c) in enumerate(zip(leg_running, cont)):
+                totals[i, p] = math.fsum(r) / n + c
+    means = [float(leg_totals.mean()) for leg_totals in totals]
+    best = max(range(len(legs)), key=means.__getitem__)
     return {
         "lhs": lhs_rec["value"],
-        "rhs": rhs,
-        "gap": lhs_rec["value"] - rhs,
-        "stderr": stderr,
-        "best_leg_policy": best_leg.describe(),
+        "rhs": means[best],
+        "gap": lhs_rec["value"] - means[best],
+        "stderr": math.sqrt(lhs_rec["stderr"] ** 2 + _stderr(totals[best]) ** 2),
+        "best_leg_policy": legs[best].describe(),
     }
 
 

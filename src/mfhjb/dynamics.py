@@ -13,8 +13,9 @@ realization of the shared path W^0 the cloud itself represents the
 conditional law of the state given W^0.
 
 The scheme is written once, as a generator over the steps that keeps
-nothing itself.  Its consumers fold it: ``simulate`` integrates the running
-cost (and records the path of a single policy), and
+nothing itself.  It advances P paths of L start clouds under A policies as
+one (P, L, A, n, d) state.  Its consumers fold it: ``simulate`` integrates
+the running cost (and records the path of a single policy), and
 ``ito_expectation_check`` adds the chain rule's drift terms step by step.
 
 Noise is drawn from counter-based (Philox) streams keyed by
@@ -100,8 +101,8 @@ class PathBundle:
 
 class _NoiseStream:
     """The Philox stream of one (seed, channel), built once and re-keyed to
-    the counter [0, 0, path, step] for each block.  Setting the state costs a
-    fraction of building a generator, which also seeds a throwaway
+    the counter [0, 0, path, step] for each path's block.  Setting the state
+    costs a fraction of building a generator, which also seeds a throwaway
     SeedSequence from the operating system's entropy."""
 
     def __init__(self, seed: int, channel: int):
@@ -112,22 +113,26 @@ class _NoiseStream:
         self._state = self._gen.bit_generator.state
         self._counter = self._state["state"]["counter"]
 
-    def block(self, path: int, step: int, rows: int, d: int) -> np.ndarray:
-        self._counter[2:] = path, step
-        self._gen.bit_generator.state = self._state
-        return self._gen.standard_normal((rows, d))
+    def blocks(self, paths, step: int, rows: int, d: int) -> np.ndarray:
+        # each path's (rows, d) block at this step, drawn in place: (P, rows, d)
+        out = np.empty((len(paths), rows, d))
+        for block, path in zip(out, paths):
+            self._counter[2:] = path, step
+            self._gen.bit_generator.state = self._state
+            self._gen.standard_normal(out=block)
+        return out
 
 
 def noise_block(seed: int, channel: int, path: int, step: int, rows: int, d: int) -> np.ndarray:
     """Standard normal block for one (channel, path, step); row i is the draw
     for noise identity i.  Fully determined by the key, independent of how
     many rows are requested (leading rows coincide across calls)."""
-    return _NoiseStream(seed, channel).block(path, step, rows, d)
+    return _NoiseStream(seed, channel).blocks((path,), step, rows, d)[0]
 
 
 def _diffuse(sig: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    # sig (d, d) shared: applied to the (n, d) increments once, broadcast over
-    # the batch; or (..., n, d, d) per particle
+    # sig (d, d) shared: applied to each path's (n, d) increments once,
+    # broadcast over the batch; or (..., n, d, d) per particle
     if sig.ndim == 2:
         return dw @ sig.T
     return np.einsum("...ij,...j->...i", sig, dw)
@@ -138,6 +143,13 @@ def _half_trace(sig: np.ndarray, m: np.ndarray) -> np.ndarray:
     and m (..., d, d); either may be a single (d, d) matrix."""
     ssT = sig @ np.swapaxes(sig, -1, -2)
     return 0.5 * np.einsum("...ij,...ji->...", m, ssT)
+
+
+def _check_counts(**counts) -> None:
+    # Monte Carlo counts (paths, resamples) below 1 have no estimate to give
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count!r}")
 
 
 def _stderr(samples: np.ndarray) -> float:
@@ -164,50 +176,64 @@ def simulate(
     init: ParticleEnsemble,
     policy,
     cfg: SimConfig,
-    path_index: int = 0,
+    path_index=0,
     noise_ids: np.ndarray | None = None,
+    starts: np.ndarray | None = None,
 ) -> PathBundle | tuple[np.ndarray, np.ndarray]:
-    """Run the Euler-Maruyama scheme for one common-noise realization and
-    integrate the left-Riemann running cost along it.
+    """Run the Euler-Maruyama scheme on common-noise realizations and
+    integrate the left-Riemann running cost along them.
 
     ``coeffs`` is a control.CoefficientSet, called with the current state as
-    its own cloud; ``policy.actions_at(t, X)`` supplies the (n, q) actions.
-    Any non-finite state aborts with the step index.
+    its own cloud; ``policy.actions_at(t, X)`` supplies the (..., n, q)
+    actions.  Any non-finite state aborts with the step and path indices.
 
-    One policy returns its whole path as a PathBundle.  A tuple of A policies
-    is advanced as one (A, n, d) state on one noise draw per step, shared by
-    every candidate (common random numbers); it returns only the running
-    costs (A, n) and the terminal states (A, n, d), and keeps nothing per
-    step.  Either way a candidate's numbers are bit-identical to simulating
-    it alone, because the coefficients treat batch rows independently.
+    One policy on one path returns its whole path as a PathBundle.  A tuple
+    of A policies is advanced as one state on one noise draw per step
+    (common random numbers) and returns only the running costs (..., A, n)
+    and terminal states (..., A, n, d).  A sequence of P ``path_index``
+    values, each path on its own noise, and ``starts``, L start clouds
+    (L, n, d) of init's size in place of its points, add the leading axes
+    (P, L).  Each row is bit-identical to its candidate simulated alone,
+    because the coefficients treat batch rows independently.
     """
     batch = isinstance(policy, tuple)
     policies = policy if batch else (policy,)
-    scheme = _euler(coeffs, init, policies, cfg, path_index, noise_ids)
-    running = np.zeros((len(policies), init.n))
+    lead = np.shape(path_index) + np.shape(starts)[:1]
+    if not batch and lead:
+        raise ValueError("a path or cloud batch needs a tuple of policies")
+    paths = (path_index,) if np.ndim(path_index) == 0 else tuple(path_index)
+    clouds = init.points[None] if starts is None else np.asarray(starts, dtype=float)
+    if clouds.shape[1:] != init.points.shape:
+        raise ValueError(f"start clouds {clouds.shape} do not stack clouds of shape {init.points.shape}")
+    scheme = _euler(coeffs, clouds, policies, cfg, paths, noise_ids)
+    running = np.zeros((len(paths),) + clouds.shape[:1] + (len(policies), init.n))
     if batch:
         for t, x, a, _ in islice(scheme, cfg.steps):
             running += coeffs.running_cost(t, x, x, a) * cfg.dt
-        return running, next(scheme)
+        x = next(scheme)
+        return running.reshape(lead + running.shape[2:]), x.reshape(lead + x.shape[2:])
 
     traj = np.empty((cfg.steps + 1, init.n, init.d))
     common = np.empty((cfg.steps, init.d))
     for k, (t, x, a, dw0) in enumerate(islice(scheme, cfg.steps)):
         running += coeffs.running_cost(t, x, x, a) * cfg.dt
         if k == 0:
-            controls = np.empty((cfg.steps,) + a.shape[1:])
-        traj[k], controls[k], common[k] = x[0], a[0], dw0
-    traj[-1] = next(scheme)[0]
+            controls = np.empty((cfg.steps,) + a.shape[-2:])
+        traj[k], controls[k], common[k] = x[0, 0, 0], a[0, 0, 0], dw0[0]
+    traj[-1] = next(scheme)[0, 0, 0]
     times = cfg.t0 + cfg.dt * np.arange(cfg.steps + 1)
-    return PathBundle(times, common, traj, controls, running[0])
+    return PathBundle(times, common, traj, controls, running[0, 0, 0])
 
 
-def _euler(coeffs, init, policies, cfg, path_index, noise_ids):
-    """The one Euler-Maruyama scheme: the policies' states advance together
-    as (A, n, d).  Yields (t_k, X_k, a_k, dW0_k) for each step k before
-    taking it, with X_k (A, n, d) and a_k (A, n, q), then the terminal state.
+def _euler(coeffs, starts, policies, cfg, paths, noise_ids):
+    """The one Euler-Maruyama scheme: the P ``paths`` of the L start clouds
+    ``starts`` (L, n, d) under A policies advance as one (P, L, A, n, d)
+    state, each path on its own block per (channel, path, step), stacked
+    along the path axis.  Yields (t_k, X_k, a_k, dW0_k) for each step k
+    before taking it, with a_k (P, L, A, n, q) and dW0_k (P, d), then the
+    terminal state.
     """
-    n, d = init.n, init.d
+    n, d = starts.shape[-2:]
     dt = cfg.dt
     sq = math.sqrt(dt)
     ids, rows = slice(None), n  # without noise_ids the blocks are used as drawn
@@ -220,25 +246,28 @@ def _euler(coeffs, init, policies, cfg, path_index, noise_ids):
     idio_noise = _NoiseStream(cfg.idio_seed, _IDIO)
     perturb_noise = _NoiseStream(cfg.idio_seed, _PERTURB) if cfg.epsilon > 0.0 else None
 
-    x = np.repeat(init.points[None], len(policies), axis=0)
+    x = np.empty((len(paths), starts.shape[0], len(policies), n, d))
+    x[...] = starts[:, None]
     for k in range(cfg.steps):
         t = cfg.t0 + dt * k
-        a = np.stack([pol.actions_at(t, xi) for pol, xi in zip(policies, x)], dtype=float)
-        dw0 = sq * common_noise.block(path_index, k, 1, d)[0]
+        a = np.stack([pol.actions_at(t, x[:, :, i]) for i, pol in enumerate(policies)], axis=2, dtype=float)
+        dw0 = sq * common_noise.blocks(paths, k, 1, d)[:, 0]
         yield t, x, a, dw0
 
-        dw = sq * idio_noise.block(path_index, k, rows, d)[ids]
+        dw = sq * idio_noise.blocks(paths, k, rows, d)[:, None, None, ids]
         x = (
             x
             + coeffs.drift(t, x, x, a) * dt
             + _diffuse(np.asarray(coeffs.diffusion(t, x, a), dtype=float), dw)
-            + dw0 @ np.asarray(coeffs.common_diffusion(t), dtype=float).T
+            # one (1, d) row per path, as a lone path's (d,) increment is multiplied
+            + (dw0[:, None] @ np.asarray(coeffs.common_diffusion(t), dtype=float).T)[:, None, None]
         )
         if perturb_noise is not None:
-            db = sq * perturb_noise.block(path_index, k, rows, d)[ids]
+            db = sq * perturb_noise.blocks(paths, k, rows, d)[:, None, None, ids]
             x = x + cfg.epsilon * db
         if not np.isfinite(x).all():
-            raise FloatingPointError(f"non-finite state at step {k + 1} (t = {t + dt:.6g})")
+            bad = paths[int(np.argmin(np.isfinite(x).reshape(len(paths), -1).all(axis=1)))]
+            raise FloatingPointError(f"non-finite state at step {k + 1} (t = {t + dt:.6g}) on path {bad}")
     yield x
 
 
@@ -302,14 +331,15 @@ def ito_expectation_check(
     part has zero mean and is omitted.  The gap is the path average of
     lhs_p - rhs_p with its standard error.
     """
+    _check_counts(paths=paths)
     diffs = np.empty(paths)
     lhs_vals = np.empty(paths)
     rhs_vals = np.empty(paths)
     for pidx in range(paths):
-        scheme = _euler(coeffs, init, (policy,), cfg, pidx, None)
+        scheme = _euler(coeffs, init.points[None], (policy,), cfg, (pidx,), None)
         rhs = -0.0  # the exact additive identity: the sum runs in step order, like np.cumsum
         for t, x, a, _ in islice(scheme, cfg.steps):
-            x, a = x[0], a[0]
+            x, a = x[0, 0, 0], a[0, 0, 0]
             per_particle, common = _generator(
                 coeffs.drift(t, x, x, a),
                 np.asarray(coeffs.diffusion(t, x, a), dtype=float),
@@ -319,7 +349,7 @@ def ito_expectation_check(
                 testfn.h_op(t, x),
             )
             rhs += cfg.dt * (testfn.dt(t, x) + per_particle.mean(axis=-1) + common)
-        lhs = testfn.value(cfg.t1, next(scheme)[0]) - testfn.value(cfg.t0, init.points)
+        lhs = testfn.value(cfg.t1, next(scheme)[0, 0, 0]) - testfn.value(cfg.t0, init.points)
         lhs_vals[pidx] = lhs
         rhs_vals[pidx] = rhs
         diffs[pidx] = lhs - rhs

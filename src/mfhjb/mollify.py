@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 _KERNEL_NODES = 4097  # grid size of the bump kernel's quantile table
+#: Most offset-shifted state numbers (offsets x batch x n x d) one base
+#: coefficient call evaluates; past about 2**17 the temporaries outgrow the
+#: cache and each offset costs several times more.
+_CHUNK_OFFSET_STATE = 2**16
 
 
 @lru_cache(maxsize=8)
@@ -110,9 +114,30 @@ def _mollified_all(
     ``xbar`` is a state (..., n, d) with any leading batch axes.  All Q
     offsets go through one call of the base coefficient: the offset axis
     leads, so ``z_off`` acts as (Q, 1..., n, d) and ``t_off`` as (Q, 1...),
-    and each offset's shifted state is also its own cloud.  A batch row's
-    result is bit-identical to that row evaluated alone.
+    and each offset's shifted state is also its own cloud.  A state whose Q
+    shifted copies exceed _CHUNK_OFFSET_STATE numbers is taken in chunks of
+    its first batch axis.  A batch row's result is bit-identical to that
+    row evaluated alone.
     """
+    rank = np.ndim(xbar)
+    rows = xbar.shape[0] if rank > 2 else 1
+    per_call = max(1, _CHUNK_OFFSET_STATE // (z_off.shape[0] * (np.size(xbar) // rows)))
+    if per_call >= rows:
+        return _offset_stats(kind, coeffs, spec, t, xbar, a, horizon, t_off, z_off)
+
+    def chunk(v, sl, v_rank):
+        # rows sl of an argument that carries xbar's first batch axis
+        return v[sl] if np.ndim(v) == v_rank and np.shape(v)[0] == rows else v
+
+    parts = []
+    for lo in range(0, rows, per_call):
+        sl = slice(lo, lo + per_call)
+        args = (chunk(t, sl, rank - 2), xbar[sl], chunk(a, sl, rank), horizon, t_off, z_off)
+        parts.append(_offset_stats(kind, coeffs, spec, *args))
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _offset_stats(kind, coeffs, spec, t, xbar, a, horizon, t_off, z_off) -> tuple:
     q = z_off.shape[0]
     lead = (q,) + (1,) * (np.ndim(xbar) - 2)
     xs = xbar - z_off.reshape(lead + z_off.shape[1:]) / spec.m

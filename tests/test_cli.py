@@ -52,14 +52,59 @@ def test_identical_ensembles_report_zero(tmp_path):
         ("hjb-residual", {"probes": 4}, ["results.json"]),
         ("variational", {"sets": 3, "max_size": 8, "m_points": 24}, ["results.json"]),
         ("gradient-check", {"n": 4, "quad": 8, "m_points": 32}, ["results.json"]),
+        ("value", {"n": 64, "steps": 8, "paths": 5}, ["results.json"]),
+        ("dpp-check", {"n": 24, "steps": 6, "paths_outer": 3, "paths_inner": 3}, ["results.json"]),
     ],
-    ids=["metric", "simulate", "hjb-residual", "variational", "gradient-check"],
+    ids=["metric", "simulate", "hjb-residual", "variational", "gradient-check", "value", "dpp-check"],
 )
 def test_rerun_byte_identical(tmp_path, sub, cfg, files):
     _, out1, _ = run_cli(tmp_path, sub, cfg, seed=5, name="a")
     _, out2, _ = run_cli(tmp_path, sub, cfg, seed=5, name="b")
     for fname in files:
         assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("cap", [None, 1, 1536], ids=["default-chunks", "one-path", "uneven-chunks"])
+@pytest.mark.parametrize(
+    "sub,cfg",
+    [
+        ("value", {"n": 64, "steps": 8, "paths": 5}),
+        ("dpp-check", {"n": 24, "steps": 6, "paths_outer": 3, "paths_inner": 3}),
+    ],
+    ids=["value", "dpp-check"],
+)
+def test_monte_carlo_results_match_golden(tmp_path, monkeypatch, sub, cfg, cap):
+    # tests/golden holds these runs' results.json from the per-path loop
+    # that the chunked passes replaced; any chunking must reproduce them
+    from mfhjb import control
+
+    if cap is not None:
+        monkeypatch.setattr(control, "_CHUNK_STATE", cap)
+    code, out, _ = run_cli(tmp_path, sub, cfg, seed=5)
+    assert code == 0
+    assert (out / "results.json").read_bytes() == (GOLDEN / f"{sub}.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "sub,cfg,name",
+    [("value", {"paths": 0}, "paths"), ("dpp-check", {"paths_inner": 0}, "paths_inner")],
+    ids=["value", "dpp-check"],
+)
+def test_zero_monte_carlo_count_exits_one(tmp_path, sub, cfg, name):
+    src = str(Path(mfhjb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mfhjb.cli", sub, "--config", str(cfg_path), "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {name} must be >= 1, got 0\n"
 
 
 def test_malformed_config_exits_one(tmp_path):

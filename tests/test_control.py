@@ -62,6 +62,24 @@ def test_feedback_table_lookup():
     np.testing.assert_array_equal(pol.actions_at(0.1, x), [[-1.0], [1.0], [1.0]])
 
 
+def test_feedback_table_batch_matches_rows():
+    # a (P, L, n, d) state, with points outside the box on every side, looks
+    # up each (p, l) row exactly as that row alone; so does a step control
+    rng = np.random.default_rng(5)
+    table = FeedbackTable(lo=np.array([-1.0, -0.5]), hi=np.array([1.0, 2.0]),
+                          table=rng.standard_normal((3, 4, 2)))
+    x = rng.uniform(-3.0, 4.0, (2, 3, 7, 2))
+    x[0, 0, :4] = [[-1.0, -0.5], [1.0, 2.0], [-50.0, 0.0], [0.0, 1e9]]  # edges and far outside
+    got = table.actions_for(x)
+    pol = StepControl(np.array([0.0, 0.5]), (table, np.array([0.3, -0.3])))
+    assert got.shape == (2, 3, 7, 2)
+    for i in np.ndindex(2, 3):
+        np.testing.assert_array_equal(got[i], table.actions_for(x[i]))
+        np.testing.assert_array_equal(pol.actions_at(0.2, x)[i], pol.actions_at(0.2, x[i]))
+        np.testing.assert_array_equal(pol.actions_at(0.7, x)[i], pol.actions_at(0.7, x[i]))
+    assert np.isin(got, table.table.reshape(-1, 2)).all()
+
+
 def test_cost_zero_and_constant_running():
     zero = scenario("zero")
     init = sample_iid({"kind": "gaussian"}, 16, 2, seed=0)
@@ -271,6 +289,68 @@ def test_dpp_validates_times():
     init = sample_iid({"kind": "gaussian"}, 4, 2, seed=0)
     with pytest.raises(ValueError):
         dpp_residual(zero, init, 0.5, 0.2, 1.0, SearchSpec())
+    with pytest.raises(ValueError, match="n_steps"):
+        dpp_residual(zero, init, 0.0, 0.5, 1.0, SearchSpec(), n_steps=1)
+
+
+def test_dpp_leg_and_tail_split_the_grid(monkeypatch):
+    # the rhs integrates exactly the lhs's n_steps: a leg of at least one
+    # step and a tail of the rest, wherever s_mid sits
+    from mfhjb import control
+
+    zero = scenario("zero")
+    init = sample_iid({"kind": "gaussian"}, 2, 2, seed=0)
+    seen = []
+
+    def recording(coeffs, init, policy, cfg, *args, **kwargs):
+        seen.append((cfg.t0, cfg.t1, cfg.steps))
+        return simulate(coeffs, init, policy, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(control, "simulate", recording)
+    for n_steps in range(2, 9):
+        for s_mid in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99):
+            seen.clear()
+            dpp_residual(zero, init, 0.0, s_mid, 1.0, SearchSpec(), n_steps=n_steps,
+                         paths_outer=1, paths_inner=1)
+            legs = {steps for t0, t1, steps in seen if (t0, t1) == (0.0, s_mid)}
+            tails = {steps for t0, t1, steps in seen if (t0, t1) == (s_mid, 1.0)}
+            assert len(legs) == len(tails) == 1
+            leg, tail = legs.pop(), tails.pop()
+            assert leg >= 1 and tail >= 1 and leg + tail == n_steps, (n_steps, s_mid, leg, tail)
+
+
+@pytest.mark.parametrize("count", [0, -1], ids=["zero", "negative"])
+def test_monte_carlo_counts_below_one_raise(count):
+    from mfhjb.control import value_fd_approx
+    from mfhjb.dynamics import ito_expectation_check
+    from mfhjb.scenarios import lq_test_function
+
+    lq = scenario("lq_drift", {"d": 2, "p": [1.0, -0.5]})
+    init = sample_iid({"kind": "gaussian", "std": 0.4}, 4, 2, seed=0)
+    cfg = SimConfig(n=4, steps=2, t0=0.0, t1=1.0, seed=0)
+    policy = StepControl.constant(0.0, np.zeros(2))
+    calls = {
+        "paths": [
+            lambda: cost_j(lq, init, policy, cfg, paths=count),
+            lambda: value_estimate(lq, init, cfg, SearchSpec(), paths=count),
+            lambda: value_fd_approx(lq, {"kind": "gaussian"}, 0.0, 0.0, 4, 2, cfg, SearchSpec(),
+                                    paths=count, offsets=2),
+            lambda: ito_expectation_check(lq, init, lq_test_function(np.ones(2), 1.0), cfg, policy,
+                                          paths=count),
+        ],
+        "resamples": [
+            lambda: value_fd_approx(lq, {"kind": "gaussian"}, 0.0, 0.0, 4, 2, cfg, SearchSpec(),
+                                    resamples=count, offsets=2),
+        ],
+        "paths_outer": [lambda: dpp_residual(lq, init, 0.0, 0.5, 1.0, SearchSpec(), n_steps=2,
+                                             paths_outer=count)],
+        "paths_inner": [lambda: dpp_residual(lq, init, 0.0, 0.5, 1.0, SearchSpec(), n_steps=2,
+                                             paths_inner=count)],
+    }
+    for name, fns in calls.items():
+        for fn in fns:
+            with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {count}$"):
+                fn()
 
 
 def test_hjb_residual_lq_exact_zero():

@@ -126,8 +126,9 @@ def test_noise_block_row_stability():
 
 @pytest.mark.parametrize("seed", [0, 1212, 2**63 + 5])
 def test_noise_block_matches_a_philox_built_per_key(seed):
-    # the re-keyed stream, fresh or reused after other blocks, reproduces a
-    # generator built for the (seed, channel, path, step) key
+    # the re-keyed stream, fresh or reused after other blocks, and each path
+    # of a multi-path draw, reproduce a generator built for the (seed,
+    # channel, path, step) key
     keys = [(path, step, rows) for path, step in ((0, 0), (3, 17), (2, 5)) for rows in (1, 5, 2048)]
     for channel in range(3):
         stream = _NoiseStream(seed, channel)
@@ -138,7 +139,7 @@ def test_noise_block_matches_a_philox_built_per_key(seed):
             )
             expect = np.random.Generator(bitgen).standard_normal((rows, D))
             np.testing.assert_array_equal(noise_block(seed, channel, path, step, rows, D), expect)
-            np.testing.assert_array_equal(stream.block(path, step, rows, D), expect)
+            np.testing.assert_array_equal(stream.blocks((path, 7, path), step, rows, D)[::2], [expect, expect])
 
 
 def test_nan_failure_reports_step():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mfhjb import mollify
 from mfhjb.control import ActionSpace, CoefficientSet
 from mfhjb.mollify import (
     MollifiedCoefficients,
@@ -172,22 +173,27 @@ def test_mollified_coefficients_interface():
     ],
 )
 def test_mollified_coefficients_batch_rows_match_rows_alone(name, params, n):
-    # a batched state (4, n, d) smooths each row exactly as that row alone;
+    # a batched state (4, n, d) or (P, L, A, n, d) smooths each row exactly
+    # as that row alone, also when the offsets are taken in chunks of rows;
     # t within 1/m of 0 keeps bounded_trig's time clamp active
     coeffs = scenario(name, params)
     mol = MollifiedCoefficients(coeffs, MollifierSpec(m=4, offsets=64, seed=11), n)
     rng = np.random.default_rng(11)
-    x = rng.standard_normal((4, n, coeffs.d))
-    a = rng.uniform(-1.0, 1.0, (4, n, coeffs.d))
-    batch = (mol.drift(0.05, x, x, a), mol.running_cost(0.05, x, x, a), mol.terminal_cost(x, x))
-    for i in range(4):
-        alone = (
-            mol.drift(0.05, x[i], x[i], a[i]),
-            mol.running_cost(0.05, x[i], x[i], a[i]),
-            mol.terminal_cost(x[i], x[i]),
-        )
-        for got, want in zip(batch, alone):
-            np.testing.assert_array_equal(got[i], want)
+    for lead, cap in (((4,), None), ((2, 3, 4), None), ((3, 2, 2), 2 * 64 * 4 * n * coeffs.d)):
+        x = rng.standard_normal(lead + (n, coeffs.d))
+        a = rng.uniform(-1.0, 1.0, lead + (n, coeffs.d))
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:  # two of the three leading rows per base-coefficient call
+                mp.setattr(mollify, "_CHUNK_OFFSET_STATE", cap)
+            batch = (mol.drift(0.05, x, x, a), mol.running_cost(0.05, x, x, a), mol.terminal_cost(x, x))
+        for i in np.ndindex(lead):
+            alone = (
+                mol.drift(0.05, x[i], x[i], a[i]),
+                mol.running_cost(0.05, x[i], x[i], a[i]),
+                mol.terminal_cost(x[i], x[i]),
+            )
+            for got, want in zip(batch, alone):
+                np.testing.assert_array_equal(got[i], want)
 
 
 def test_stderr_cap_flags():
