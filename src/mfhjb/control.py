@@ -117,7 +117,9 @@ class FeedbackTable:
         frac = (x - self.lo) / (self.hi - self.lo)
         idx = []
         for j, cells in enumerate(shape):
-            k = np.clip((frac[..., j] * cells).astype(int), 0, cells - 1)
+            # clipped before the cast, which far-outside points would overflow;
+            # fmax/fmin send NaN to cell 0
+            k = np.fmin(np.fmax(frac[..., j] * cells, 0.0), cells - 1).astype(int)
             idx.append(k)
         return self.table[tuple(idx)]
 

@@ -67,9 +67,14 @@ __all__ = [
 GAUGE_SQUARE_FACTOR = 0.5
 
 #: Upper bound on the numbers in one chunk: directions x points x noise nodes
-#: x particles (derivatives), rows x levels x particles (quantile blocks) and
+#: x particles (derivatives), rows x levels x padded width (quantile blocks) and
 #: pairs x directions x levels (_sliced_gap), so temporaries stay near 8 MB each.
 _CHUNK_ATOMS = 2**20
+
+#: The quantile solve keeps about this many numbers per table entry besides
+#: its atoms (level, bracket, iterate, indices), so a chunk of quantile rows
+#: counts each row as at least this many atoms wide.
+_ENTRY_STATE = 8
 
 
 @dataclass(frozen=True)
@@ -154,22 +159,34 @@ def _stratified_quantiles(rows: np.ndarray, sigma: float, m_points: int) -> np.n
     return _mixture_quantile(rows, sigma, np.broadcast_to(p, (rows.shape[0], m_points)))
 
 
+def _padded_rows(clouds, quad: SphereQuadrature) -> np.ndarray:
+    """The projected (directions, n) rows of each cloud, stacked and padded with
+    +inf, an absent atom to the quantile solve, to the widest cloud's n."""
+    rows = np.full((len(clouds), quad.count, max(ens.n for ens in clouds)), np.inf)
+    for block, ens in zip(rows, clouds):
+        block[:, : ens.n] = (ens.points @ quad.nodes.T).T
+    return rows.reshape(-1, rows.shape[-1])
+
+
 def _quantile_tables(clouds, sigma: float, quad: SphereQuadrature, m_points: int) -> np.ndarray:
     """Stacked quantile tables of a sequence of clouds, shape (len(clouds),
-    directions, m_points), one per distinct cloud object: the distinct clouds
-    of one particle count are the rows of one _stratified_quantiles solve, in
-    chunks of at most _CHUNK_ATOMS rows x levels x particles (at least one
-    cloud each).  An entry's solve reads only its own row, so chunks change no bit."""
+    directions, m_points), one per distinct cloud object.  The distinct clouds,
+    sorted by particle count, are the +inf-padded rows of one _stratified_quantiles
+    solve per chunk of at most _CHUNK_ATOMS rows x levels x atoms, counted at the
+    chunk's own width or _ENTRY_STATE if wider (at least one cloud each).  An
+    entry's solve reads only its own row, and its atom sums do not see trailing
+    +inf atoms, so neither padding nor chunks change a bit."""
     _check_dims(quad, *clouds)
-    distinct = {id(ens): ens for ens in clouds}.values()
+    chunks = [[]]
+    for ens in sorted({id(ens): ens for ens in clouds}.values(), key=lambda ens: ens.n):
+        width = max(ens.n, _ENTRY_STATE)  # ens is the widest cloud of its chunk so far
+        if chunks[-1] and (len(chunks[-1]) + 1) * quad.count * m_points * width > _CHUNK_ATOMS:
+            chunks.append([])
+        chunks[-1].append(ens)
     solved = {}
-    for n in {ens.n for ens in distinct}:
-        group = [ens for ens in distinct if ens.n == n]
-        step = max(1, _CHUNK_ATOMS // (quad.count * m_points * n))
-        for chunk in (group[s : s + step] for s in range(0, len(group), step)):
-            rows = np.concatenate([(ens.points @ quad.nodes.T).T for ens in chunk])
-            tables = _stratified_quantiles(rows, sigma, m_points).reshape(len(chunk), quad.count, m_points)
-            solved.update(zip(map(id, chunk), tables))
+    for chunk in chunks:
+        tables = _stratified_quantiles(_padded_rows(chunk, quad), sigma, m_points)
+        solved.update(zip(map(id, chunk), tables.reshape(len(chunk), quad.count, m_points)))
     return np.stack([solved[id(ens)] for ens in clouds])
 
 

@@ -21,6 +21,12 @@ clamped to [P_MIN, 1 - P_MIN] before the solve: the inverse map grows like
 exp(z^2 / (4 sigma^2)) in the tails, and the clamp keeps quantile
 evaluations bounded at an error far below quadrature noise.  The public
 ``SmoothedProjection.cdf`` returns values clamped the same way.
+
+The private evaluators treat a +inf value as an absent atom (it adds exactly
+0 to F and to its density and is not counted), and sum over atoms in a fixed
+order that trailing zero terms do not change, so a row padded with +inf
+solves to the bits of the same cloud alone.  The public types reject
+non-finite values.
 """
 
 from __future__ import annotations
@@ -44,25 +50,54 @@ P_MIN = 1e-14
 
 def _aligned_arg(values: np.ndarray, sigma: float, z: np.ndarray) -> np.ndarray:
     # values (n,) pairs with z of any shape; values (A, n) pairs row-wise with
-    # z of shape (A, ...), evaluating row a against values[a].
-    if values.ndim == 1:
-        return (z[..., None] - values) / sigma
-    extra = z.ndim - (values.ndim - 1)
-    v = values.reshape(values.shape[:-1] + (1,) * extra + (values.shape[-1],))
-    return (z[..., None] - v) / sigma
+    # z of shape (A, ...), evaluating row a against values[a].  The result is
+    # one (n,) + z.shape buffer, atoms leading, that _atom_mean sums in place.
+    v = values.T.reshape(values.shape[::-1] + (1,) * (z.ndim - values.ndim + 1))
+    arg = np.subtract(z, v, out=np.empty(v.shape[:1] + z.shape))
+    arg /= sigma
+    return arg
+
+
+def _atom_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the leading atom axis, in place: each run of 8 atoms is added
+    in order, starting from 0 as numpy's last-axis sum does below 8 terms, and
+    the run sums pairwise at power-of-two strides.  So zero terms after a row's
+    last atom change no bit, and the rounding grows like log n, not n."""
+    runs = terms[::8]
+    runs += 0.0
+    for j in range(1, min(8, len(terms))):
+        later = terms[j::8]
+        runs[: len(later)] += later
+    m = len(runs)
+    while m > 1:
+        h = 1 << (m - 1).bit_length() - 1
+        runs[: m - h] += runs[h:m]
+        m = h
+    return runs[0]
+
+
+def _atom_mean(terms: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """_atom_sum of the (n,) + z.shape terms over the finite atoms of values:
+    a +inf atom (padding after a row's finite ones) adds a zero term and is
+    not counted."""
+    total = _atom_sum(terms)
+    if not np.isinf(values[..., -1]).any():
+        return total / values.shape[-1]
+    count = np.isfinite(values).sum(axis=-1)
+    return total / count.reshape(count.shape + (1,) * (total.ndim - count.ndim))
 
 
 def _mixture_cdf(values: np.ndarray, sigma: float, z: np.ndarray) -> np.ndarray:
     """Raw (unclamped) CDF of the Gaussian-smoothed point cloud, vectorized over z."""
     arg = _aligned_arg(values, sigma, z)
-    return ndtr(arg, out=arg).sum(axis=-1) / arg.shape[-1]
+    return _atom_mean(ndtr(arg, out=arg), values)
 
 
 def _mixture_pdf(values: np.ndarray, sigma: float, z: np.ndarray) -> np.ndarray:
     arg = _aligned_arg(values, sigma, z)
     arg *= arg
     arg *= -0.5
-    return np.exp(arg, out=arg).sum(axis=-1) / arg.shape[-1] / (sigma * np.sqrt(2.0 * np.pi))
+    return _atom_mean(np.exp(arg, out=arg), values) / (sigma * np.sqrt(2.0 * np.pi))
 
 
 _EPS = np.finfo(float).eps
@@ -88,6 +123,10 @@ def _mixture_quantile(values: np.ndarray, sigma: float, p: np.ndarray) -> np.nda
     midpoint.  Only entries still running are evaluated, and entries of
     one row at the same clamp level are solved once.
 
+    A row may end in +inf values, absent atoms: F, F', the bracket ends and
+    the seed's moments see only the row's finite values, and the entry
+    gets the bits it would get from those values alone.
+
     Contract: an entry stops at the first z with
 
         |F(z) - p'| <= F'(z) ulp(z) + eps p',
@@ -103,12 +142,19 @@ def _mixture_quantile(values: np.ndarray, sigma: float, p: np.ndarray) -> np.nda
     shape = p.shape
     p = p.ravel()
     table = np.atleast_2d(values)  # one row for (n,) values, else row a pairs with p[a]
-    rows, n = table.shape
+    rows = table.shape[0]
     upper = p > 0.5
-    # rows + a holds -v of row a; srow is the row an entry solves against
-    signed = np.concatenate((table, -table))
-    lows, highs, means = signed.min(axis=-1), signed.max(axis=-1), signed.sum(axis=-1) / n
-    spread = np.sqrt(table.var(axis=-1) + sigma**2)
+    # moments of the finite atoms only: +inf pads enter as 0 and are not counted
+    present = np.isfinite(table)
+    low, high = table.min(axis=-1), np.where(present, table, -np.inf).max(axis=-1)
+    mean = _atom_mean(np.where(present, table, 0.0).T, table)
+    dev = np.where(present, table - mean[:, None], 0.0)
+    spread = np.sqrt(_atom_mean((dev * dev).T, table) + sigma**2)
+    # column rows + a holds -v of row a, pads kept at +inf; srow is the column an
+    # entry solves against, gathered atoms-leading for the CDF passes
+    signed = np.concatenate((table, np.where(present, -table, table))).T.copy()
+    lows, highs = np.concatenate((low, -high)), np.concatenate((high, -low))
+    means = np.concatenate((mean, -mean))
     srow = np.arange(p.size) // (p.size // rows) + rows * upper
     level = np.where(upper, 1.0 - p, p)
     copied = (p == P_MIN) | (p == 1.0 - P_MIN)
@@ -129,7 +175,7 @@ def _mixture_quantile(values: np.ndarray, sigma: float, p: np.ndarray) -> np.nda
     z = np.clip(means[srow] + spread[srow % rows] * q, lo, hi)
     out = np.empty_like(p)
     while todo.size:
-        v = np.take(signed, srow, axis=0)
+        v = np.take(signed, srow, axis=1).T
         cdf = _mixture_cdf(v, sigma, z)
         f = cdf - level
         dens = _mixture_pdf(v, sigma, z)

@@ -5,26 +5,40 @@ from mfhjb import sliced_gauge, transport1d
 
 
 class TableSolves:
-    """The row blocks handed to sliced_gauge._stratified_quantiles, one per call."""
+    """The row blocks handed to sliced_gauge._stratified_quantiles, one per call,
+    with their level counts."""
 
     def __init__(self, monkeypatch):
-        self.blocks = []
+        self.blocks, self.levels = [], []
         solve = sliced_gauge._stratified_quantiles
 
-        def counted(rows, *args):
+        def counted(rows, sigma, m_points):
             self.blocks.append(rows.copy())
-            return solve(rows, *args)
+            self.levels.append(m_points)
+            return solve(rows, sigma, m_points)
 
         monkeypatch.setattr(sliced_gauge, "_stratified_quantiles", counted)
 
-    def assert_one_block_per_particle_count(self, clouds, quad):
-        """One call per particle count of the distinct cloud objects, and each
-        distinct cloud's projected rows solved exactly once."""
+    def assert_one_block_per_chunk(self, clouds, quad):
+        """For the blocks of one table request: each distinct cloud object's
+        projected rows solved exactly once; each block's rows padded with +inf
+        only after their finite values and only up to the block's widest cloud;
+        blocks in particle-count order; and each block but the last full: one
+        more cloud of the next block would push it past _CHUNK_ATOMS."""
         distinct = {id(c): c for c in clouds}.values()
-        assert sorted(b.shape[1] for b in self.blocks) == sorted({c.n for c in distinct})
-        got = sorted(row.tobytes() for b in self.blocks for row in b)
+        finite = []
+        for block in self.blocks:
+            counts = np.isfinite(block).sum(axis=1)
+            assert all(np.isfinite(row[:k]).all() and np.all(row[k:] == np.inf) for row, k in zip(block, counts))
+            assert block.shape[1] == counts.max()
+            finite.append([row[:k] for row, k in zip(block, counts)])
+        got = sorted(row.tobytes() for rows in finite for row in rows)
         want = sorted(row.tobytes() for c in distinct for row in (c.points @ quad.nodes.T).T)
         assert got == want
+        for block, nxt, m_points in zip(self.blocks, finite[1:], self.levels):
+            assert block.shape[1] <= len(nxt[0])
+            width = max(len(nxt[0]), sliced_gauge._ENTRY_STATE)
+            assert (block.shape[0] + quad.count) * m_points * width > sliced_gauge._CHUNK_ATOMS
 
 
 @pytest.fixture

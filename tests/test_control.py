@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,16 @@ def test_feedback_table_lookup():
     np.testing.assert_array_equal(table.actions_for(x), [[-1.0], [1.0], [1.0]])
     pol = StepControl(np.array([0.0]), (table,))
     np.testing.assert_array_equal(pol.actions_at(0.1, x), [[-1.0], [1.0], [1.0]])
+
+
+def test_feedback_table_far_outside_points_take_their_side():
+    # frac * cells beyond the int64 range must still clip to the near edge
+    table = FeedbackTable(lo=np.array([-1.0]), hi=np.array([1.0]), table=np.array([[-1.0], [1.0]]))
+    x = np.array([[1e300], [1e18], [1e19], [-1e19]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = table.actions_for(x)
+    np.testing.assert_array_equal(got, [[1.0], [1.0], [1.0], [-1.0]])
 
 
 def test_feedback_table_batch_matches_rows():

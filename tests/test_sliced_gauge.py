@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfhjb import sliced_gauge
 from mfhjb.measures import ParticleEnsemble, translate
 from mfhjb.sliced_gauge import (
     _CHUNK_ATOMS,
+    _ENTRY_STATE,
     C_D_CALIBRATED,
     GAUGE_SQUARE_FACTOR,
     GaugeAnchors,
@@ -386,9 +389,9 @@ def test_phi_delta_one_table_for_mu_plus_one_per_anchor_group(table_solves):
     # nu at t = 0.1 appears twice, so four anchors form three groups
     anchors = GaugeAnchors(((0.1, nu), (0.4, other), (0.1, nu), (0.7, third)), delta=0.8)
     val = phi_delta(anchors, 0.3, mu, QUAD2, 64)
-    # mu and third have 6 particles, nu and other 5: two blocks, not four solves
-    assert len(table_solves.blocks) == 2
-    table_solves.assert_one_block_per_particle_count((mu, nu, other, third), QUAD2)
+    # mu and third have 6 particles, nu and other 5: one padded block
+    assert len(table_solves.blocks) == 1
+    table_solves.assert_one_block_per_chunk((mu, nu, other, third), QUAD2)
     terms = [(1.25, 0.1, nu), (0.5, 0.4, other), (0.125, 0.7, third)]
     expect = sum(w * rho(0.3, mu, t, m, anchors.sigma, QUAD2, 64) for w, t, m in terms)
     assert val == pytest.approx(expect, rel=1e-14)
@@ -408,10 +411,11 @@ def test_rho_matrix_chunked_rows_match_one_chunk(monkeypatch):
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 0.7])
-@pytest.mark.parametrize("chunk_atoms", [_CHUNK_ATOMS, 2 * QUAD2.count * 32], ids=["one_chunk", "small_chunks"])
-def test_quantile_tables_equal_each_cloud_solved_alone(monkeypatch, sigma, chunk_atoms):
+@pytest.mark.parametrize("chunk_atoms", [_CHUNK_ATOMS, 2 * _ENTRY_STATE * QUAD2.count * 32],
+                         ids=["one_chunk", "small_chunks"])
+def test_quantile_tables_equal_each_cloud_solved_alone(monkeypatch, table_solves, sigma, chunk_atoms):
     # a shuffled mix of particle counts, n = 1, duplicate points, separated
-    # points and repeated objects; small chunks hold at most one cloud of n >= 2
+    # points and repeated objects; small chunks hold two clouds, padded to the wider
     rng = np.random.default_rng(31)
     pe = ParticleEnsemble
     mix = [pe(rng.standard_normal((n, 2))) for n in (1, 1, 2, 2, 3, 4, 4, 4, 5)]
@@ -420,9 +424,43 @@ def test_quantile_tables_equal_each_cloud_solved_alone(monkeypatch, sigma, chunk
     clouds = tuple(mix[i] for i in rng.permutation(len(mix) + 4) % len(mix))
     monkeypatch.setattr(sliced_gauge, "_CHUNK_ATOMS", chunk_atoms)
     tables = sliced_gauge._quantile_tables(clouds, sigma, QUAD2, 32)
+    table_solves.assert_one_block_per_chunk(clouds, QUAD2)
     for ens, table in zip(clouds, tables):
         alone = sliced_gauge._stratified_quantiles((ens.points @ QUAD2.nodes.T).T.copy(), sigma, 32)
         assert np.array_equal(table, alone)
+
+
+def _cloud(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return ParticleEnsemble(rng.standard_normal((n, 2)))
+    if kind == "duplicates":  # at most three distinct points, each repeated
+        return ParticleEnsemble(rng.standard_normal((3, 2))[rng.integers(0, 3, n)])
+    # separated clusters: points within 1e-3 of (0, 0) or (1e6, 0)
+    centers = np.array([[0.0, 0.0], [1e6, 0.0]])[rng.integers(0, 2, n)]
+    return ParticleEnsemble(centers + 1e-3 * rng.uniform(-1.0, 1.0, (n, 2)))
+
+
+CLOUD_SPECS = st.tuples(st.sampled_from(["normal", "duplicates", "clusters"]),
+                        st.sampled_from([1, 2, 3, 8, 9, 17, 130]), st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(specs=st.lists(CLOUD_SPECS, min_size=2, max_size=4), sigma=st.sampled_from([1e-6, 0.05, 1.0]))
+def test_tables_in_a_mixed_block_equal_each_cloud_alone_property(specs, sigma):
+    # clouds of every particle count share one padded block, yet each table is
+    # the bits of its cloud's own solve, so a rho_matrix entry is the bits of
+    # rho on its pair alone, at sizes where numpy's own sums would go pairwise
+    quad = SphereQuadrature.equispaced_circle(3)
+    clouds = [_cloud(*spec) for spec in specs]
+    tables = sliced_gauge._quantile_tables(clouds, sigma, quad, 16)
+    for ens, table in zip(clouds, tables):
+        alone = sliced_gauge._stratified_quantiles((ens.points @ quad.nodes.T).T.copy(), sigma, 16)
+        assert table.tobytes() == alone.tobytes()
+    times = np.linspace(0.0, 1.0, len(clouds))
+    mat = rho_matrix(times, clouds, times, clouds, sigma, quad, 16)
+    for a, b in np.ndindex(mat.shape):
+        assert mat[a, b] == rho(times[a], clouds[a], times[b], clouds[b], sigma, quad, 16)
 
 
 def test_rho_matrix_entries_equal_rho_and_gauge_g():

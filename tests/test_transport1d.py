@@ -12,7 +12,9 @@ from mfhjb.transport1d import (
     P_MIN,
     SmoothedProjection,
     TransportMap1D,
+    _atom_sum,
     _mixture_cdf,
+    _mixture_pdf,
     _mixture_quantile,
     w1_empirical_gaussian,
     w2_discrete,
@@ -206,6 +208,52 @@ def test_quantile_clamp_levels_match_each_entry_alone(values, sigma, layout):
     for idx in np.ndindex(p.shape):
         alone = _mixture_quantile(table if table.ndim == 1 else table[idx[0]], sigma, np.array([p[idx]]))
         assert z[idx].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (5,), (3, 1), (2, 7)], ids=str)
+def test_atom_sum_ignores_trailing_zeros_and_matches_numpy_below_8(shape):
+    # any block shape, including one column, which numpy would reduce pairwise
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 5, 7, 8, 9, 17, 130):
+        terms = rng.uniform(0.0, 1.0, (n,) + shape)
+        want = _atom_sum(terms.copy())
+        for width in (n + 1, n + 7, 2 * n + 9, 300):
+            padded = np.concatenate((terms, np.zeros((width - n,) + shape)))
+            assert np.asarray(_atom_sum(padded)).tobytes() == np.asarray(want).tobytes()
+        if n < 8:  # numpy's last-axis sum adds fewer than 8 terms in order
+            assert np.asarray(want).tobytes() == np.moveaxis(terms, 0, -1).sum(axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 9, 130])
+def test_padded_rows_evaluate_as_the_row_alone(n):
+    # +inf atoms add exactly 0 to F and f and are not counted, in the (n,) and
+    # the row-wise (A, n) layouts
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n)
+    z = rng.uniform(-4.0, 4.0, (2, 6))
+    for width in (n + 1, n + 8):
+        padded = np.concatenate((values, np.full(width - n, np.inf)))
+        for fn in (_mixture_cdf, _mixture_pdf):
+            assert fn(padded, 0.4, z).tobytes() == fn(values, 0.4, z).tobytes()
+            rows = np.stack((padded, np.concatenate((values[::-1], padded[n:]))))
+            want = np.stack((fn(values, 0.4, z[0]), fn(values[::-1], 0.4, z[1])))
+            assert fn(rows, 0.4, z).tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    values=st.one_of(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20).map(np.array), CLUSTERS),
+    pad=st.integers(1, 12),
+    sigma=st.one_of(st.floats(1e-6, 1e2), st.just(1e-6)),
+    p=st.lists(st.one_of(st.floats(0.0, 1.0), TAIL_LEVELS), min_size=1, max_size=8).map(np.array),
+)
+def test_quantile_of_padded_row_is_the_row_alone(values, pad, sigma, p):
+    # a row padded with +inf atoms, beside a narrower row, solves as it does alone
+    padded = np.concatenate((values, np.full(pad, np.inf)))
+    rows = np.stack((padded, np.concatenate((values[:1], np.full(values.size + pad - 1, np.inf)))))
+    z = _mixture_quantile(rows, sigma, np.stack((p, p)))
+    assert z[0].tobytes() == _mixture_quantile(values, sigma, p).tobytes()
+    assert z[1].tobytes() == _mixture_quantile(values[:1], sigma, p).tobytes()
 
 
 def test_quantile_rejects_bad_p():

@@ -126,9 +126,9 @@ def test_pairwise_rho_one_table_per_distinct_cloud(table_solves):
     cands = CandidateSet(cands.times, (shared,) + cands.ensembles[1:4] + (shared,),
                          cands.g_values, cands.lam, cands.delta, cands.start)
     _pairwise_rho(cands, QUAD1, 48)
-    # four distinct clouds of three particle counts: three blocks, not four solves
-    assert len(table_solves.blocks) == 3
-    table_solves.assert_one_block_per_particle_count(cands.ensembles, QUAD1)
+    # four distinct clouds of three particle counts: one padded block
+    assert len(table_solves.blocks) == 1
+    table_solves.assert_one_block_per_chunk(cands.ensembles, QUAD1)
 
 
 def test_implied_lambda_one_table_per_distinct_anchor(table_solves):
@@ -141,7 +141,7 @@ def test_implied_lambda_one_table_per_distinct_anchor(table_solves):
     rec = phi_delta_derivative_bounds(res.anchors, 0.5, cands.ensembles[1], QUAD1, horizon=1.0,
                                       noise_nodes=16, m_points=48)
     assert len(table_solves.blocks) == 1
-    table_solves.assert_one_block_per_particle_count([muk for _, muk in res.anchors.anchors], QUAD1)
+    table_solves.assert_one_block_per_chunk([muk for _, muk in res.anchors.anchors], QUAD1)
     assert rec["lam"] == 0.0
 
 
