@@ -59,10 +59,6 @@ def _record(operation: str, config: dict, value, stderr=None, seed=None, **extra
     return rec
 
 
-def _quad_for(d: int, count: int, seed: int) -> SphereQuadrature:
-    return SphereQuadrature.for_dimension(d, count, seed)
-
-
 def _fit_loglog(ns, errs):
     return float(np.polyfit(np.log(np.asarray(ns, float)), np.log(np.asarray(errs, float)), 1)[0])
 
@@ -75,7 +71,7 @@ def _fit_loglog(ns, errs):
 def _run_metric(cfg, seed):
     n, d = cfg.get("n", 16), cfg.get("d", 2)
     sigma = cfg.get("sigma", 0.5)
-    quad = _quad_for(d, cfg.get("quad", 64), seed)
+    quad = SphereQuadrature.for_dimension(d, cfg.get("quad", 64), seed)
     mu = sample_iid({"kind": "gaussian", "std": 1.0}, n, d, seed)
     shift = np.asarray(cfg.get("shift", [0.6] * d), dtype=float)
     nu = translate(mu, shift)
@@ -95,7 +91,7 @@ def _run_metric(cfg, seed):
 def _run_gradient_check(cfg, seed):
     n, d = cfg.get("n", 8), cfg.get("d", 2)
     sigma, h = cfg.get("sigma", 0.5), cfg.get("h", 1e-4)
-    quad = _quad_for(d, cfg.get("quad", 32), seed)
+    quad = SphereQuadrature.for_dimension(d, cfg.get("quad", 32), seed)
     rng = np.random.default_rng(seed)
     mu = ParticleEnsemble(rng.standard_normal((n, d)))
     nu = ParticleEnsemble(rng.standard_normal((max(n - 2, 2), d)) * 1.2 + 0.3)
@@ -112,19 +108,17 @@ def _run_gradient_check(cfg, seed):
 
 def _run_h_check(cfg, seed):
     d = cfg.get("d", 2)
-    quad = _quad_for(d, cfg.get("quad", 64), seed)
+    quad = SphereQuadrature.for_dimension(d, cfg.get("quad", 64), seed)
     hmat = h_gauge(d, quad)
     exact_gap = float(np.abs(hmat - np.eye(d) / d).max())
     rng = np.random.default_rng(seed)
     mu = ParticleEnsemble(rng.standard_normal((5, d)))
     nu = ParticleEnsemble(rng.standard_normal((4, d)) + 0.4)
     h = 1e-3
+    f0 = gauge_g(mu, nu, 0.5, quad, 128)
     rel_errs = []
-    for l in range(d):
-        e = np.zeros(d)
-        e[l] = h
+    for l, e in enumerate(h * np.eye(d)):
         fp = gauge_g(translate(mu, e), nu, 0.5, quad, 128)
-        f0 = gauge_g(mu, nu, 0.5, quad, 128)
         fm = gauge_g(translate(mu, -e), nu, 0.5, quad, 128)
         second = (fp - 2 * f0 + fm) / h**2
         rel_errs.append(abs(second - hmat[l, l]) / abs(hmat[l, l]))
@@ -141,7 +135,7 @@ def _run_h_check(cfg, seed):
 def _run_variational(cfg, seed):
     sets = cfg.get("sets", 50)
     d = cfg.get("d", 1)
-    quad = _quad_for(d, cfg.get("quad", 16), seed)
+    quad = SphereQuadrature.for_dimension(d, cfg.get("quad", 16), seed)
     rng = np.random.default_rng(seed)
     passed = 0
     for k in range(sets):

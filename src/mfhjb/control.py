@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from mfhjb.budget import chunks
 from mfhjb.dynamics import SimConfig, _check_counts, _generator, _half_trace, _stderr, simulate
 from mfhjb.measures import ParticleEnsemble, sample_iid
 
@@ -37,9 +38,6 @@ __all__ = [
     "h_via_second_derivative",
 ]
 
-#: Most state numbers (paths x clouds x policies x n x d) one Monte Carlo
-#: pass advances; beyond one path per pass, larger states only add memory.
-_CHUNK_STATE = 2**14
 
 @dataclass(frozen=True)
 class ActionSpace:
@@ -306,13 +304,12 @@ def cost_j(
 
 
 def _passes(coeffs, init, policies: tuple, cfg, paths, noise_ids=None, starts=None):
-    """``simulate`` over paths 0 .. paths - 1, one pass per chunk of at most
-    _CHUNK_STATE state numbers (at least one path): yields each chunk's
-    path range, running costs (P, L, A, n) and terminal states."""
+    """``simulate`` over paths 0 .. paths - 1, one pass per "monte_carlo"
+    chunk of paths: yields each chunk's path range, running costs
+    (P, L, A, n) and terminal states."""
     clouds = init.points[None] if starts is None else starts
-    per_pass = max(1, _CHUNK_STATE // (clouds.size * len(policies)))
-    for lo in range(0, paths, per_pass):
-        chunk = range(lo, min(lo + per_pass, paths))
+    for sl in chunks(paths, clouds.size * len(policies), "monte_carlo"):
+        chunk = range(sl.start, sl.stop)
         yield (chunk, *simulate(coeffs, init, policies, cfg, chunk, noise_ids, starts=clouds))
 
 

@@ -25,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from mfhjb.budget import chunks
 from mfhjb.quadrature import quasi_uniform
 
 __all__ = [
@@ -39,10 +40,6 @@ __all__ = [
 ]
 
 _KERNEL_NODES = 4097  # grid size of the bump kernel's quantile table
-#: Most offset-shifted state numbers (offsets x batch x n x d) one base
-#: coefficient call evaluates; past about 2**17 the temporaries outgrow the
-#: cache and each offset costs several times more.
-_CHUNK_OFFSET_STATE = 2**16
 
 
 @lru_cache(maxsize=8)
@@ -114,26 +111,22 @@ def _mollified_all(
     ``xbar`` is a state (..., n, d) with any leading batch axes.  All Q
     offsets go through one call of the base coefficient: the offset axis
     leads, so ``z_off`` acts as (Q, 1..., n, d) and ``t_off`` as (Q, 1...),
-    and each offset's shifted state is also its own cloud.  A state whose Q
-    shifted copies exceed _CHUNK_OFFSET_STATE numbers is taken in chunks of
-    its first batch axis.  A batch row's result is bit-identical to that
-    row evaluated alone.
+    and each offset's shifted state is also its own cloud.  The Q shifted
+    copies are taken in "mollifier" chunks of the first batch axis.  A batch
+    row's result is bit-identical to that row evaluated alone.
     """
     rank = np.ndim(xbar)
     rows = xbar.shape[0] if rank > 2 else 1
-    per_call = max(1, _CHUNK_OFFSET_STATE // (z_off.shape[0] * (np.size(xbar) // rows)))
-    if per_call >= rows:
+    slices = chunks(rows, z_off.shape[0] * (np.size(xbar) // rows), "mollifier")
+    if len(slices) == 1:
         return _offset_stats(kind, coeffs, spec, t, xbar, a, horizon, t_off, z_off)
 
     def chunk(v, sl, v_rank):
         # rows sl of an argument that carries xbar's first batch axis
         return v[sl] if np.ndim(v) == v_rank and np.shape(v)[0] == rows else v
 
-    parts = []
-    for lo in range(0, rows, per_call):
-        sl = slice(lo, lo + per_call)
-        args = (chunk(t, sl, rank - 2), xbar[sl], chunk(a, sl, rank), horizon, t_off, z_off)
-        parts.append(_offset_stats(kind, coeffs, spec, *args))
+    parts = [_offset_stats(kind, coeffs, spec, chunk(t, sl, rank - 2), xbar[sl], chunk(a, sl, rank), horizon,
+                           t_off, z_off) for sl in slices]
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
@@ -195,16 +188,18 @@ def mollify_rate_bound(
 ) -> float:
     """The a priori error bound K (time term + space term) for particle i,
     evaluated with the kernel's own offset sample."""
-    xbar = np.asarray(xbar, dtype=float)
-    n, d = xbar.shape
+    return float(_rate_bounds(coeffs, spec, t, horizon, beta, *_draw_offsets(spec, *np.shape(xbar)))[i])
+
+
+def _rate_bounds(coeffs, spec, t, horizon, beta, t_off, z_off) -> np.ndarray:
+    """mollify_rate_bound of every particle, (n,), from one offset draw; each
+    particle's row is made contiguous, so that its mean sums as it would alone."""
     beta = coeffs.beta if beta is None else beta
-    t_off, z_off = _draw_offsets(spec, n, d)
-    m = spec.m
-    t_eff = np.minimum(np.maximum(t - t_off / m, 0.0), horizon)
+    t_eff = np.minimum(np.maximum(t - t_off / spec.m, 0.0), horizon)
     time_term = float(np.mean(np.abs(t - t_eff) ** beta))
-    znorm = np.linalg.norm(z_off, axis=2) / m  # (Q, n)
-    space_term = float(np.mean(znorm[:, i] + znorm.mean(axis=1)))
-    return coeffs.K * (time_term + space_term)
+    znorm = np.linalg.norm(z_off, axis=2) / spec.m  # (Q, n)
+    space_terms = (np.ascontiguousarray(znorm.T) + znorm.mean(axis=1)).mean(axis=1)
+    return coeffs.K * (time_term + space_terms)
 
 
 def mollify_rate_sweep(
@@ -241,8 +236,7 @@ def mollify_rate_sweep(
             sup["b"] = max(sup["b"], float(np.linalg.norm(got_b - exact_b, axis=1).max()))
             sup["f"] = max(sup["f"], float(np.abs(got_f - exact_f).max()))
             sup["g"] = max(sup["g"], float(np.abs(got_g - exact_g).max()))
-            for i in range(n):
-                bound_sup = max(bound_sup, mollify_rate_bound(coeffs, spec, i, t, xbar, horizon))
+            bound_sup = max(bound_sup, float(_rate_bounds(coeffs, spec, t, horizon, None, t_off, z_off).max()))
         for key in ("b", "f", "g"):
             table[key][m] = sup[key]
         table["bound"][m] = bound_sup

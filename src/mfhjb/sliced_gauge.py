@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mfhjb.budget import CAPS, chunks
 from mfhjb.measures import ParticleEnsemble, translate
 from mfhjb.quadrature import gauss_hermite_normal, quasi_normal
 # _mixture_cdf stays importable here: the benchmark's traced probes wrap it by name
@@ -65,16 +66,6 @@ __all__ = [
 #: Scalar factor s in gauge_g = s * sw2^2, pinned by the finite-difference
 #: oracle in pin_gauge_square_factor (and re-verified by the acceptance suite).
 GAUGE_SQUARE_FACTOR = 0.5
-
-#: Upper bound on the numbers in one chunk: directions x points x noise nodes
-#: x particles (derivatives), rows x levels x padded width (quantile blocks) and
-#: pairs x directions x levels (_sliced_gap), so temporaries stay near 8 MB each.
-_CHUNK_ATOMS = 2**20
-
-#: The quantile solve keeps about this many numbers per table entry besides
-#: its atoms (level, bracket, iterate, indices), so a chunk of quantile rows
-#: counts each row as at least this many atoms wide.
-_ENTRY_STATE = 8
 
 
 @dataclass(frozen=True)
@@ -172,21 +163,15 @@ def _quantile_tables(clouds, sigma: float, quad: SphereQuadrature, m_points: int
     """Stacked quantile tables of a sequence of clouds, shape (len(clouds),
     directions, m_points), one per distinct cloud object.  The distinct clouds,
     sorted by particle count, are the +inf-padded rows of one _stratified_quantiles
-    solve per chunk of at most _CHUNK_ATOMS rows x levels x atoms, counted at the
-    chunk's own width or _ENTRY_STATE if wider (at least one cloud each).  An
-    entry's solve reads only its own row, and its atom sums do not see trailing
-    +inf atoms, so neither padding nor chunks change a bit."""
+    solve per "gauge" chunk, each costing directions x levels x max(n, entry_state).
+    An entry's solve reads only its own row, and its atom sums do not see
+    trailing +inf atoms, so neither padding nor chunks change a bit."""
     _check_dims(quad, *clouds)
-    chunks = [[]]
-    for ens in sorted({id(ens): ens for ens in clouds}.values(), key=lambda ens: ens.n):
-        width = max(ens.n, _ENTRY_STATE)  # ens is the widest cloud of its chunk so far
-        if chunks[-1] and (len(chunks[-1]) + 1) * quad.count * m_points * width > _CHUNK_ATOMS:
-            chunks.append([])
-        chunks[-1].append(ens)
-    solved = {}
-    for chunk in chunks:
-        tables = _stratified_quantiles(_padded_rows(chunk, quad), sigma, m_points)
-        solved.update(zip(map(id, chunk), tables.reshape(len(chunk), quad.count, m_points)))
+    distinct = sorted({id(ens): ens for ens in clouds}.values(), key=lambda ens: ens.n)
+    widths = [quad.count * m_points * max(ens.n, CAPS["entry_state"]) for ens in distinct]
+    tables = np.concatenate([_stratified_quantiles(_padded_rows(distinct[sl], quad), sigma, m_points)
+                             for sl in chunks(len(distinct), widths, "gauge")])
+    solved = dict(zip(map(id, distinct), tables.reshape(len(distinct), quad.count, m_points)))
     return np.stack([solved[id(ens)] for ens in clouds])
 
 
@@ -194,11 +179,10 @@ def _sliced_gap(qa: np.ndarray, qb: np.ndarray, weights: np.ndarray) -> np.ndarr
     """The (La, Lb) matrix sum_j w_j mean_p (qa - qb)^2 between two stacks of
     (directions, levels) quantile tables.  Only elementwise products and
     last-axis sums, so a pair's value does not depend on the stacks it is in,
-    and rows of qa are taken in chunks of at most _CHUNK_ATOMS differences."""
-    rows = max(1, _CHUNK_ATOMS // qb.size)
+    and rows of qa are taken in "gauge" chunks of differences."""
     gaps = []
-    for s in range(0, qa.shape[0], rows):
-        sq = (qa[s : s + rows, None] - qb[None, :]) ** 2  # (rows, Lb, A, M), squared in place
+    for sl in chunks(qa.shape[0], qb.size, "gauge"):
+        sq = (qa[sl, None] - qb[None, :]) ** 2  # (rows, Lb, A, M), squared in place
         gaps.append((sq.mean(axis=-1) * weights).sum(axis=-1))
     return np.concatenate(gaps)
 
@@ -283,8 +267,7 @@ def _gauge_derivatives(mu, nu, sigma, quad, x, noise_nodes, mixed=True):
     projection on theta_j to nu's and T_j' = f_mu / (f_nu o T_j); dmu_gauge
     alone makes no density pass.
 
-    Points are taken in chunks of at most _CHUNK_ATOMS numbers per temporary
-    (or one point's A * K * n, if more); elementwise products and last-axis
+    Points are taken in "gauge" chunks; elementwise products and last-axis
     sums keep each point's arithmetic the same whatever chunk it falls in.
     """
     _check_dims(quad, mu, nu)
@@ -297,15 +280,14 @@ def _gauge_derivatives(mu, nu, sigma, quad, x, noise_nodes, mixed=True):
     vn = (nu.points @ quad.nodes.T).T.copy()  # (A, n_nu)
     g = (xs[:, None, :] * quad.nodes).sum(axis=-1).T.copy()  # (A, k)
     z_nodes, z_w = gauss_hermite_normal(noise_nodes)
-    chunk = max(1, _CHUNK_ATOMS // (quad.count * noise_nodes * max(mu.n, nu.n)))
     mean_t, mean_slope = np.empty_like(g), np.empty_like(g)
-    for s in range(0, g.shape[1], chunk):
-        args = g[:, s : s + chunk, None] + sigma * z_nodes  # (A, chunk, K)
+    for sl in chunks(g.shape[1], quad.count * noise_nodes * max(mu.n, nu.n), "gauge"):
+        args = g[:, sl, None] + sigma * z_nodes  # (A, chunk, K)
         t = _transport(vm, sigma, vn, sigma, args)
-        mean_t[:, s : s + chunk] = (t * z_w).sum(axis=-1)
+        mean_t[:, sl] = (t * z_w).sum(axis=-1)
         if mixed:
             slope = _mixture_pdf(vm, sigma, args) / _mixture_pdf(vn, sigma, t)
-            mean_slope[:, s : s + chunk] = (slope * z_w).sum(axis=-1)
+            mean_slope[:, sl] = (slope * z_w).sum(axis=-1)
     resid = quad.weights[:, None] * (g - mean_t)  # (A, k)
     dmu = (resid.T[:, None, :] * quad.nodes.T).sum(axis=-1)  # (k, d)
     if not mixed:

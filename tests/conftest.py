@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mfhjb import sliced_gauge, transport1d
+from mfhjb.budget import CAPS
 
 
 class TableSolves:
@@ -24,7 +25,7 @@ class TableSolves:
         projected rows solved exactly once; each block's rows padded with +inf
         only after their finite values and only up to the block's widest cloud;
         blocks in particle-count order; and each block but the last full: one
-        more cloud of the next block would push it past _CHUNK_ATOMS."""
+        more cloud of the next block would push it past the "gauge" cap."""
         distinct = {id(c): c for c in clouds}.values()
         finite = []
         for block in self.blocks:
@@ -37,8 +38,8 @@ class TableSolves:
         assert got == want
         for block, nxt, m_points in zip(self.blocks, finite[1:], self.levels):
             assert block.shape[1] <= len(nxt[0])
-            width = max(len(nxt[0]), sliced_gauge._ENTRY_STATE)
-            assert (block.shape[0] + quad.count) * m_points * width > sliced_gauge._CHUNK_ATOMS
+            width = max(len(nxt[0]), CAPS["entry_state"])
+            assert (block.shape[0] + quad.count) * m_points * width > CAPS["gauge"]
 
 
 @pytest.fixture

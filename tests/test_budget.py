@@ -1,0 +1,126 @@
+"""The chunking rule and each chunked kernel's peak under the memory budget:
+max(cap, one row) x 8 bytes x the kernel's factor from mfhjb.budget."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from mfhjb.budget import CAPS, chunks
+from mfhjb.control import SearchSpec, value_estimate
+from mfhjb.dynamics import SimConfig
+from mfhjb.measures import ParticleEnsemble, sample_iid
+from mfhjb.mollify import MollifiedCoefficients, MollifierSpec
+from mfhjb.scenarios import scenario
+from mfhjb.sliced_gauge import (
+    GaugeAnchors,
+    SphereQuadrature,
+    _quantile_tables,
+    dmu_gauge,
+    dxdmu_gauge,
+    phi_delta_derivatives,
+    rho_matrix,
+)
+
+QUAD32 = SphereQuadrature.equispaced_circle(32)
+QUAD64 = SphereQuadrature.equispaced_circle(64)
+
+
+def spans(slices):
+    return [(sl.start, sl.stop) for sl in slices]
+
+
+def test_chunks_rule(monkeypatch):
+    monkeypatch.setitem(CAPS, "test", 10)
+    assert chunks(0, 3, "test") == [] and chunks(0, [], "test") == []
+    # a scalar cost: as many rows as fit, and one row when a row alone is over the cap
+    assert spans(chunks(7, 3, "test")) == [(0, 3), (3, 6), (6, 7)]
+    assert spans(chunks(3, 11, "test")) == [(0, 1), (1, 2), (2, 3)]
+    assert spans(chunks(4, 0, "test")) == [(0, 4)]
+    # a sequence: a chunk is charged rows x its last (widest) row, 4 x 2 here
+    assert spans(chunks(6, [1, 1, 2, 2, 5, 11], "test")) == [(0, 4), (4, 5), (5, 6)]
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        count = int(rng.integers(1, 30))
+        cost = np.sort(rng.integers(0, 15, count)).tolist()
+        got = chunks(count, cost, "test")
+        assert [sl.start for sl in got] == [0] + [sl.stop for sl in got[:-1]] and got[-1].stop == count
+        for sl in got:
+            rows = sl.stop - sl.start
+            assert rows >= 1 and (rows == 1 or rows * cost[sl.stop - 1] <= 10)
+            # greedy: one more row would have crossed the cap
+            if sl.stop < count:
+                assert (rows + 1) * cost[sl.stop] > 10
+
+
+def traced_peak(fn) -> int:
+    fn()  # the first call fills module caches, which are not the kernel's
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def budget(cap: str, row: int, factor: float) -> float:
+    return max(CAPS[cap], row) * 8 * factor
+
+
+def test_quantile_tables_peak():
+    # 24 clouds of 8 particles are 3 chunks; as one block they would need 110 MB
+    rng = np.random.default_rng(1)
+    clouds = tuple(ParticleEnsemble(rng.standard_normal((8, 2))) for _ in range(24))
+    peak = traced_peak(lambda: _quantile_tables(clouds, 0.5, QUAD64, 256))
+    assert peak <= budget("gauge", QUAD64.count * 256 * 8, 6)
+
+
+def test_rho_matrix_peak():
+    # the (100, 100, 64, 48) differences alone would take 250 MB
+    rng = np.random.default_rng(2)
+    clouds = [ParticleEnsemble(rng.standard_normal((int(rng.integers(2, 6)), 2))) for _ in range(200)]
+    times = rng.uniform(0.0, 1.0, 200)
+    peak = traced_peak(lambda: rho_matrix(times[:100], clouds[:100], times[100:], clouds[100:], 2.0, QUAD64, 48))
+    assert peak <= budget("gauge", 100 * QUAD64.count * 48, 6)
+
+
+@pytest.mark.parametrize("op", [dmu_gauge, dxdmu_gauge])
+def test_gauge_derivatives_peak(op):
+    # 24 points x 32 directions x 256 nodes x 14 particles: 22 MB per temporary at once
+    rng = np.random.default_rng(3)
+    mu = ParticleEnsemble(rng.standard_normal((14, 2)))
+    nu = ParticleEnsemble(rng.standard_normal((14, 2)) + 0.3)
+    xs = rng.standard_normal((24, 2))
+    peak = traced_peak(lambda: op(mu, nu, 0.5, QUAD32, xs))
+    assert peak <= budget("gauge", QUAD32.count * 256 * 14, 4)
+
+
+def test_phi_delta_derivatives_peak():
+    rng = np.random.default_rng(4)
+    mu = ParticleEnsemble(rng.standard_normal((24, 2)))
+    anchors = GaugeAnchors(
+        ((0.1, ParticleEnsemble(rng.standard_normal((14, 2)))), (0.4, ParticleEnsemble(rng.standard_normal((10, 2))))),
+        0.5,
+    )
+    peak = traced_peak(lambda: phi_delta_derivatives(anchors, 0.3, mu, QUAD32))
+    assert peak <= budget("gauge", QUAD32.count * 256 * 24, 4)
+
+
+def test_monte_carlo_pass_peak():
+    # c12's shape: one path of 4 policies x 2048 particles x 2 is the cap
+    lq = scenario("lq_drift", {"d": 2, "p": [1.0, -0.5]})
+    init = sample_iid({"kind": "gaussian", "std": 0.5}, 2048, 2, seed=5)
+    cfg = SimConfig(n=2048, steps=10, t0=0.0, t1=1.0, seed=6)
+    peak = traced_peak(lambda: value_estimate(lq, init, cfg, SearchSpec(), paths=3))
+    assert peak <= budget("monte_carlo", 4 * 2048 * 2, 10)
+
+
+def test_mollified_coefficient_peak():
+    # 64 offsets of a (16, 4, 48, 2) state: 3 MB per temporary at once
+    lq = scenario("lq_drift", {"d": 2, "p": [1.0, -0.5]})
+    mol = MollifiedCoefficients(lq, MollifierSpec(m=4, offsets=64, seed=7), 48)
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((16, 4, 48, 2))
+    a = rng.uniform(-1.0, 1.0, x.shape)
+    peak = traced_peak(lambda: mol.drift(0.3, x, x, a))
+    assert peak <= budget("mollifier", 64 * 4 * 48 * 2, 8)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mfhjb
+from mfhjb.budget import CAPS
 from mfhjb.cli import main
 from mfhjb.control import StepControl
 from mfhjb.dynamics import SimConfig, simulate
@@ -79,13 +80,43 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 def test_monte_carlo_results_match_golden(tmp_path, monkeypatch, sub, cfg, cap):
     # tests/golden holds these runs' results.json from the per-path loop
     # that the chunked passes replaced; any chunking must reproduce them
-    from mfhjb import control
-
     if cap is not None:
-        monkeypatch.setattr(control, "_CHUNK_STATE", cap)
+        monkeypatch.setitem(CAPS, "monte_carlo", cap)
     code, out, _ = run_cli(tmp_path, sub, cfg, seed=5)
     assert code == 0
     assert (out / "results.json").read_bytes() == (GOLDEN / f"{sub}.json").read_bytes()
+
+
+#: Small configs whose results.json (seed 5) tests/golden pins for the
+#: subcommands without a Monte Carlo golden test above.
+GOLDEN_CONFIGS = {
+    "metric": {"n": 8, "quad": 32},
+    "gradient-check": {"n": 8, "quad": 8, "m_points": 64},
+    "h-check": {"quad": 16},
+    "variational": {"sets": 3, "max_size": 8, "m_points": 24, "d": 2, "quad": 16},
+    "simulate": {"n": 8, "steps": 5},
+    "mollify-rates": {"ms": [2, 4, 8], "offsets": 256},
+    "eps-sweep": {"n": 16, "steps": 6, "paths": 4, "resamples": 1, "offsets": 8, "eps": [0.1, 0.2]},
+    "n-sweep": {"ns": [4, 8], "ref_n": 16, "steps": 4, "paths": 4, "resamples": 1, "offsets": 8},
+    "rates": {"ns": [32, 64, 128], "reps": 10},
+    "hjb-residual": {"probes": 4},
+}
+
+#: Shrunken memory-budget caps: one row per chunk, and uneven multi-row chunks.
+SHRUNKEN_CAPS = {
+    "one-row": {"gauge": 1, "monte_carlo": 1, "mollifier": 1},
+    "uneven": {"gauge": 10007, "monte_carlo": 301, "mollifier": 2003},
+}
+
+
+@pytest.mark.parametrize("caps", [None, *SHRUNKEN_CAPS], ids=["default-caps", *SHRUNKEN_CAPS])
+@pytest.mark.parametrize("sub", list(GOLDEN_CONFIGS))
+def test_results_match_golden(tmp_path, monkeypatch, sub, caps):
+    # chunking never changes a bit, so every cap setting reproduces the pins
+    for name, cap in SHRUNKEN_CAPS.get(caps, {}).items():
+        monkeypatch.setitem(CAPS, name, cap)
+    run_cli(tmp_path, sub, GOLDEN_CONFIGS[sub], seed=5)
+    assert (tmp_path / "run" / "results.json").read_bytes() == (GOLDEN / f"{sub}.json").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfhjb import mollify
+from mfhjb.budget import CAPS
 from mfhjb.control import ActionSpace, CoefficientSet
 from mfhjb.mollify import (
     MollifiedCoefficients,
@@ -103,6 +103,40 @@ def test_rate_bound_holds():
             assert np.linalg.norm(got - exact[0]) <= bound * 1.05 + 3 * err
 
 
+def _rate_bound_per_particle(coeffs, spec, i, t, xbar, horizon=1.0, beta=None):
+    # the per-particle bound as computed before the sweep shared one draw
+    n, d = xbar.shape
+    beta = coeffs.beta if beta is None else beta
+    t_off, z_off = _draw_offsets(spec, n, d)
+    t_eff = np.minimum(np.maximum(t - t_off / spec.m, 0.0), horizon)
+    time_term = float(np.mean(np.abs(t - t_eff) ** beta))
+    znorm = np.linalg.norm(z_off, axis=2) / spec.m
+    space_term = float(np.mean(znorm[:, i] + znorm.mean(axis=1)))
+    return coeffs.K * (time_term + space_term)
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (4, 1), (9, 2), (6, 3)])
+def test_rate_bounds_match_per_particle_draws(monkeypatch, n, d):
+    # every particle's bound, and the sweep's sup over them, is the same bits
+    # as a per-particle draw; the sweep draws offsets once per probe
+    from mfhjb import mollify
+
+    coeffs = scenario("bounded_trig", {"d": d})
+    rng = np.random.default_rng(12)
+    probes = [(t, rng.standard_normal((n, d)), np.zeros(d)) for t in (0.0, 0.01, 0.5, 0.999)]
+    draws = []
+    monkeypatch.setattr(mollify, "_draw_offsets", lambda *args: draws.append(args) or _draw_offsets(*args))
+    tab = mollify_rate_sweep(coeffs, (2, 16), probes, {"offsets": 256, "seed": 13})
+    assert len(draws) == 2 * len(probes)
+    for m in (2, 16):
+        spec = MollifierSpec(m=m, offsets=256, seed=13)
+        want = [_rate_bound_per_particle(coeffs, spec, i, t, x, beta=0.7) for t, x, _ in probes for i in range(n)]
+        got = [mollify_rate_bound(coeffs, spec, i, t, x, beta=0.7) for t, x, _ in probes for i in range(n)]
+        assert got == want
+        sup = max(_rate_bound_per_particle(coeffs, spec, i, t, x) for t, x, _ in probes for i in range(n))
+        assert tab["bound"][m] == sup
+
+
 def test_lipschitz_transfer():
     # |g_m(x) - g_m(x')| <= K [ |dx^i| + mean_j |dx^j| ] on random probe pairs
     bt = scenario("bounded_trig", {"d": 1})
@@ -184,7 +218,7 @@ def test_mollified_coefficients_batch_rows_match_rows_alone(name, params, n):
         a = rng.uniform(-1.0, 1.0, lead + (n, coeffs.d))
         with pytest.MonkeyPatch.context() as mp:
             if cap is not None:  # two of the three leading rows per base-coefficient call
-                mp.setattr(mollify, "_CHUNK_OFFSET_STATE", cap)
+                mp.setitem(CAPS, "mollifier", cap)
             batch = (mol.drift(0.05, x, x, a), mol.running_cost(0.05, x, x, a), mol.terminal_cost(x, x))
         for i in np.ndindex(lead):
             alone = (

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from mfhjb import control
+from mfhjb.budget import CAPS
 from mfhjb.control import (
     ActionSpace,
     CoefficientSet,
@@ -121,7 +121,7 @@ def _state_dependent():
 
 
 def _paths_per_chunk(monkeypatch, per_path_state: int, paths_per_chunk: int):
-    monkeypatch.setattr(control, "_CHUNK_STATE", per_path_state * paths_per_chunk)
+    monkeypatch.setitem(CAPS, "monte_carlo", per_path_state * paths_per_chunk)
 
 
 @pytest.mark.parametrize("per_chunk", [2, 3])
@@ -219,7 +219,7 @@ def test_dpp_matches_per_cloud_loop(monkeypatch, cap, actions):
     lq = scenario("lq_drift", {"d": 2, "p": [1.0, -0.5]})
     init = sample_iid({"kind": "gaussian", "std": 0.5}, 16, 2, seed=83)
     search = SearchSpec(actions=actions)
-    monkeypatch.setattr(control, "_CHUNK_STATE", cap)
+    monkeypatch.setitem(CAPS, "monte_carlo", cap)
     kw = dict(n_steps=6, paths_outer=3, paths_inner=5, seed=84)
     rec = dpp_residual(lq, init, 0.0, 0.5, 1.0, search, **kw)
     assert rec == _parent_dpp(lq, init, 0.0, 0.5, 1.0, search, **kw)

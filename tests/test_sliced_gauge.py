@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from mfhjb import sliced_gauge
 from mfhjb.measures import ParticleEnsemble, translate
+from mfhjb.budget import CAPS
 from mfhjb.sliced_gauge import (
-    _CHUNK_ATOMS,
-    _ENTRY_STATE,
     C_D_CALIBRATED,
     GAUGE_SQUARE_FACTOR,
     GaugeAnchors,
@@ -199,7 +198,7 @@ def test_dmu_gauge_identity_is_zero():
 def test_dmu_gauge_batched_x_matches_single():
     # enough points for two chunks; a row must not depend on its batch or chunk
     mu, nu = random_pair(10)
-    k = _CHUNK_ATOMS // (QUAD2.count * 256 * max(mu.n, nu.n)) + 3
+    k = CAPS["gauge"] // (QUAD2.count * 256 * max(mu.n, nu.n)) + 3
     xs = np.random.default_rng(11).standard_normal((k, 2))
     batched = dmu_gauge(mu, nu, 0.5, QUAD2, xs)
     for i in (0, k - 4, k - 1):
@@ -404,14 +403,14 @@ def test_rho_matrix_chunked_rows_match_one_chunk(monkeypatch):
     times = rng.uniform(0.0, 1.0, 9)
     whole = rho_matrix(times, clouds, times[:7], clouds[:7], 2.0, QUAD2, 48)
     # two rows of the (rows, 7, 64, 48) temporary per chunk: five chunks
-    monkeypatch.setattr(sliced_gauge, "_CHUNK_ATOMS", 2 * 7 * QUAD2.count * 48)
+    monkeypatch.setitem(CAPS, "gauge", 2 * 7 * QUAD2.count * 48)
     chunked = rho_matrix(times, clouds, times[:7], clouds[:7], 2.0, QUAD2, 48)
     assert chunked.shape == (9, 7)
     assert np.array_equal(chunked, whole)
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 0.7])
-@pytest.mark.parametrize("chunk_atoms", [_CHUNK_ATOMS, 2 * _ENTRY_STATE * QUAD2.count * 32],
+@pytest.mark.parametrize("chunk_atoms", [CAPS["gauge"], 2 * CAPS["entry_state"] * QUAD2.count * 32],
                          ids=["one_chunk", "small_chunks"])
 def test_quantile_tables_equal_each_cloud_solved_alone(monkeypatch, table_solves, sigma, chunk_atoms):
     # a shuffled mix of particle counts, n = 1, duplicate points, separated
@@ -422,7 +421,7 @@ def test_quantile_tables_equal_each_cloud_solved_alone(monkeypatch, table_solves
     mix += [pe(np.zeros((1, 2))), pe(np.array([[0.0, 0.0], [1e6, 0.0]])),
             pe(np.array([[0.5, 0.5]] * 3 + [[-1.0, 0.2]])), pe(np.array([[0.3, -0.1]] * 2))]
     clouds = tuple(mix[i] for i in rng.permutation(len(mix) + 4) % len(mix))
-    monkeypatch.setattr(sliced_gauge, "_CHUNK_ATOMS", chunk_atoms)
+    monkeypatch.setitem(CAPS, "gauge", chunk_atoms)
     tables = sliced_gauge._quantile_tables(clouds, sigma, QUAD2, 32)
     table_solves.assert_one_block_per_chunk(clouds, QUAD2)
     for ens, table in zip(clouds, tables):
