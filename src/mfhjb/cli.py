@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from mfhjb.control import SearchSpec, StepControl, dpp_residual, hjb_residual, value_estimate, value_fd_approx
-from mfhjb.dynamics import SimConfig, moment_checks
+from mfhjb.dynamics import SimConfig, _check_counts, moment_checks
 from mfhjb.measures import ParticleEnsemble, sample_iid, translate
 from mfhjb.mollify import mollify_rate_sweep
 from mfhjb.scenarios import lq_test_function, lq_true_value, scenario
@@ -169,7 +169,7 @@ def _run_simulate(cfg, seed):
     action = np.asarray(cfg.get("action", [0.0] * coeffs.action_space.dim), dtype=float)
     policy = StepControl.constant(sim.t0, action)
     checks = moment_checks(coeffs, init, policy, sim, shift=np.full(coeffs.d, 0.1))
-    traj = checks.pop("bundle").trajectories
+    traj = checks.pop("trajectories")
     holder = {f"{h:.6g}": v for h, v in checks["c_holder"].items()}
     ok = np.isfinite(checks["c_growth"]) and all(np.isfinite(v) for v in checks["c_holder"].values())
     recs = [
@@ -361,6 +361,7 @@ def _run_hjb_residual(cfg, seed):
 def _run_rates(cfg, seed):
     ns = cfg.get("ns", [32, 64, 128, 256, 512, 1024, 2048, 4096])
     reps = cfg.get("reps", 60)
+    _check_counts(reps=reps, **{f"ns[{i}]": n for i, n in enumerate(ns)})
     rng = np.random.default_rng(seed)
     means = []
     for n in ns:

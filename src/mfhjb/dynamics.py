@@ -15,8 +15,9 @@ conditional law of the state given W^0.
 The scheme is written once, as a generator over the steps that keeps
 nothing itself.  It advances P paths of L start clouds under A policies as
 one (P, L, A, n, d) state.  Its consumers fold it: ``simulate`` integrates
-the running cost (and records the path of a single policy), and
-``ito_expectation_check`` adds the chain rule's drift terms step by step.
+the running cost, ``moment_checks`` records the paths of a cloud and its
+shifted copy, and ``ito_expectation_check`` adds the chain rule's drift
+terms step by step from the coefficients the scheme applied.
 
 Noise is drawn from counter-based (Philox) streams keyed by
 (seed, channel, path, step).  Within a step's block, row i belongs to noise
@@ -39,7 +40,6 @@ from mfhjb.measures import ParticleEnsemble, translate
 
 __all__ = [
     "SimConfig",
-    "PathBundle",
     "noise_block",
     "simulate",
     "moment_checks",
@@ -85,18 +85,6 @@ class SimConfig:
         from dataclasses import replace
 
         return replace(self, **kw)
-
-
-@dataclass(frozen=True)
-class PathBundle:
-    """One realization: the shared increments, all trajectories, controls,
-    and each particle's left-Riemann running cost sum_k f(t_k, X_k, mu_k, a_k) dt."""
-
-    times: np.ndarray  # (steps + 1,)
-    common_increments: np.ndarray  # (steps, d)
-    trajectories: np.ndarray  # (steps + 1, n, d)
-    controls_used: np.ndarray  # (steps, n, q)
-    running: np.ndarray  # (n,)
 
 
 class _NoiseStream:
@@ -146,7 +134,7 @@ def _half_trace(sig: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _check_counts(**counts) -> None:
-    # Monte Carlo counts (paths, resamples) below 1 have no estimate to give
+    # Monte Carlo counts (paths, resamples, sample sizes) below 1 have no estimate to give
     for name, count in counts.items():
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count!r}")
@@ -174,64 +162,45 @@ def _generator(drift, sig, sig0, dmu, dxdmu, h):
 def simulate(
     coeffs,
     init: ParticleEnsemble,
-    policy,
+    policies: tuple,
     cfg: SimConfig,
-    path_index=0,
+    paths,
     noise_ids: np.ndarray | None = None,
     starts: np.ndarray | None = None,
-) -> PathBundle | tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Run the Euler-Maruyama scheme on common-noise realizations and
     integrate the left-Riemann running cost along them.
 
     ``coeffs`` is a control.CoefficientSet, called with the current state as
-    its own cloud; ``policy.actions_at(t, X)`` supplies the (..., n, q)
-    actions.  Any non-finite state aborts with the step and path indices.
-
-    One policy on one path returns its whole path as a PathBundle.  A tuple
-    of A policies is advanced as one state on one noise draw per step
-    (common random numbers) and returns only the running costs (..., A, n)
-    and terminal states (..., A, n, d).  A sequence of P ``path_index``
-    values, each path on its own noise, and ``starts``, L start clouds
-    (L, n, d) of init's size in place of its points, add the leading axes
-    (P, L).  Each row is bit-identical to its candidate simulated alone,
-    because the coefficients treat batch rows independently.
+    its own cloud; each of the A ``policies`` supplies (..., n, q) actions
+    through ``actions_at(t, X)``, and all are advanced as one state on one
+    noise draw per step (common random numbers).  Each of the P ``paths``
+    runs on its own noise; ``starts``, L start clouds (L, n, d) of init's
+    size, replace init's points (L = 1 without them).  Returns the running
+    costs (P, L, A, n) and terminal states (P, L, A, n, d).  Each row is
+    bit-identical to its candidate simulated alone, because the coefficients
+    treat batch rows independently.  Any non-finite state aborts with the
+    step and path indices.
     """
-    batch = isinstance(policy, tuple)
-    policies = policy if batch else (policy,)
-    lead = np.shape(path_index) + np.shape(starts)[:1]
-    if not batch and lead:
-        raise ValueError("a path or cloud batch needs a tuple of policies")
-    paths = (path_index,) if np.ndim(path_index) == 0 else tuple(path_index)
     clouds = init.points[None] if starts is None else np.asarray(starts, dtype=float)
     if clouds.shape[1:] != init.points.shape:
         raise ValueError(f"start clouds {clouds.shape} do not stack clouds of shape {init.points.shape}")
     scheme = _euler(coeffs, clouds, policies, cfg, paths, noise_ids)
-    running = np.zeros((len(paths),) + clouds.shape[:1] + (len(policies), init.n))
-    if batch:
-        for t, x, a, _ in islice(scheme, cfg.steps):
-            running += coeffs.running_cost(t, x, x, a) * cfg.dt
-        x = next(scheme)
-        return running.reshape(lead + running.shape[2:]), x.reshape(lead + x.shape[2:])
-
-    traj = np.empty((cfg.steps + 1, init.n, init.d))
-    common = np.empty((cfg.steps, init.d))
-    for k, (t, x, a, dw0) in enumerate(islice(scheme, cfg.steps)):
+    running = np.zeros((len(paths), len(clouds), len(policies), init.n))
+    for t, x, a, *_ in islice(scheme, cfg.steps):
         running += coeffs.running_cost(t, x, x, a) * cfg.dt
-        if k == 0:
-            controls = np.empty((cfg.steps,) + a.shape[-2:])
-        traj[k], controls[k], common[k] = x[0, 0, 0], a[0, 0, 0], dw0[0]
-    traj[-1] = next(scheme)[0, 0, 0]
-    times = cfg.t0 + cfg.dt * np.arange(cfg.steps + 1)
-    return PathBundle(times, common, traj, controls, running[0, 0, 0])
+    return running, next(scheme)
 
 
 def _euler(coeffs, starts, policies, cfg, paths, noise_ids):
     """The one Euler-Maruyama scheme: the P ``paths`` of the L start clouds
     ``starts`` (L, n, d) under A policies advance as one (P, L, A, n, d)
     state, each path on its own block per (channel, path, step), stacked
-    along the path axis.  Yields (t_k, X_k, a_k, dW0_k) for each step k
-    before taking it, with a_k (P, L, A, n, q) and dW0_k (P, d), then the
-    terminal state.
+    along the path axis.  Yields (t_k, X_k, a_k, b_k, sigma_k, sigma0_k,
+    dW0_k) for each step k before taking it, then the terminal state: a_k is
+    (P, L, A, n, q), the drift b_k (P, L, A, n, d), sigma_k (d, d) or
+    (..., n, d, d), sigma0_k (d, d) and dW0_k (P, d).  The step is taken
+    with exactly the yielded arrays.
     """
     n, d = starts.shape[-2:]
     dt = cfg.dt
@@ -251,17 +220,15 @@ def _euler(coeffs, starts, policies, cfg, paths, noise_ids):
     for k in range(cfg.steps):
         t = cfg.t0 + dt * k
         a = np.stack([pol.actions_at(t, x[:, :, i]) for i, pol in enumerate(policies)], axis=2, dtype=float)
+        b = coeffs.drift(t, x, x, a)
+        sig = np.asarray(coeffs.diffusion(t, x, a), dtype=float)
+        sig0 = np.asarray(coeffs.common_diffusion(t), dtype=float)
         dw0 = sq * common_noise.blocks(paths, k, 1, d)[:, 0]
-        yield t, x, a, dw0
+        yield t, x, a, b, sig, sig0, dw0
 
         dw = sq * idio_noise.blocks(paths, k, rows, d)[:, None, None, ids]
-        x = (
-            x
-            + coeffs.drift(t, x, x, a) * dt
-            + _diffuse(np.asarray(coeffs.diffusion(t, x, a), dtype=float), dw)
-            # one (1, d) row per path, as a lone path's (d,) increment is multiplied
-            + (dw0[:, None] @ np.asarray(coeffs.common_diffusion(t), dtype=float).T)[:, None, None]
-        )
+        # one (1, d) common row per path, as a lone path's (d,) increment is multiplied
+        x = x + b * dt + _diffuse(sig, dw) + (dw0[:, None] @ sig0.T)[:, None, None]
         if perturb_noise is not None:
             db = sq * perturb_noise.blocks(paths, k, rows, d)[:, None, None, ids]
             x = x + cfg.epsilon * db
@@ -286,29 +253,39 @@ def moment_checks(
     c_lip     bounds E[sup |X - X'|^p]^(1/p) / (E|xi - xi'|^p)^(1/p) for a
               paired run started from a shifted cloud on the same noise;
     c_holder  bounds E[sup_{[t0, t0+h]} |X - xi|^2] / h over sub-horizons.
+
+    The cloud and its shifted copy are the two start clouds of one pass, on
+    path 0; ``trajectories`` (steps + 1, n, d) is the unshifted cloud's path.
     """
-    bundle = simulate(coeffs, init, policy, cfg)
-    sup_abs = np.abs(np.linalg.norm(bundle.trajectories, axis=2)).max(axis=0)  # (n,)
+    clouds = init.points[None]
+    if shift is not None:
+        shift = np.asarray(shift, dtype=float)
+        if np.linalg.norm(shift) == 0.0:
+            raise ValueError("shift must be nonzero: c_lip divides by its norm")
+        clouds = np.stack([init.points, translate(init, shift).points])
+    scheme = _euler(coeffs, clouds, (policy,), cfg, (0,), None)
+    states = [x[0, :, 0] for _, x, *_ in islice(scheme, cfg.steps)]
+    traj, *shifted = np.stack(states + [next(scheme)[0, :, 0]], axis=1)  # each (steps + 1, n, d)
+
+    sup_abs = np.linalg.norm(traj, axis=2).max(axis=0)  # (n,)
     e_sup = float(np.mean(sup_abs**p))
     e_init = float(np.mean(np.linalg.norm(init.points, axis=1) ** p))
     c_growth = (e_sup / (1.0 + e_init)) ** (1.0 / p)
 
     c_lip = None
     if shift is not None:
-        shift = np.asarray(shift, dtype=float)
-        other = simulate(coeffs, translate(init, shift), policy, cfg)
-        diffs = np.linalg.norm(bundle.trajectories - other.trajectories, axis=2).max(axis=0)
+        diffs = np.linalg.norm(traj - shifted[0], axis=2).max(axis=0)
         c_lip = float(np.mean(diffs**p) ** (1.0 / p) / np.linalg.norm(shift))
 
     c_holder = {}
-    disp = np.linalg.norm(bundle.trajectories - init.points[None], axis=2)  # (steps+1, n)
+    disp = np.linalg.norm(traj - init.points[None], axis=2)  # (steps+1, n)
     for frac in h_fractions:
         k_h = max(1, int(round(frac * cfg.steps)))
         h = k_h * cfg.dt
         e_disp = float(np.mean(disp[: k_h + 1].max(axis=0) ** 2))
         c_holder[h] = e_disp / h
 
-    return {"c_growth": c_growth, "c_lip": c_lip, "c_holder": c_holder, "bundle": bundle}
+    return {"c_growth": c_growth, "c_lip": c_lip, "c_holder": c_holder, "trajectories": traj}
 
 
 def ito_expectation_check(
@@ -332,27 +309,27 @@ def ito_expectation_check(
     lhs_p - rhs_p with its standard error.
     """
     _check_counts(paths=paths)
-    diffs = np.empty(paths)
+    u0 = testfn.value(cfg.t0, init.points)
     lhs_vals = np.empty(paths)
     rhs_vals = np.empty(paths)
     for pidx in range(paths):
         scheme = _euler(coeffs, init.points[None], (policy,), cfg, (pidx,), None)
         rhs = -0.0  # the exact additive identity: the sum runs in step order, like np.cumsum
-        for t, x, a, _ in islice(scheme, cfg.steps):
-            x, a = x[0, 0, 0], a[0, 0, 0]
+        for t, x, _, b, sig, sig0, _ in islice(scheme, cfg.steps):
+            # the lone path, cloud and policy; a shared (d, d) sigma stays as it is
+            x = x[0, 0, 0]
             per_particle, common = _generator(
-                coeffs.drift(t, x, x, a),
-                np.asarray(coeffs.diffusion(t, x, a), dtype=float),
-                np.asarray(coeffs.common_diffusion(t), dtype=float),
+                b[0, 0, 0],
+                sig if sig.ndim == 2 else sig.reshape(sig.shape[-3:]),
+                sig0,
                 testfn.dmu(t, x),
                 testfn.dxdmu(t, x),
                 testfn.h_op(t, x),
             )
             rhs += cfg.dt * (testfn.dt(t, x) + per_particle.mean(axis=-1) + common)
-        lhs = testfn.value(cfg.t1, next(scheme)[0, 0, 0]) - testfn.value(cfg.t0, init.points)
-        lhs_vals[pidx] = lhs
+        lhs_vals[pidx] = testfn.value(cfg.t1, next(scheme)[0, 0, 0]) - u0
         rhs_vals[pidx] = rhs
-        diffs[pidx] = lhs - rhs
+    diffs = lhs_vals - rhs_vals
     return {
         "lhs": float(lhs_vals.mean()),
         "rhs": float(rhs_vals.mean()),

@@ -207,6 +207,8 @@ def scenario(name: str, params: dict | None = None, validate: bool = True) -> Co
     """Construct a named scenario; fails loudly if the bound probes reject it."""
     if name not in _BUILDERS:
         raise ValueError(f"unknown scenario {name!r}; choose from {sorted(_BUILDERS)}")
+    if params is not None and not isinstance(params, dict):
+        raise ValueError(f"params must be an object of named parameters, got {params!r}")
     coeffs = _BUILDERS[name](params or {})
     if validate:
         coeffs.validate()

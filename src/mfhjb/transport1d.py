@@ -304,6 +304,8 @@ def w1_empirical_gaussian(values, mean: float = 0.0, std: float = 1.0) -> float:
     """
     x = np.sort(np.asarray(values, dtype=float).ravel())
     n = x.size
+    if n == 0:
+        raise ValueError("W1 needs at least one value")
     z = (x - mean) / std
 
     def anti(t):

@@ -1,8 +1,36 @@
+from dataclasses import dataclass
+from itertools import islice
+
 import numpy as np
 import pytest
 
-from mfhjb import sliced_gauge, transport1d
+from mfhjb import dynamics, sliced_gauge, transport1d
 from mfhjb.budget import CAPS
+
+
+@dataclass(frozen=True)
+class RecordedPath:
+    """One policy's whole path on one common-noise path."""
+
+    times: np.ndarray  # (steps + 1,)
+    trajectories: np.ndarray  # (steps + 1, n, d)
+    controls_used: np.ndarray  # (steps, n, q)
+    common_increments: np.ndarray  # (steps, d)
+
+
+def record_path(coeffs, init, policy, cfg, path=0, noise_ids=None) -> RecordedPath:
+    """The reference recorder: fold the one Euler scheme for one policy from
+    init's cloud on one path and keep every step's state, actions and common
+    increment."""
+    scheme = dynamics._euler(coeffs, init.points[None], (policy,), cfg, (path,), noise_ids)
+    traj, controls, common = [], [], []
+    for _, x, a, *_, dw0 in islice(scheme, cfg.steps):
+        traj.append(x[0, 0, 0])
+        controls.append(a[0, 0, 0])
+        common.append(dw0[0])
+    traj.append(next(scheme)[0, 0, 0])
+    times = cfg.t0 + cfg.dt * np.arange(cfg.steps + 1)
+    return RecordedPath(times, np.stack(traj), np.stack(controls), np.stack(common))
 
 
 class TableSolves:

@@ -6,12 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import record_path
 
 import mfhjb
 from mfhjb.budget import CAPS
 from mfhjb.cli import main
 from mfhjb.control import StepControl
-from mfhjb.dynamics import SimConfig, simulate
+from mfhjb.dynamics import SimConfig
 from mfhjb.measures import sample_iid
 from mfhjb.scenarios import scenario
 
@@ -119,23 +120,47 @@ def test_results_match_golden(tmp_path, monkeypatch, sub, caps):
     assert (tmp_path / "run" / "results.json").read_bytes() == (GOLDEN / f"{sub}.json").read_bytes()
 
 
+def _run_module(tmp_path, sub, cfg):
+    # the CLI as its own process, so an uncaught exception shows as a traceback
+    src = str(Path(mfhjb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return subprocess.run(
+        [sys.executable, "-m", "mfhjb.cli", sub, "--config", str(cfg_path), "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True,
+    )
+
+
 @pytest.mark.parametrize(
     "sub,cfg,name",
     [("value", {"paths": 0}, "paths"), ("dpp-check", {"paths_inner": 0}, "paths_inner")],
     ids=["value", "dpp-check"],
 )
 def test_zero_monte_carlo_count_exits_one(tmp_path, sub, cfg, name):
-    src = str(Path(mfhjb.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    proc = subprocess.run(
-        [sys.executable, "-m", "mfhjb.cli", sub, "--config", str(cfg_path), "--out", str(tmp_path / "o")],
-        env=env, capture_output=True, text=True,
-    )
+    proc = _run_module(tmp_path, sub, cfg)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr == f"error: {name} must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "sub,cfg",
+    [
+        ("simulate", {"params": "x"}),
+        ("n-sweep", {"params": "x"}),
+        ("rates", {"reps": 0}),
+        ("rates", {"reps": -1}),
+        ("rates", {"ns": [0, 32]}),
+    ],
+    ids=["simulate-params", "n-sweep-params", "rates-reps-0", "rates-reps-negative", "rates-ns-0"],
+)
+def test_bad_params_or_count_exits_one(tmp_path, sub, cfg):
+    proc = _run_module(tmp_path, sub, cfg)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert not (tmp_path / "o" / "results.json").exists()
 
 
 def test_malformed_config_exits_one(tmp_path):
@@ -203,7 +228,7 @@ def test_simulate_writes_trajectory(tmp_path):
     coeffs = scenario("lq_drift")
     init = sample_iid({"kind": "gaussian", "std": 0.5}, 8, coeffs.d, 7)
     cfg = SimConfig(n=8, steps=5, t0=0.0, t1=1.0, seed=7)
-    bundle = simulate(coeffs, init, StepControl.constant(0.0, np.zeros(coeffs.d)), cfg)
+    bundle = record_path(coeffs, init, StepControl.constant(0.0, np.zeros(coeffs.d)), cfg)
     assert coords.tobytes() == bundle.trajectories.reshape(-1, coeffs.d).tobytes()
 
 

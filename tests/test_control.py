@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import record_path
 
 from mfhjb.control import (
     ActionSpace,
@@ -452,7 +453,7 @@ def test_cost_j_matches_step_loop_mean_reversion():
     policy = StepControl(np.array([0.0, 0.5]), (np.array([0.6]), np.array([-0.3])))
     per_path = []
     for p in range(3):
-        bundle = simulate(mr, init, policy, cfg, path_index=p)
+        bundle = record_path(mr, init, policy, cfg, path=p)
         running = np.zeros(16)
         for k in range(cfg.steps):
             x = bundle.trajectories[k]

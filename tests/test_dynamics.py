@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import record_path
 
 from mfhjb.control import (
     ActionSpace,
@@ -22,7 +23,8 @@ from mfhjb.dynamics import (
     noise_block,
     simulate,
 )
-from mfhjb.measures import ParticleEnsemble, sample_iid
+from mfhjb.measures import ParticleEnsemble, sample_iid, translate
+from mfhjb.scenarios import scenario
 
 D = 2
 SPACE = ActionSpace("box", lo=-np.ones(D), hi=np.ones(D))
@@ -62,7 +64,7 @@ def test_simconfig_validation():
 def test_initial_condition_preserved():
     init = sample_iid({"kind": "gaussian"}, 16, D, seed=0)
     cfg = SimConfig(n=16, steps=5, t0=0.0, t1=0.5, seed=1)
-    bundle = simulate(const_coeffs(), init, ZERO_POLICY, cfg)
+    bundle = record_path(const_coeffs(), init, ZERO_POLICY, cfg)
     np.testing.assert_array_equal(bundle.trajectories[0], init.points)
     assert np.isfinite(bundle.trajectories).all()
 
@@ -72,7 +74,7 @@ def test_common_shift_preserves_spread():
     # increments, so the per-path empirical variance is constant in time
     init = sample_iid({"kind": "gaussian"}, 64, D, seed=2)
     cfg = SimConfig(n=64, steps=20, t0=0.0, t1=1.0, seed=3)
-    bundle = simulate(const_coeffs(sig0=EYE), init, ZERO_POLICY, cfg)
+    bundle = record_path(const_coeffs(sig0=EYE), init, ZERO_POLICY, cfg)
     var0 = bundle.trajectories[0].var(axis=0)
     for k in range(1, 21):
         np.testing.assert_allclose(bundle.trajectories[k].var(axis=0), var0, atol=1e-12)
@@ -81,8 +83,8 @@ def test_common_shift_preserves_spread():
 def test_idiosyncratic_second_moment():
     init = sample_iid({"kind": "point_mass", "center": [0.0, 0.0]}, 10_000, D, seed=0)
     cfg = SimConfig(n=10_000, steps=40, t0=0.0, t1=1.0, seed=4)
-    bundle = simulate(const_coeffs(sig=EYE), init, ZERO_POLICY, cfg)
-    m2 = np.mean(np.sum(bundle.trajectories[-1] ** 2, axis=1))
+    x = simulate(const_coeffs(sig=EYE), init, (ZERO_POLICY,), cfg, (0,))[1][0, 0, 0]
+    m2 = np.mean(np.sum(x**2, axis=1))
     assert abs(m2 - D) / D < 0.05
 
 
@@ -90,8 +92,8 @@ def test_epsilon_only_variance():
     eps = 0.3
     init = sample_iid({"kind": "point_mass", "center": [0.0, 0.0]}, 8000, D, seed=0)
     cfg = SimConfig(n=8000, steps=20, t0=0.0, t1=0.5, seed=5, epsilon=eps)
-    bundle = simulate(const_coeffs(), init, ZERO_POLICY, cfg)
-    m2 = np.mean(np.sum(bundle.trajectories[-1] ** 2, axis=1))
+    x = simulate(const_coeffs(), init, (ZERO_POLICY,), cfg, (0,))[1][0, 0, 0]
+    m2 = np.mean(np.sum(x**2, axis=1))
     expect = eps**2 * 0.5 * D
     assert abs(m2 - expect) / expect < 0.1
 
@@ -100,8 +102,8 @@ def test_determinism_bit_identical():
     init = sample_iid({"kind": "gaussian"}, 32, D, seed=1)
     cfg = SimConfig(n=32, steps=10, t0=0.0, t1=1.0, seed=6, epsilon=0.1)
     lq_like = const_coeffs(b_const=[0.2, -0.1], sig=0.5 * EYE, sig0=0.3 * EYE)
-    b1 = simulate(lq_like, init, ZERO_POLICY, cfg)
-    b2 = simulate(lq_like, init, ZERO_POLICY, cfg)
+    b1 = record_path(lq_like, init, ZERO_POLICY, cfg)
+    b2 = record_path(lq_like, init, ZERO_POLICY, cfg)
     assert (b1.trajectories == b2.trajectories).all()
     assert (b1.common_increments == b2.common_increments).all()
 
@@ -111,8 +113,8 @@ def test_common_noise_shared_across_idio_seeds():
     coeffs = const_coeffs(sig=0.5 * EYE, sig0=0.3 * EYE)
     cfg_a = SimConfig(n=16, steps=10, t0=0.0, t1=1.0, seed=7)
     cfg_b = cfg_a.replace(noise_seed=12345)
-    ba = simulate(coeffs, init, ZERO_POLICY, cfg_a)
-    bb = simulate(coeffs, init, ZERO_POLICY, cfg_b)
+    ba = record_path(coeffs, init, ZERO_POLICY, cfg_a)
+    bb = record_path(coeffs, init, ZERO_POLICY, cfg_b)
     assert (ba.common_increments == bb.common_increments).all()
     assert not (ba.trajectories[-1] == bb.trajectories[-1]).all()
 
@@ -157,7 +159,7 @@ def test_nan_failure_reports_step():
     init = ParticleEnsemble(np.ones((4, D)))
     cfg = SimConfig(n=4, steps=5, t0=0.0, t1=1.0, seed=8)
     with pytest.raises(FloatingPointError, match="step"):
-        simulate(exploding, init, ZERO_POLICY, cfg)
+        simulate(exploding, init, (ZERO_POLICY,), cfg, (0,))
 
 
 def test_moment_checks_zero_coefficients():
@@ -188,6 +190,73 @@ def test_moment_checks_lipschitz_exact_for_state_independent():
     cfg = SimConfig(n=64, steps=12, t0=0.0, t1=1.0, seed=11)
     rec = moment_checks(coeffs, init, ZERO_POLICY, cfg, shift=np.array([0.25, -0.1]))
     assert rec["c_lip"] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_moment_checks_zero_shift_raises():
+    init = sample_iid({"kind": "gaussian"}, 8, D, seed=3)
+    cfg = SimConfig(n=8, steps=4, t0=0.0, t1=1.0, seed=9)
+    with pytest.raises(ValueError, match="shift must be nonzero"):
+        moment_checks(const_coeffs(sig=EYE), init, ZERO_POLICY, cfg, shift=np.zeros(D))
+
+
+def _moments_of_two_runs(coeffs, init, policy, cfg, shift, h_fractions, p=2.0):
+    # the moment constants from the cloud's and the shifted cloud's paths,
+    # each recorded in its own run
+    traj = record_path(coeffs, init, policy, cfg).trajectories
+    other = record_path(coeffs, translate(init, shift), policy, cfg).trajectories
+    e_sup = float(np.mean(np.linalg.norm(traj, axis=2).max(axis=0) ** p))
+    e_init = float(np.mean(np.linalg.norm(init.points, axis=1) ** p))
+    diffs = np.linalg.norm(traj - other, axis=2).max(axis=0)
+    disp = np.linalg.norm(traj - init.points[None], axis=2)
+    c_holder = {}
+    for frac in h_fractions:
+        k_h = max(1, int(round(frac * cfg.steps)))
+        c_holder[k_h * cfg.dt] = float(np.mean(disp[: k_h + 1].max(axis=0) ** 2)) / (k_h * cfg.dt)
+    return {
+        "c_growth": (e_sup / (1.0 + e_init)) ** (1.0 / p),
+        "c_lip": float(np.mean(diffs**p) ** (1.0 / p) / np.linalg.norm(shift)),
+        "c_holder": c_holder,
+        "trajectories": traj,
+    }
+
+
+def _c08_pair():
+    # c08's coefficients, cloud and first horizon: unit idiosyncratic noise only
+    init = sample_iid({"kind": "gaussian", "std": 0.5}, 4096, D, seed=1)
+    cfg = SimConfig(n=4096, steps=40, t0=0.0, t1=0.1, seed=808)
+    return const_coeffs(sig=EYE), init, ZERO_POLICY, cfg, np.array([0.2, 0.0]), (1.0,)
+
+
+def _mean_reversion_pair():
+    # a drift that reads the cloud's mean, under common noise
+    init = sample_iid({"kind": "gaussian", "std": 0.8}, 48, D, seed=41)
+    cfg = SimConfig(n=48, steps=10, t0=0.0, t1=1.0, seed=42, epsilon=0.05)
+    policy = StepControl(np.array([0.0, 0.4]), (np.array([0.5, -0.5]), np.array([-0.2, 0.7])))
+    return scenario("mean_reversion_mf", {"d": D}), init, policy, cfg, np.array([0.3, -0.1]), (0.5, 1.0)
+
+
+def _state_dependent_pair():
+    # per-particle sigma(x), time-dependent sigma0(t), a cloud-reading drift
+    coeffs, _ = _state_dependent_case()
+    init = sample_iid({"kind": "gaussian", "std": 0.7}, 32, D, seed=43)
+    cfg = SimConfig(n=32, steps=12, t0=0.1, t1=0.7, seed=44)
+    policy = StepControl(np.array([0.1, 0.4]), (np.array([0.5, -0.5]), np.array([-1.0, 0.2])))
+    return coeffs, init, policy, cfg, np.array([-0.25, 0.15]), (0.25, 0.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "case", [_c08_pair, _mean_reversion_pair, _state_dependent_pair], ids=["c08", "mean-reversion", "state-dependent"]
+)
+def test_moment_pair_pass_matches_two_runs(case):
+    # the cloud and its shifted copy as two start clouds of one pass give
+    # the bits of two separate runs
+    coeffs, init, policy, cfg, shift, h_fractions = case()
+    rec = moment_checks(coeffs, init, policy, cfg, shift=shift, h_fractions=h_fractions)
+    expect = _moments_of_two_runs(coeffs, init, policy, cfg, shift, h_fractions)
+    assert rec.keys() == expect.keys()
+    for key in ("c_growth", "c_lip", "c_holder"):
+        assert rec[key] == expect[key], key
+    assert rec["trajectories"].tobytes() == expect["trajectories"].tobytes()
 
 
 def test_cost_permutation_invariance_with_noise_ids():
@@ -324,7 +393,7 @@ def test_state_dependent_diffusion_ito_matches_step_loop():
     paths = 3
     lhs, rhs = np.zeros(paths), np.zeros(paths)
     for p in range(paths):
-        bundle = simulate(coeffs, init, policy, cfg, path_index=p)
+        bundle = record_path(coeffs, init, policy, cfg, path=p)
         traj = bundle.trajectories
         lhs[p] = tf.value(cfg.t1, traj[-1]) - tf.value(cfg.t0, traj[0])
         for k in range(cfg.steps):
@@ -343,7 +412,7 @@ def test_state_dependent_diffusion_ito_matches_step_loop():
     assert abs(rec["gap"] - (lhs - rhs).mean()) <= 1e-12
 
 
-def test_path_bundle_running_matches_step_loop():
+def test_simulate_running_matches_step_loop():
     def f(t, x, cloud, a):
         # depends on time, state, cloud and action
         mean = cloud.mean(axis=(-2, -1))[..., None]
@@ -353,12 +422,15 @@ def test_path_bundle_running_matches_step_loop():
     init = sample_iid({"kind": "gaussian"}, 12, D, seed=9)
     cfg = SimConfig(n=12, steps=9, t0=0.1, t1=1.0, seed=17)
     policy = StepControl(np.array([0.1, 0.5]), (np.array([0.3, 0.0]), np.array([-0.7, 0.2])))
-    bundle = simulate(coeffs, init, policy, cfg)
+    bundle = record_path(coeffs, init, policy, cfg)
     running = np.zeros(12)
     for k in range(cfg.steps):
         x = bundle.trajectories[k]
         running += f(float(bundle.times[k]), x, x, bundle.controls_used[k]) * cfg.dt
-    np.testing.assert_array_equal(bundle.running, running)
+    got, terminal = simulate(coeffs, init, (policy,), cfg, (0,))
+    assert got.shape == (1, 1, 1, 12) and terminal.shape == (1, 1, 1, 12, D)
+    np.testing.assert_array_equal(got[0, 0, 0], running)
+    np.testing.assert_array_equal(terminal[0, 0, 0], bundle.trajectories[-1])
 
 
 def test_policy_batch_matches_each_policy_alone():
@@ -375,12 +447,12 @@ def test_policy_batch_matches_each_policy_alone():
         StepControl(np.array([0.0]), (table,)),
     )
     ids = np.random.default_rng(34).permutation(16)
-    running, terminal = simulate(coeffs, init, policies, cfg, 2, ids)
-    assert running.shape == (3, 16) and terminal.shape == (3, 16, D)
+    running, terminal = simulate(coeffs, init, policies, cfg, (2,), ids)
+    assert running.shape == (1, 1, 3, 16) and terminal.shape == (1, 1, 3, 16, D)
     for i, policy in enumerate(policies):
-        bundle = simulate(coeffs, init, policy, cfg, path_index=2, noise_ids=ids)
-        np.testing.assert_array_equal(running[i], bundle.running)
-        np.testing.assert_array_equal(terminal[i], bundle.trajectories[-1])
+        alone = simulate(coeffs, init, (policy,), cfg, (2,), ids)
+        np.testing.assert_array_equal(running[0, 0, i], alone[0][0, 0, 0])
+        np.testing.assert_array_equal(terminal[0, 0, i], alone[1][0, 0, 0])
 
 
 def _ito_on_recorded_paths(coeffs, init, tf, cfg, policy, paths):
@@ -388,7 +460,7 @@ def _ito_on_recorded_paths(coeffs, init, tf, cfg, policy, paths):
     # path's (steps, n, d) history at once, summed in step order by cumsum
     lhs, rhs = np.empty(paths), np.empty(paths)
     for p in range(paths):
-        bundle = simulate(coeffs, init, policy, cfg, path_index=p)
+        bundle = record_path(coeffs, init, policy, cfg, path=p)
         traj = bundle.trajectories
         lhs[p] = tf.value(cfg.t1, traj[-1]) - tf.value(cfg.t0, traj[0])
         t, x, a = bundle.times[:-1], traj[:-1], bundle.controls_used

@@ -238,13 +238,11 @@ def test_path_batch_rows_match_single_paths():
     assert running.shape == (4, 3, 2, 10) and x.shape == (4, 3, 2, 10, D)
     for p in range(4):
         for l in range(3):
-            alone = simulate(coeffs, ParticleEnsemble(clouds[l]), policies, cfg, 2 + p)
-            np.testing.assert_array_equal(running[p, l], alone[0])
-            np.testing.assert_array_equal(x[p, l], alone[1])
-    with pytest.raises(ValueError, match="tuple of policies"):
-        simulate(coeffs, init, policies[0], cfg, range(2))
+            alone = simulate(coeffs, ParticleEnsemble(clouds[l]), policies, cfg, (2 + p,))
+            np.testing.assert_array_equal(running[p, l], alone[0][0, 0])
+            np.testing.assert_array_equal(x[p, l], alone[1][0, 0])
     with pytest.raises(ValueError, match="start clouds"):
-        simulate(coeffs, init, policies, cfg, starts=clouds[:, :5])
+        simulate(coeffs, init, policies, cfg, (0,), starts=clouds[:, :5])
 
 
 def _blow_up_coeffs(threshold):

@@ -17,6 +17,12 @@ def test_unknown_scenario_rejected():
         scenario("nope")
 
 
+@pytest.mark.parametrize("params", ["x", [1.0], 2.0])
+def test_params_must_be_an_object(params):
+    with pytest.raises(ValueError, match="params must be an object"):
+        scenario("lq_drift", params)
+
+
 def test_zero_scenario_evaluators():
     z = scenario("zero")
     x = np.random.default_rng(0).standard_normal((5, 2))

@@ -399,3 +399,8 @@ def test_w1_empirical_gaussian_scales_with_std():
     base = w1_empirical_gaussian(x, 0.0, 1.0)
     scaled = w1_empirical_gaussian(2.5 * x, 0.0, 2.5)
     assert scaled == pytest.approx(2.5 * base, rel=1e-12)
+
+
+def test_w1_empirical_gaussian_rejects_empty_sample():
+    with pytest.raises(ValueError, match="at least one value"):
+        w1_empirical_gaussian(np.array([]))
