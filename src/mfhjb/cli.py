@@ -59,6 +59,15 @@ def _record(operation: str, config: dict, value, stderr=None, seed=None, **extra
     return rec
 
 
+def _fit_sizes(cfg, key, default):
+    # the sample sizes of a log-log fit: at least two distinct, each >= 1
+    sizes = cfg.get(key, default)
+    _check_counts(**{f"{key}[{i}]": size for i, size in enumerate(sizes)})
+    if len(set(sizes)) < 2:
+        raise ValueError(f"{key} needs at least two distinct sizes for a log-log fit, got {sizes!r}")
+    return sizes
+
+
 def _fit_loglog(ns, errs):
     return float(np.polyfit(np.log(np.asarray(ns, float)), np.log(np.asarray(errs, float)), 1)[0])
 
@@ -183,7 +192,7 @@ def _run_simulate(cfg, seed):
 
 
 def _run_mollify_rates(cfg, seed):
-    ms = tuple(cfg.get("ms", [2, 4, 8, 16, 32]))
+    ms = tuple(_fit_sizes(cfg, "ms", [2, 4, 8, 16, 32]))
     rng = np.random.default_rng(seed)
     offsets = cfg.get("offsets", 2048)
 
@@ -279,6 +288,7 @@ def _run_eps_sweep(cfg, seed):
 def _run_n_sweep(cfg, seed):
     # terminal cost concave in the cloud mean: plugging an n-point cloud
     # biases the value by the mean's O(1/n) fluctuation variance
+    ns = _fit_sizes(cfg, "ns", [8, 16, 32, 64])
     params = cfg.get(
         "params",
         {"d": 1, "pull": 1.0, "sigma": 0.7, "sigma0": 0.05, "p": 1.0,
@@ -286,7 +296,6 @@ def _run_n_sweep(cfg, seed):
     )
     coeffs = scenario("mean_reversion_mf", params)
     mu_spec = {"kind": "gaussian", "mean": [0.3], "std": 1.2}
-    ns = cfg.get("ns", [8, 16, 32, 64])
     ref_n = cfg.get("ref_n", 256)
     m = cfg.get("m", 32)
     paths = cfg.get("paths", 64)
@@ -359,9 +368,9 @@ def _run_hjb_residual(cfg, seed):
 
 
 def _run_rates(cfg, seed):
-    ns = cfg.get("ns", [32, 64, 128, 256, 512, 1024, 2048, 4096])
+    ns = _fit_sizes(cfg, "ns", [32, 64, 128, 256, 512, 1024, 2048, 4096])
     reps = cfg.get("reps", 60)
-    _check_counts(reps=reps, **{f"ns[{i}]": n for i, n in enumerate(ns)})
+    _check_counts(reps=reps)
     rng = np.random.default_rng(seed)
     means = []
     for n in ns:

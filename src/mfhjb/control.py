@@ -453,10 +453,13 @@ def value_fd_approx(
     index-m mollified coefficients and an eps-perturbing idiosyncratic
     Brownian motion, with initial points drawn i.i.d. from mu_spec; the
     product-measure integration over the initial law is estimated by
-    averaging over resampled initial clouds.
+    averaging over resampled initial clouds.  The runs start at cfg.t0, so
+    a t other than cfg.t0 raises ValueError.
     """
     from mfhjb.mollify import MollifiedCoefficients, MollifierSpec
 
+    if t != cfg.t0:
+        raise ValueError(f"value_fd_approx starts at cfg.t0 = {cfg.t0}, got t = {t}")
     _check_counts(paths=paths, resamples=resamples)
     # the offsets depend only on the spec and n, so one coefficient set serves every resample
     mol = MollifiedCoefficients(coeffs, MollifierSpec(m=m, offsets=offsets, seed=seed + 7), n, horizon=cfg.t1)

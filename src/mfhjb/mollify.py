@@ -11,7 +11,8 @@ drawn coordinatewise from the space kernel on [-1, 1]^d, and clamp(s) =
 min(max(s, 0), T).  The terminal cost omits the time variable.  The joint
 offset integral has dimension dn + 1, so it is estimated by a fixed seeded
 quasi-random offset set (one set per spec: the estimate is a deterministic
-function) with a recorded standard error instead of a full tensor grid.
+function) instead of a full tensor grid; ``mollified_b``, ``mollified_f``
+and ``mollified_g`` also report its standard error.
 
 Smoothing preserves the uniform bound K, contracts Lipschitz constants
 (|g_m^i(xbar) - g_m^i(xbar')| <= K [|dx^i| + mean_j |dx^j|]), and converges
@@ -85,12 +86,17 @@ class MollifierSpec:
             raise ValueError("need at least 2 offsets")
 
 
+@lru_cache(maxsize=1)
 def _draw_offsets(spec: MollifierSpec, n: int, d: int) -> tuple:
     """Seeded offsets: times (Q,) from the time kernel, space (Q, n, d) from
-    the product space kernel (before the 1/m scaling)."""
+    the product space kernel (before the 1/m scaling).  Calls with the same
+    (spec, n, d) share one read-only draw; only the latest draw is kept, as
+    one can be large (134 MB at 4096 offsets and n = 2048, d = 2)."""
     pts = quasi_uniform(spec.offsets, 1 + n * d, spec.seed)
     t_off = _bump_quantile(pts[:, 0])
     z_off = _bump_quantile(pts[:, 1:]).reshape(spec.offsets, n, d)
+    t_off.setflags(write=False)
+    z_off.setflags(write=False)
     return t_off, z_off
 
 
@@ -104,9 +110,11 @@ def _mollified_all(
     horizon: float,
     t_off: np.ndarray,
     z_off: np.ndarray,
-) -> tuple:
-    """Mean and standard error over offsets of the smoothed coefficient
-    ``kind`` (a CoefficientSet field name), for every particle index at once.
+    with_stderr: bool = True,
+):
+    """Mean over offsets of the smoothed coefficient ``kind`` (a
+    CoefficientSet field name), for every particle index at once, with its
+    standard error: (mean, stderr), or the mean alone without ``with_stderr``.
 
     ``xbar`` is a state (..., n, d) with any leading batch axes.  All Q
     offsets go through one call of the base coefficient: the offset axis
@@ -118,40 +126,54 @@ def _mollified_all(
     rank = np.ndim(xbar)
     rows = xbar.shape[0] if rank > 2 else 1
     slices = chunks(rows, z_off.shape[0] * (np.size(xbar) // rows), "mollifier")
+
+    def stats(t, xbar, a):
+        return _offset_stats(_offset_values(kind, coeffs, spec, t, xbar, a, horizon, t_off, z_off), with_stderr)
+
     if len(slices) == 1:
-        return _offset_stats(kind, coeffs, spec, t, xbar, a, horizon, t_off, z_off)
+        return stats(t, xbar, a)
 
     def chunk(v, sl, v_rank):
         # rows sl of an argument that carries xbar's first batch axis
         return v[sl] if np.ndim(v) == v_rank and np.shape(v)[0] == rows else v
 
-    parts = [_offset_stats(kind, coeffs, spec, chunk(t, sl, rank - 2), xbar[sl], chunk(a, sl, rank), horizon,
-                           t_off, z_off) for sl in slices]
-    return tuple(np.concatenate(part) for part in zip(*parts))
+    parts = [stats(chunk(t, sl, rank - 2), xbar[sl], chunk(a, sl, rank)) for sl in slices]
+    return tuple(np.concatenate(part) for part in zip(*parts)) if with_stderr else np.concatenate(parts)
 
 
-def _offset_stats(kind, coeffs, spec, t, xbar, a, horizon, t_off, z_off) -> tuple:
-    q = z_off.shape[0]
-    lead = (q,) + (1,) * (np.ndim(xbar) - 2)
+def _offset_values(kind, coeffs, spec, t, xbar, a, horizon, t_off, z_off) -> np.ndarray:
+    lead = (z_off.shape[0],) + (1,) * (np.ndim(xbar) - 2)
     xs = xbar - z_off.reshape(lead + z_off.shape[1:]) / spec.m
     if kind == "terminal_cost":
-        vals = coeffs.terminal_cost(xs, xs)
-    else:
-        ts = np.minimum(np.maximum(t - t_off.reshape(lead) / spec.m, 0.0), horizon)
-        vals = getattr(coeffs, kind)(ts, xs, xs, a)
-    # numpy adds the offsets in order only when the offset axis is outermost
-    # (C order; np.broadcast_to(...).astype puts it innermost) and at least
-    # two columns remain, hence one reduction for both sums; otherwise it
-    # sums pairwise, and a row's value would depend on the batch around it
-    vals = np.ascontiguousarray(vals, dtype=float)
+        return coeffs.terminal_cost(xs, xs)
+    ts = np.minimum(np.maximum(t - t_off.reshape(lead) / spec.m, 0.0), horizon)
+    return getattr(coeffs, kind)(ts, xs, xs, a)
+
+
+def _offset_stats(vals, with_stderr: bool):
+    vals = np.asarray(vals, dtype=float)
+    q = vals.shape[0]
     # the first offset anchors the sums against cancellation
     shifted = vals - vals[0]
-    sums = np.stack([shifted, shifted**2], axis=1).sum(axis=0) / q
-    centered = sums[0]
+    # numpy adds the rows of an outer axis in order, but sums pairwise along
+    # the axis it walks innermost, the one of smallest stride, and a row's
+    # sum would then depend on the batch around it; np.broadcast_to(...)
+    # .astype puts the offset axis there, and only then is a copy needed
+    others = [s for s, k in zip(shifted.strides[1:], shifted.shape[1:]) if k > 1]
+    if others and shifted.strides[0] <= min(others):
+        shifted = np.ascontiguousarray(shifted)
+    centered = _sum_in_order(shifted) / q
     mean = vals[0] + centered
-    var = np.maximum(sums[1] - centered**2, 0.0)
-    stderr = np.sqrt(var / q)
-    return mean, stderr
+    if not with_stderr:
+        return mean
+    var = np.maximum(_sum_in_order(shifted**2) / q - centered**2, 0.0)
+    return mean, np.sqrt(var / q)
+
+
+def _sum_in_order(v: np.ndarray):
+    # numpy sums a single remaining column pairwise too; a running sum adds
+    # it in order
+    return v.sum(axis=0) if v[0].size > 1 else np.add.accumulate(v, axis=0)[-1]
 
 
 def _single_index(kind, coeffs, spec, i, t, xbar, a, horizon):
@@ -230,9 +252,9 @@ def mollify_rate_sweep(
             exact_g = coeffs.terminal_cost(xbar, xbar)
             t_off, z_off = _draw_offsets(spec, n, xbar.shape[1])
             args = (spec, t, xbar, av, horizon, t_off, z_off)
-            got_b, _ = _mollified_all("drift", coeffs, *args)
-            got_f, _ = _mollified_all("running_cost", coeffs, *args)
-            got_g, _ = _mollified_all("terminal_cost", coeffs, *args)
+            got_b = _mollified_all("drift", coeffs, *args, with_stderr=False)
+            got_f = _mollified_all("running_cost", coeffs, *args, with_stderr=False)
+            got_g = _mollified_all("terminal_cost", coeffs, *args, with_stderr=False)
             sup["b"] = max(sup["b"], float(np.linalg.norm(got_b - exact_b, axis=1).max()))
             sup["f"] = max(sup["f"], float(np.abs(got_f - exact_f).max()))
             sup["g"] = max(sup["g"], float(np.abs(got_g - exact_g).max()))
@@ -257,7 +279,7 @@ def MollifiedCoefficients(coeffs, spec: MollifierSpec, n: int, horizon: float = 
     def smoothed(kind, t, x, a):
         if x.shape[-2:] != (n, coeffs.d):
             raise ValueError(f"state shape {x.shape} does not end in ({n}, {coeffs.d})")
-        return _mollified_all(kind, coeffs, spec, t, x, a, horizon, t_off, z_off)[0]
+        return _mollified_all(kind, coeffs, spec, t, x, a, horizon, t_off, z_off, with_stderr=False)
 
     return replace(
         coeffs,

@@ -163,6 +163,23 @@ def test_bad_params_or_count_exits_one(tmp_path, sub, cfg):
     assert not (tmp_path / "o" / "results.json").exists()
 
 
+@pytest.mark.parametrize(
+    "sub,cfg,message",
+    [
+        ("rates", {"ns": [32]}, "ns needs at least two distinct sizes for a log-log fit, got [32]"),
+        ("n-sweep", {"ns": [0, 8]}, "ns[0] must be >= 1, got 0"),
+        ("mollify-rates", {"ms": [4, 4]}, "ms needs at least two distinct sizes for a log-log fit, got [4, 4]"),
+    ],
+    ids=["rates-one-size", "n-sweep-zero-size", "mollify-rates-repeated-size"],
+)
+def test_loglog_fit_sizes_exit_one(tmp_path, sub, cfg, message):
+    # a slope needs two distinct sizes; the list is checked before any work
+    proc = _run_module(tmp_path, sub, cfg)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {message}\n"
+    assert not (tmp_path / "o" / "results.json").exists()
+
+
 def test_malformed_config_exits_one(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

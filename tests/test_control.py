@@ -208,6 +208,16 @@ def test_value_fd_approx_one_resample_has_infinite_stderr():
     assert rec["value"] == rec["per_resample"][0]
 
 
+def test_value_fd_approx_rejects_start_other_than_t0():
+    # the runs start at cfg.t0, so a different t would be silently ignored
+    from mfhjb.control import value_fd_approx
+
+    lq = scenario("lq_drift", {"d": 2, "p": [1.0, -0.5]})
+    cfg = SimConfig(n=4, steps=2, t0=0.0, t1=1.0, seed=0)
+    with pytest.raises(ValueError, match="cfg.t0"):
+        value_fd_approx(lq, {"kind": "gaussian"}, 0.5, 0.0, 4, 2, cfg, SearchSpec(), paths=2, resamples=1, offsets=8)
+
+
 def test_value_fd_approx_resamples_match_fresh_coefficients():
     # one mollified coefficient set serves every resample: each resample's
     # value equals value_estimate on a freshly built set, bit for bit

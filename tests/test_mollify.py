@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -284,3 +286,77 @@ def test_mollified_all_matches_offset_loop(name, params, t, kind):
     want = _offset_loop(kind, coeffs, spec, t, xbar, a, 1.0, t_off, z_off)
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
+
+
+_SCENARIOS = [
+    ("lq_drift", {"d": 2, "p": [1.0, -0.5], "radius": 2.0}, 0.4),
+    ("mean_reversion_mf", {"d": 1, "mf_center": 0.5}, 0.4),
+    # t within 1/m of 0, so the time clamp is active for part of the offsets
+    ("bounded_trig", {"d": 2}, 0.05),
+]
+
+
+@pytest.mark.parametrize("kind", ["drift", "running_cost", "terminal_cost"])
+@pytest.mark.parametrize("lead, n", [((), 7), ((), 1), ((3, 2), 5)], ids=["n7", "n1-one-column", "batch"])
+@pytest.mark.parametrize("name, params, t", _SCENARIOS, ids=[s[0] for s in _SCENARIOS])
+def test_mean_only_matches_mean_with_stderr(name, params, t, lead, n, kind):
+    # the coefficient path skips the stderr but keeps the mean's bits, which
+    # are the in-order offset loop's, also at n = 1 with no batch axis
+    # at seed 31 a pairwise sum of the single column changes the mean's bits
+    # for three of the varying (scenario, kind) pairs
+    coeffs = scenario(name, params)
+    spec = MollifierSpec(m=4, offsets=64, seed=31)
+    rng = np.random.default_rng(31)
+    d = coeffs.d
+    xbar = rng.standard_normal(lead + (n, d))
+    a = rng.uniform(-1.0, 1.0, lead + (n, d))
+    t_off, z_off = _draw_offsets(spec, n, d)
+    args = (spec, t, xbar, a, 1.0, t_off, z_off)
+    mean = _mollified_all(kind, coeffs, *args, with_stderr=False)
+    np.testing.assert_array_equal(mean, _mollified_all(kind, coeffs, *args)[0])
+    for i in np.ndindex(lead):
+        want = _offset_loop(kind, coeffs, spec, t, xbar[i], a[i], 1.0, t_off, z_off)[0]
+        np.testing.assert_array_equal(mean[i], want)
+    with pytest.MonkeyPatch.context() as mp:  # one row of the first batch axis per call
+        mp.setitem(CAPS, "mollifier", 1)
+        np.testing.assert_array_equal(_mollified_all(kind, coeffs, *args, with_stderr=False), mean)
+
+
+def _offset_axis_at(axis):
+    # a drift whose values sit in memory with the offset axis at position
+    # ``axis`` of the order, innermost for -1: C order moved there
+    def drift(t, x, cloud, a):
+        vals = np.sin(3.0 * x) + np.asarray(t)[..., None, None]
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(vals, 0, axis)), axis, 0)
+
+    return drift
+
+
+@pytest.mark.parametrize("axis", [-1, 1], ids=["offset-innermost", "offset-middle"])
+def test_mean_sums_offsets_in_order_whatever_the_layout(axis):
+    coeffs = simple_coeffs(b=_offset_axis_at(axis), d=2)
+    spec = MollifierSpec(m=2, offsets=64, seed=15)
+    rng = np.random.default_rng(15)
+    xbar = rng.standard_normal((3, 5, 2))
+    t_off, z_off = _draw_offsets(spec, 5, 2)
+    vals = coeffs.drift(np.zeros((64, 1)), np.zeros((64, 3, 5, 2)), None, None)
+    assert np.argmin(vals.strides) == (0 if axis == -1 else 3)
+    args = (spec, 0.3, xbar, None, 1.0, t_off, z_off)
+    mean = _mollified_all("drift", coeffs, *args, with_stderr=False)
+    np.testing.assert_array_equal(mean, _mollified_all("drift", coeffs, *args)[0])
+    for i in range(3):
+        want = _offset_loop("drift", coeffs, spec, 0.3, xbar[i], None, 1.0, t_off, z_off)[0]
+        np.testing.assert_array_equal(mean[i], want)
+
+
+def test_draw_offsets_shares_one_read_only_draw():
+    spec = MollifierSpec(m=3, offsets=32, seed=16)
+    t_off, z_off = _draw_offsets(spec, 5, 2)
+    fresh = _draw_offsets.__wrapped__(spec, 5, 2)
+    np.testing.assert_array_equal(t_off, fresh[0])
+    np.testing.assert_array_equal(z_off, fresh[1])
+    assert not t_off.flags.writeable and not z_off.flags.writeable
+    assert _draw_offsets(spec, 5, 2)[1] is z_off
+    other = _draw_offsets(replace(spec, seed=17), 5, 2)
+    assert _draw_offsets.cache_info().maxsize == 1 and _draw_offsets.cache_info().currsize == 1
+    assert _draw_offsets(spec, 5, 2)[1] is not z_off and other[1] is not z_off
