@@ -142,6 +142,9 @@ class StepControl:
             raise ValueError("breakpoints must be non-empty and strictly increasing")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "actions", tuple(self.actions))
+        # one read-only answer per (fixed piece, batch shape): the Euler scheme
+        # restacks actions only when some policy answers with another object
+        object.__setattr__(self, "_fixed", {})
 
     @staticmethod
     def constant(t0: float, a) -> "StepControl":
@@ -155,8 +158,11 @@ class StepControl:
         x = np.atleast_2d(x)
         if isinstance(act, FeedbackTable):
             return act.actions_for(x)
-        a = np.asarray(act, dtype=float).ravel()
-        return np.broadcast_to(a, x.shape[:-1] + a.shape)
+        key = (idx, x.shape[:-1])
+        if key not in self._fixed:
+            a = np.asarray(act, dtype=float).ravel()
+            self._fixed[key] = np.broadcast_to(a, x.shape[:-1] + a.shape)
+        return self._fixed[key]
 
     def describe(self) -> str:
         parts = []
@@ -321,7 +327,7 @@ def _cost_paths(coeffs, init, policies: tuple, cfg, paths, noise_ids, starts=Non
     for chunk, running, x in _passes(coeffs, init, policies, cfg, paths, noise_ids, starts):
         costs = running + coeffs.terminal_cost(x, x)
         for idx in np.ndindex(costs.shape[:-1]):
-            per_path[idx[1:] + (chunk[idx[0]],)] = math.fsum(costs[idx]) / init.n
+            per_path[idx[1:] + (chunk[idx[0]],)] = math.fsum(costs[idx].tolist()) / init.n
     return per_path
 
 
@@ -526,7 +532,7 @@ def dpp_residual(
                 per_path = _cost_paths(coeffs, init, tails, cfg_tail, paths_inner, None, leg_clouds)
                 cont = [max(_mean(row) for row in rows) for rows in per_path]
             for i, (r, c) in enumerate(zip(leg_running, cont)):
-                totals[i, p] = math.fsum(r) / n + c
+                totals[i, p] = math.fsum(r.tolist()) / n + c
     means = [float(leg_totals.mean()) for leg_totals in totals]
     best = max(range(len(legs)), key=means.__getitem__)
     return {

@@ -118,6 +118,21 @@ def noise_block(seed: int, channel: int, path: int, step: int, rows: int, d: int
     return _NoiseStream(seed, channel).blocks((path,), step, rows, d)[0]
 
 
+def _noise_rows(noise_ids, n: int) -> np.ndarray:
+    """The noise identities of n particles: distinct non-negative integers,
+    one per particle; particle i reads row noise_ids[i] of each block."""
+    ids = np.asarray(noise_ids)
+    if ids.shape != (n,):
+        raise ValueError("noise_ids must have one entry per particle")
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"noise_ids must be integers, got dtype {ids.dtype}")
+    if ids.min() < 0:
+        raise ValueError(f"noise_ids must be >= 0, got {int(ids.min())}")
+    if np.unique(ids).size != n:
+        raise ValueError("noise_ids must be distinct: two particles would share one noise identity")
+    return ids
+
+
 def _diffuse(sig: np.ndarray, dw: np.ndarray) -> np.ndarray:
     # sig (d, d) shared: applied to each path's (n, d) increments once,
     # broadcast over the batch; or (..., n, d, d) per particle
@@ -200,38 +215,60 @@ def _euler(coeffs, starts, policies, cfg, paths, noise_ids):
     dW0_k) for each step k before taking it, then the terminal state: a_k is
     (P, L, A, n, q), the drift b_k (P, L, A, n, d), sigma_k (d, d) or
     (..., n, d, d), sigma0_k (d, d) and dW0_k (P, d).  The step is taken
-    with exactly the yielded arrays.
+    with exactly the yielded arrays.  Each state is a fresh C-ordered array,
+    and a_k is the previous step's array while every policy answers with
+    the same object (a fixed piece); nothing yielded is written afterwards,
+    and consumers must not write it either.
     """
     n, d = starts.shape[-2:]
     dt = cfg.dt
     sq = math.sqrt(dt)
-    ids, rows = slice(None), n  # without noise_ids the blocks are used as drawn
+    ids, rows = None, n  # without noise_ids the blocks are used as drawn
     if noise_ids is not None:
-        ids = np.asarray(noise_ids, dtype=int)
-        if ids.shape != (n,):
-            raise ValueError("noise_ids must have one entry per particle")
+        ids = _noise_rows(noise_ids, n)
         rows = int(ids.max()) + 1
+
+    def increments(stream, k):
+        # each path's block at step k scaled in place, then particle i's row
+        # ids[i]: (P, 1, 1, n, d), broadcast over the clouds and policies
+        block = stream.blocks(paths, k, rows, d)
+        block *= sq
+        return (block if ids is None else block.take(ids, axis=1))[:, None, None]
+
     common_noise = _NoiseStream(cfg.seed, _COMMON)
     idio_noise = _NoiseStream(cfg.idio_seed, _IDIO)
     perturb_noise = _NoiseStream(cfg.idio_seed, _PERTURB) if cfg.epsilon > 0.0 else None
 
     x = np.empty((len(paths), starts.shape[0], len(policies), n, d))
     x[...] = starts[:, None]
+    answers = None
     for k in range(cfg.steps):
         t = cfg.t0 + dt * k
-        a = np.stack([pol.actions_at(t, x[:, :, i]) for i, pol in enumerate(policies)], axis=2, dtype=float)
+        # a fixed piece answers with the same array at every step, so the
+        # actions are restacked only when some policy's answer changes, in C
+        # order (stacked broadcast answers would put the action axis outermost)
+        now = [pol.actions_at(t, x[:, :, i]) for i, pol in enumerate(policies)]
+        if answers is None or any(new is not old for new, old in zip(now, answers)):
+            a = np.ascontiguousarray(np.stack(now, axis=2), dtype=float)
+        answers = now
         b = coeffs.drift(t, x, x, a)
         sig = np.asarray(coeffs.diffusion(t, x, a), dtype=float)
         sig0 = np.asarray(coeffs.common_diffusion(t), dtype=float)
         dw0 = sq * common_noise.blocks(paths, k, 1, d)[:, 0]
         yield t, x, a, b, sig, sig0, dw0
 
-        dw = sq * idio_noise.blocks(paths, k, rows, d)[:, None, None, ids]
-        # one (1, d) common row per path, as a lone path's (d,) increment is multiplied
-        x = x + b * dt + _diffuse(sig, dw) + (dw0[:, None] @ sig0.T)[:, None, None]
+        # the next state in a fresh C-ordered buffer, since yielded states are
+        # kept and coefficients reduce over the state in its memory order;
+        # b dt + x + sigma dW + sigma0 dW0 (+ eps dB), added in this order
+        step = np.multiply(b, dt, out=np.empty(x.shape))
+        step += x
+        step += _diffuse(sig, increments(idio_noise, k))
+        # one (1, d) common row per path, as a lone path's (d,) increment is
+        # multiplied, tiled along the particles
+        step += np.repeat(dw0[:, None] @ sig0.T, n, axis=-2)[:, None, None]
         if perturb_noise is not None:
-            db = sq * perturb_noise.blocks(paths, k, rows, d)[:, None, None, ids]
-            x = x + cfg.epsilon * db
+            step += cfg.epsilon * increments(perturb_noise, k)
+        x = step
         if not np.isfinite(x).all():
             bad = paths[int(np.argmin(np.isfinite(x).reshape(len(paths), -1).all(axis=1)))]
             raise FloatingPointError(f"non-finite state at step {k + 1} (t = {t + dt:.6g}) on path {bad}")

@@ -157,8 +157,9 @@ def _offset_stats(vals, with_stderr: bool):
     shifted = vals - vals[0]
     # numpy adds the rows of an outer axis in order, but sums pairwise along
     # the axis it walks innermost, the one of smallest stride, and a row's
-    # sum would then depend on the batch around it; np.broadcast_to(...)
-    # .astype puts the offset axis there, and only then is a copy needed
+    # sum would then depend on the batch around it; only a result with the
+    # offset axis there (np.broadcast_to(...).astype(float) without
+    # order="C" makes one) is copied to C order first
     others = [s for s, k in zip(shifted.strides[1:], shifted.shape[1:]) if k > 1]
     if others and shifted.strides[0] <= min(others):
         shifted = np.ascontiguousarray(shifted)

@@ -61,7 +61,7 @@ def _lq_drift(params: dict) -> CoefficientSet:
     K = max(np.sqrt(d), sig * np.sqrt(d), sig0 * np.sqrt(d), bound_g, lip_g)
 
     return CoefficientSet(
-        drift=lambda t, x, cloud, a: np.broadcast_to(a, x.shape).astype(float),
+        drift=lambda t, x, cloud, a: np.broadcast_to(a, x.shape).astype(float, order="C"),
         diffusion=lambda t, x, a: sig_mat,
         common_diffusion=lambda t: sig0_mat,
         running_cost=lambda t, x, cloud, a: np.zeros(x.shape[:-1]),

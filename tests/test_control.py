@@ -50,6 +50,10 @@ def test_step_control_lookup():
     np.testing.assert_array_equal(pol.actions_at(0.2, x), np.ones((3, 1)))
     np.testing.assert_array_equal(pol.actions_at(0.5, x), -np.ones((3, 1)))
     np.testing.assert_array_equal(pol.actions_at(0.9, x), -np.ones((3, 1)))
+    # one read-only answer per fixed piece and batch shape
+    assert pol.actions_at(0.1, x) is pol.actions_at(0.2, x)
+    assert not pol.actions_at(0.1, x).flags.writeable
+    assert pol.actions_at(0.1, np.zeros((2, 3, 1))) is not pol.actions_at(0.1, x)
     with pytest.raises(ValueError):
         StepControl(np.array([0.5, 0.5]), (np.array([1.0]), np.array([1.0])))
 

@@ -274,6 +274,20 @@ def test_cost_permutation_invariance_with_noise_ids():
     assert base["mean"] == permuted["mean"]
 
 
+@pytest.mark.parametrize(
+    "ids, match",
+    [([0, 1, 2, 3.9], "integers"), ([0, 1, 2, -1], ">= 0"), ([0, 1, 2, 2], "distinct")],
+    ids=["non-integer", "negative", "repeated"],
+)
+def test_bad_noise_ids_raise(ids, match):
+    # each would otherwise run: 3.9 truncated to identity 3, -1 read as the
+    # last row, and a repeated id coupling two particles' noise
+    init = sample_iid({"kind": "gaussian"}, 4, D, seed=6)
+    cfg = SimConfig(n=4, steps=2, t0=0.0, t1=1.0, seed=12)
+    with pytest.raises(ValueError, match=match):
+        cost_j(const_coeffs(sig=EYE), init, ZERO_POLICY, cfg, paths=2, noise_ids=np.array(ids))
+
+
 def test_ito_linear_functional():
     pvec = np.array([0.7, -0.4])
     cvec = np.array([0.5, 0.3])

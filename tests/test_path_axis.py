@@ -8,6 +8,7 @@ lowered so that the paths span several chunks, and must agree bit for bit.
 """
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from mfhjb.control import (
     dpp_residual,
     value_estimate,
 )
-from mfhjb.dynamics import SimConfig, _stderr, noise_block, simulate
+from mfhjb.dynamics import SimConfig, _euler, _stderr, noise_block, simulate
 from mfhjb.measures import ParticleEnsemble, sample_iid
 from mfhjb.mollify import MollifiedCoefficients, MollifierSpec
 from mfhjb.scenarios import scenario
@@ -243,6 +244,43 @@ def test_path_batch_rows_match_single_paths():
             np.testing.assert_array_equal(x[p, l], alone[1][0, 0])
     with pytest.raises(ValueError, match="start clouds"):
         simulate(coeffs, init, policies, cfg, (0,), starts=clouds[:, :5])
+
+
+def test_scheme_states_are_fresh_and_actions_restack_at_breakpoints():
+    # a three-piece fixed policy beside one whose middle piece is feedback:
+    # the actions are restacked at step 0, at every step of the feedback
+    # piece, when it ends and at each later breakpoint, and reused otherwise
+    coeffs = _state_dependent()
+    init = sample_iid({"kind": "gaussian", "std": 0.7}, 12, D, seed=88)
+    cfg = SimConfig(n=12, steps=10, t0=0.0, t1=1.0, seed=89, epsilon=0.1)
+    table = FeedbackTable(-np.ones(D), np.ones(D), np.array([[[1.0, 0.0], [0.0, 1.0]], [[-1.0, 0.0], [0.0, -1.0]]]))
+    policies = (
+        StepControl(np.array([0.0, 0.5, 0.7]), (np.array([1.0, -1.0]), np.array([0.2, 0.4]), np.array([-0.6, 0.3]))),
+        StepControl(np.array([0.0, 0.2, 0.4]), (np.array([0.5, 0.5]), table, np.array([-1.0, 1.0]))),
+    )
+    scheme = _euler(coeffs, init.points[None], policies, cfg, range(3), None)
+    yielded, copies = [], []
+    for t, x, a, b, *_, dw0 in islice(scheme, cfg.steps):
+        yielded.append((x, a, b, dw0))
+        copies.append(tuple(v.copy() for v in (x, a, b, dw0)))
+    terminal = next(scheme)
+    states = [x for x, *_ in yielded] + [terminal]
+    for k, x in enumerate(states):
+        assert x.flags.c_contiguous and x.shape == (3, 1, 2, 12, D)
+        assert not any(np.shares_memory(x, earlier) for earlier in states[:k])
+    for arrays, kept in zip(yielded, copies):  # nothing changed after its yield
+        for v, c in zip(arrays, kept):
+            np.testing.assert_array_equal(v, c)
+    actions = [a for _, a, *_ in yielded]
+    restacked = [k for k, a in enumerate(actions) if k == 0 or a is not actions[k - 1]]
+    assert restacked == [0, 2, 3, 4, 5, 7]
+
+    running, x = simulate(coeffs, init, policies, cfg, range(3))
+    for p in range(3):
+        want_running, want_x = _parent_pass(coeffs, init, policies, cfg, p)
+        np.testing.assert_array_equal(running[p, 0], want_running)
+        np.testing.assert_array_equal(x[p, 0], want_x)
+        np.testing.assert_array_equal(terminal[p, 0], want_x)
 
 
 def _blow_up_coeffs(threshold):
