@@ -19,15 +19,8 @@ CAPS = {
 }
 
 
-def chunks(count: int, cost, cap: str) -> list:
+def chunks(count: int, cost: int, cap: str) -> list:
     """Consecutive slices of range(count), each of at least one row, whose rows
-    cost at most CAPS[cap] numbers.  ``cost`` is one row's count, or a list of
-    non-decreasing counts that charges a chunk at its last, widest, row."""
-    if not isinstance(cost, list):
-        starts = list(range(0, count, max(1, CAPS[cap] // max(cost, 1))))
-    else:
-        starts = []
-        for i in range(count):
-            if not starts or (i - starts[-1] + 1) * cost[i] > CAPS[cap]:
-                starts.append(i)
-    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [count])]
+    cost at most CAPS[cap] numbers at ``cost`` numbers per row."""
+    step = max(1, CAPS[cap] // max(cost, 1))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]

@@ -154,10 +154,9 @@ def _run_variational(cfg, seed):
             ParticleEnsemble(rng.standard_normal((int(rng.integers(2, 6)), d))) for _ in range(size)
         )
         g_values = rng.uniform(0, 1, size)
-        cands = CandidateSet(
-            times, ensembles, g_values, lam=cfg.get("lam", 0.5), delta=cfg.get("delta", 0.3),
-            start=int(np.argmax(g_values)),
-        )
+        lam = cfg.get("lam", 0.5)  # start at the lowest-scoring admissible candidate, first on ties
+        start = int(np.where(g_values >= g_values.max() - lam, g_values, np.inf).argmin())
+        cands = CandidateSet(times, ensembles, g_values, lam=lam, delta=cfg.get("delta", 0.3), start=start)
         res = borwein_preiss(cands, quad, m_points=cfg.get("m_points", 48))
         cert = res.certificate
         if cert["item1_ok"] and cert["item2_ok"] and cert["item3_ok"] and cert["complete"]:

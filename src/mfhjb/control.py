@@ -12,6 +12,7 @@ box).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -142,6 +143,7 @@ class StepControl:
             raise ValueError("breakpoints must be non-empty and strictly increasing")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "actions", tuple(self.actions))
+        object.__setattr__(self, "_starts", tuple(bp.tolist()))
         # one read-only answer per (fixed piece, batch shape): the Euler scheme
         # restacks actions only when some policy answers with another object
         object.__setattr__(self, "_fixed", {})
@@ -152,10 +154,10 @@ class StepControl:
 
     def actions_at(self, t: float, x: np.ndarray) -> np.ndarray:
         """The (..., n, q) actions at time t for states x of shape (..., n, d)."""
-        idx = int(np.searchsorted(self.breakpoints, t + 1e-12, side="right") - 1)
-        idx = max(idx, 0)
+        idx = max(bisect.bisect_right(self._starts, t + 1e-12) - 1, 0)
         act = self.actions[idx]
-        x = np.atleast_2d(x)
+        if x.ndim == 1:
+            x = x[None]
         if isinstance(act, FeedbackTable):
             return act.actions_for(x)
         key = (idx, x.shape[:-1])
@@ -254,31 +256,30 @@ class CoefficientSet:
         length.  Raises on violation.
         """
         rng = np.random.default_rng(seed)
-        sup = {"b": 0.0, "sigma": 0.0, "sigma0": 0.0, "f": 0.0, "g": 0.0}
-        lip = 0.0
         acts = self.action_space.vertices()
-        for _ in range(n_probes):
-            t = float(rng.uniform(0, horizon))
+        probes = []
+        for _ in range(n_probes):  # drawn one probe at a time, evaluated as one batch
+            t = rng.uniform(0, horizon)
             x = rng.standard_normal((4, self.d)) * rng.uniform(0.5, 3.0)
             cloud = rng.standard_normal((5, self.d))
             a = acts[rng.integers(len(acts))]
-            av = np.broadcast_to(a, (4, a.shape[0]))
-            b1 = self.drift(t, x, cloud, av)
-            bv = np.linalg.norm(b1, axis=1).max()
-            s0 = np.linalg.norm(self.common_diffusion(t))
-            fv = np.abs(self.running_cost(t, x, cloud, av)).max()
-            gv = np.abs(self.terminal_cost(x, cloud)).max()
-            sup["b"] = max(sup["b"], float(bv))
-            sup["sigma"] = max(sup["sigma"], float(np.abs(self.diffusion(t, x, av)).max() * self.d))
-            sup["sigma0"] = max(sup["sigma0"], float(s0))
-            sup["f"] = max(sup["f"], float(fv))
-            sup["g"] = max(sup["g"], float(gv))
-            # Lipschitz in x and in the measure along translations
             dx = rng.standard_normal(self.d) * 0.1
             shift = rng.standard_normal(self.d) * 0.1
-            b2 = self.drift(t, x + dx, cloud + shift, av)
-            denom = np.linalg.norm(dx) + np.linalg.norm(shift)
-            lip = max(lip, float(np.linalg.norm(b2 - b1, axis=1).max() / denom))
+            probes.append((t, x, cloud, np.broadcast_to(a, (4, a.shape[0])), dx, shift))
+        t, x, cloud, av, dx, shift = map(np.stack, zip(*probes))
+        b1 = self.drift(t, x, cloud, av)
+        s0 = np.reshape(self.common_diffusion(t), (-1, self.d, self.d))  # shared, or one per probe
+        sup = {
+            "b": float(np.linalg.norm(b1, axis=-1).max()),
+            "sigma": float(np.abs(self.diffusion(t, x, av)).max() * self.d),
+            "sigma0": max(float(np.linalg.norm(m)) for m in s0),
+            "f": float(np.abs(self.running_cost(t, x, cloud, av)).max()),
+            "g": float(np.abs(self.terminal_cost(x, cloud)).max()),
+        }
+        # Lipschitz in x and in the measure along translations
+        b2 = self.drift(t, x + dx[:, None], cloud + shift[:, None], av)
+        denom = np.linalg.norm(dx, axis=-1) + np.linalg.norm(shift, axis=-1)
+        lip = float((np.linalg.norm(b2 - b1, axis=-1).max(axis=-1) / denom).max())
         tol = 1.0 + 1e-9
         for key, val in sup.items():
             if val > self.K * tol:

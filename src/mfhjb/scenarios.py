@@ -42,7 +42,7 @@ def _profile_lipschitz_factor(inner: float) -> float:
 
 def _lq_drift(params: dict) -> CoefficientSet:
     d = int(params.get("d", 2))
-    p = np.broadcast_to(np.asarray(params.get("p", [1.0] * 2), dtype=float), (d,)).copy()
+    p = np.broadcast_to(np.asarray(params.get("p", np.ones(d)), dtype=float), (d,)).copy()
     sig = float(params.get("sigma", 0.3))
     sig0 = float(params.get("sigma0", 0.3))
     radius = float(params.get("radius", 8.0))

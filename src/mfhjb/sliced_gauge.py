@@ -163,14 +163,15 @@ def _quantile_tables(clouds, sigma: float, quad: SphereQuadrature, m_points: int
     """Stacked quantile tables of a sequence of clouds, shape (len(clouds),
     directions, m_points), one per distinct cloud object.  The distinct clouds,
     sorted by particle count, are the +inf-padded rows of one _stratified_quantiles
-    solve per "gauge" chunk, each costing directions x levels x max(n, entry_state).
-    An entry's solve reads only its own row, and its atom sums do not see
-    trailing +inf atoms, so neither padding nor chunks change a bit."""
+    solve per "gauge" chunk, each cloud charged at the widest one: directions x
+    levels x max(n, entry_state).  An entry's solve reads only its own row, and
+    its atom sums do not see trailing +inf atoms, so neither padding nor chunks
+    change a bit."""
     _check_dims(quad, *clouds)
     distinct = sorted({id(ens): ens for ens in clouds}.values(), key=lambda ens: ens.n)
-    widths = [quad.count * m_points * max(ens.n, CAPS["entry_state"]) for ens in distinct]
+    width = quad.count * m_points * max(distinct[-1].n, CAPS["entry_state"])
     tables = np.concatenate([_stratified_quantiles(_padded_rows(distinct[sl], quad), sigma, m_points)
-                             for sl in chunks(len(distinct), widths, "gauge")])
+                             for sl in chunks(len(distinct), width, "gauge")])
     solved = dict(zip(map(id, distinct), tables.reshape(len(distinct), quad.count, m_points)))
     return np.stack([solved[id(ens)] for ens in clouds])
 
@@ -267,8 +268,9 @@ def _gauge_derivatives(mu, nu, sigma, quad, x, noise_nodes, mixed=True):
     projection on theta_j to nu's and T_j' = f_mu / (f_nu o T_j); dmu_gauge
     alone makes no density pass.
 
-    Points are taken in "gauge" chunks; elementwise products and last-axis
-    sums keep each point's arithmetic the same whatever chunk it falls in.
+    Points are taken in "gauge" chunks, each charged like a table's entries;
+    elementwise products and last-axis sums keep each point's arithmetic the
+    same whatever chunk it falls in.
     """
     _check_dims(quad, mu, nu)
     if sigma <= 0.0:
@@ -281,7 +283,8 @@ def _gauge_derivatives(mu, nu, sigma, quad, x, noise_nodes, mixed=True):
     g = (xs[:, None, :] * quad.nodes).sum(axis=-1).T.copy()  # (A, k)
     z_nodes, z_w = gauss_hermite_normal(noise_nodes)
     mean_t, mean_slope = np.empty_like(g), np.empty_like(g)
-    for sl in chunks(g.shape[1], quad.count * noise_nodes * max(mu.n, nu.n), "gauge"):
+    width = quad.count * noise_nodes * max(mu.n, nu.n, CAPS["entry_state"])
+    for sl in chunks(g.shape[1], width, "gauge"):
         args = g[:, sl, None] + sigma * z_nodes  # (A, chunk, K)
         t = _transport(vm, sigma, vn, sigma, args)
         mean_t[:, sl] = (t * z_w).sum(axis=-1)

@@ -168,13 +168,12 @@ def _mixture_quantile(values: np.ndarray, sigma: float, p: np.ndarray) -> np.nda
     todo = np.flatnonzero(~copied)
     srow, level = srow[todo], level[todo]
     q = ndtri(level)
-    tail = level < _TAIL
-    has_tail = tail.any()
+    has_tail = (level < _TAIL).any()
     lo = lows[srow] + sigma * q
     hi = highs[srow] + sigma * q
     z = np.clip(means[srow] + spread[srow % rows] * q, lo, hi)
-    out = np.empty_like(p)
-    while todo.size:
+    del q  # seeds only: the tail step recomputes Phi^{-1}(p') where it reads it
+    while todo.size:  # a finished entry's root overwrites its clipped level in p
         v = np.take(signed, srow, axis=1).T
         cdf = _mixture_cdf(v, sigma, z)
         f = cdf - level
@@ -183,11 +182,11 @@ def _mixture_quantile(values: np.ndarray, sigma: float, p: np.ndarray) -> np.nda
         hi = np.where(f > 0.0, z, hi)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             z_next = z - f / dens
-            if has_tail:  # Newton on Phi^{-1}(F) - q; F >= p' / n inside the bracket
-                far = np.flatnonzero(tail & (np.abs(f) > _TAIL * level))
+            if has_tail:  # Newton on Phi^{-1}(F) - Phi^{-1}(p'); F >= p' / n inside the bracket
+                far = np.flatnonzero((level < _TAIL) & (np.abs(f) > _TAIL * level))
                 w = ndtri(cdf[far])
                 slope = dens[far] * np.sqrt(2.0 * np.pi) * np.exp(0.5 * w * w)  # d Phi^{-1}(F) / dz
-                z_next[far] = z[far] - (w - q[far]) / slope
+                z_next[far] = z[far] - (w - ndtri(level[far])) / slope
         z_next = np.where((lo < z_next) & (z_next < hi), z_next, 0.5 * (lo + hi))
         # NaN residuals compare False, so they stop too
         tol = dens * np.spacing(np.abs(z)) + _EPS * level
@@ -195,13 +194,13 @@ def _mixture_quantile(values: np.ndarray, sigma: float, p: np.ndarray) -> np.nda
         if going.all():
             z = z_next
             continue
-        out[todo[~going]] = z[~going]
-        todo, srow, level, q, tail = todo[going], srow[going], level[going], q[going], tail[going]
-        has_tail = has_tail and tail.any()
+        p[todo[~going]] = z[~going]
+        todo, srow, level = todo[going], srow[going], level[going]
+        has_tail = has_tail and (level < _TAIL).any()
         lo, hi, z = lo[going], hi[going], z_next[going]
     if source is not None:
-        out[at] = out[source]
-    return np.where(upper, -out, out).reshape(shape)
+        p[at] = p[source]
+    return np.where(upper, -p, p).reshape(shape)
 
 
 def _transport(src_values, src_sigma, tgt_values, tgt_sigma, z):

@@ -14,8 +14,10 @@ returned point (t~, mu~) carries an exhaustively verified certificate:
   (2) G(t_0, mu_0) <= G(t~, mu~) - delta^2 phi_delta(t~, mu~),
   (3) G - delta^2 phi_delta attains a strict maximum at (t~, mu~).
 
-The anchor list is padded with repeats of the final point so the geometric
-series closes; phi_delta truncates at k_max with recorded tail bound.
+The anchor list is padded with repeats of the final point to k_max + 1
+anchors, and phi_delta is that finite sum; no tail bound is recorded.  The
+dropped tail, 2^{-k_max} rho(., (t~, mu~)), is 0 at (t~, mu~) and >= 0
+elsewhere, so items (2) and (3) hold for the untruncated series too.
 """
 
 from __future__ import annotations

@@ -52,8 +52,10 @@ class TableSolves:
         """For the blocks of one table request: each distinct cloud object's
         projected rows solved exactly once; each block's rows padded with +inf
         only after their finite values and only up to the block's widest cloud;
-        blocks in particle-count order; and each block but the last full: one
-        more cloud of the next block would push it past the "gauge" cap."""
+        blocks in particle-count order; and the scalar chunk rule, every cloud
+        charged at the request's widest, max(n, entry_state): each block
+        within the "gauge" cap unless it holds one cloud, and each block but
+        the last full, one more cloud would push it past the cap."""
         distinct = {id(c): c for c in clouds}.values()
         finite = []
         for block in self.blocks:
@@ -64,10 +66,12 @@ class TableSolves:
         got = sorted(row.tobytes() for rows in finite for row in rows)
         want = sorted(row.tobytes() for c in distinct for row in (c.points @ quad.nodes.T).T)
         assert got == want
-        for block, nxt, m_points in zip(self.blocks, finite[1:], self.levels):
+        width = max(self.blocks[-1].shape[1], CAPS["entry_state"]) * self.levels[-1]
+        for block in self.blocks:
+            assert block.shape[0] == quad.count or block.shape[0] * width <= CAPS["gauge"]
+        for block, nxt in zip(self.blocks, finite[1:]):
             assert block.shape[1] <= len(nxt[0])
-            width = max(len(nxt[0]), CAPS["entry_state"])
-            assert (block.shape[0] + quad.count) * m_points * width > CAPS["gauge"]
+            assert (block.shape[0] + quad.count) * width > CAPS["gauge"]
 
 
 @pytest.fixture

@@ -39,6 +39,11 @@ def test_metric_subcommand_schema(tmp_path):
     assert (out / "meta.json").exists()
 
 
+def test_simulate_lq_drift_in_three_dimensions_by_default_p(tmp_path):
+    code, _, res = run_cli(tmp_path, "simulate", {"n": 8, "steps": 5, "params": {"d": 3}}, seed=2)
+    assert code == 0 and res["pass"] is True
+
+
 def test_identical_ensembles_report_zero(tmp_path):
     code, _, res = run_cli(tmp_path, "metric", {"n": 8, "quad": 32, "shift": [0.0, 0.0]}, seed=1)
     assert code == 0

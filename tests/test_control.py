@@ -50,6 +50,7 @@ def test_step_control_lookup():
     np.testing.assert_array_equal(pol.actions_at(0.2, x), np.ones((3, 1)))
     np.testing.assert_array_equal(pol.actions_at(0.5, x), -np.ones((3, 1)))
     np.testing.assert_array_equal(pol.actions_at(0.9, x), -np.ones((3, 1)))
+    np.testing.assert_array_equal(pol.actions_at(-1.0, np.zeros(1)), np.ones((1, 1)))  # one point, before the start
     # one read-only answer per fixed piece and batch shape
     assert pol.actions_at(0.1, x) is pol.actions_at(0.2, x)
     assert not pol.actions_at(0.1, x).flags.writeable

@@ -56,6 +56,15 @@ def test_lq_bound_on_many_probes_inside_half_radius():
     assert np.linalg.norm(lq.drift(0.2, x, x[:16], a), axis=1).max() <= lq.K
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lq_default_p_is_ones_in_any_dimension(d):
+    lq = scenario("lq_drift", {"d": d})
+    assert lq.params["p"] == [1.0] * d
+    ones = scenario("lq_drift", {"d": d, "p": [1.0] * d})
+    x = np.random.default_rng(5).standard_normal((6, d))
+    np.testing.assert_array_equal(lq.terminal_cost(x, x), ones.terminal_cost(x, x))
+
+
 def test_lq_g_globally_bounded():
     lq = scenario("lq_drift", {"d": 2, "p": [2.0, 1.0], "radius": 4.0})
     rng = np.random.default_rng(2)
@@ -148,3 +157,49 @@ def test_batch_rows_match_rows_alone(name, params):
                         # a (d, d) diffusion is shared by every row
                         row = np.broadcast_to(got, lead + np.shape(want))[i]
                         np.testing.assert_array_equal(row, want)
+
+
+def _validate_per_probe(coeffs, horizon=1.0, n_probes=200, seed=0):
+    """CoefficientSet.validate's bounds, one probe at a time: the reference
+    for the batched pass, which draws the probes in this order."""
+    rng = np.random.default_rng(seed)
+    sup = {"b": 0.0, "sigma": 0.0, "sigma0": 0.0, "f": 0.0, "g": 0.0}
+    lip = 0.0
+    acts = coeffs.action_space.vertices()
+    for _ in range(n_probes):
+        t = float(rng.uniform(0, horizon))
+        x = rng.standard_normal((4, coeffs.d)) * rng.uniform(0.5, 3.0)
+        cloud = rng.standard_normal((5, coeffs.d))
+        a = acts[rng.integers(len(acts))]
+        av = np.broadcast_to(a, (4, a.shape[0]))
+        b1 = coeffs.drift(t, x, cloud, av)
+        sup["b"] = max(sup["b"], float(np.linalg.norm(b1, axis=1).max()))
+        sup["sigma"] = max(sup["sigma"], float(np.abs(coeffs.diffusion(t, x, av)).max() * coeffs.d))
+        sup["sigma0"] = max(sup["sigma0"], float(np.linalg.norm(coeffs.common_diffusion(t))))
+        sup["f"] = max(sup["f"], float(np.abs(coeffs.running_cost(t, x, cloud, av)).max()))
+        sup["g"] = max(sup["g"], float(np.abs(coeffs.terminal_cost(x, cloud)).max()))
+        dx = rng.standard_normal(coeffs.d) * 0.1
+        shift = rng.standard_normal(coeffs.d) * 0.1
+        b2 = coeffs.drift(t, x + dx, cloud + shift, av)
+        denom = np.linalg.norm(dx) + np.linalg.norm(shift)
+        lip = max(lip, float(np.linalg.norm(b2 - b1, axis=1).max() / denom))
+    return {"sup": sup, "lipschitz": lip}
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("lq_drift", {"d": 1}),
+        ("lq_drift", {"d": 2}),
+        ("lq_drift", {"d": 3}),
+        ("mean_reversion_mf", {"d": 1}),
+        ("mean_reversion_mf", {"d": 2}),
+        ("bounded_trig", {"d": 1}),
+        ("bounded_trig", {"d": 2}),
+        ("zero", {}),
+    ],
+)
+def test_validate_batch_matches_per_probe(name, params):
+    coeffs = scenario(name, params, validate=False)
+    for seed in (0, 1, 2):
+        assert coeffs.validate(seed=seed) == _validate_per_probe(coeffs, seed=seed)
