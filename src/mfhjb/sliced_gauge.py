@@ -70,12 +70,13 @@ GAUGE_SQUARE_FACTOR = 0.5
 
 @dataclass(frozen=True)
 class SphereQuadrature:
-    """Nodes and weights for averaging over directions on S^{d-1}.
-
-    Weights sum to one.  For d = 1 the rule {+1, -1} with weights 1/2 is
-    exact; for d = 2 equispaced angles integrate theta theta^T exactly once
-    at least 3 nodes are used; for d >= 3 seeded quasi-random directions give
-    Monte Carlo accuracy ~ 4/sqrt(#nodes).
+    """Nodes and weights, summing to one, for averaging over directions on
+    S^{d-1}.  Every sliced quantity is even in theta, so the d <= 2
+    constructors return lines: in d = 1 the node [1] with weight 1, and for an
+    even count of d = 2 directions (the CLI's quad key) count/2 nodes at angles
+    2 pi k/count with weights 2/count; both integrate theta theta^T exactly.
+    Odd counts, user-supplied rules and d >= 3 (seeded quasi-random
+    directions, accuracy ~ 4/sqrt(#nodes)) are not folded.
     """
 
     nodes: np.ndarray  # (m, d)
@@ -112,15 +113,16 @@ class SphereQuadrature:
 
     @staticmethod
     def two_point_1d() -> "SphereQuadrature":
-        return SphereQuadrature(np.array([[1.0], [-1.0]]), np.array([0.5, 0.5]))
+        return SphereQuadrature(np.ones((1, 1)), np.ones(1))
 
     @staticmethod
     def equispaced_circle(count: int = 128) -> "SphereQuadrature":
         if count < 3:
             raise ValueError("need at least 3 angles for exact second moments")
-        ang = 2.0 * np.pi * np.arange(count) / count
+        lines = count // 2 if count % 2 == 0 else count
+        ang = 2.0 * np.pi * np.arange(lines) / count
         nodes = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        return SphereQuadrature(nodes, np.full(count, 1.0 / count))
+        return SphereQuadrature(nodes, np.full(lines, 1.0 / lines))
 
     @staticmethod
     def quasi_uniform_sphere(d: int, count: int = 1024, seed: int = 0) -> "SphereQuadrature":
@@ -486,9 +488,7 @@ def phi_delta_derivative_bounds(
         lam = _implied_lambda(anchors, quad, m_points)
     der = phi_delta_derivatives(anchors, t, mu, quad, noise_nodes)
     delta = anchors.delta
-    t0, mu0 = anchors.anchors[0]
-    m2_mu = mu.second_moment()
-    m2_mu0 = mu0.second_moment()
+    m2_mu, m2_mu0 = mu.second_moment(), anchors.anchors[0][1].second_moment()
 
     dt_abs = abs(der["dt"])
     dmu_l2 = float(np.mean(np.sum(der["dmu"] ** 2, axis=1)))

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mfhjb import sliced_gauge
 from mfhjb.budget import CAPS, chunks
 from mfhjb.control import SearchSpec, value_estimate
 from mfhjb.dynamics import SimConfig
@@ -22,6 +23,7 @@ from mfhjb.sliced_gauge import (
     rho_matrix,
 )
 
+# 32 and 64 directions, folded to 16 and 32 lines
 QUAD32 = SphereQuadrature.equispaced_circle(32)
 QUAD64 = SphereQuadrature.equispaced_circle(64)
 
@@ -53,31 +55,47 @@ def budget(cap: str, row: int, factor: float) -> float:
     return max(CAPS[cap], row) * 8 * factor
 
 
+def fewest_chunks(fn) -> int:
+    """The fewest slices any of sliced_gauge's budget.chunks calls cut in one
+    fn() run, so that a peak test cannot silently become a one-block test."""
+    counts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sliced_gauge, "chunks", lambda *args: counts.append(len(cut := chunks(*args))) or cut)
+        fn()
+    return min(counts)
+
+
 def test_quantile_tables_peak():
-    # 24 clouds of 8 particles are 3 chunks; as one block they would need 110 MB
+    # 24 clouds of 8 particles; as one block they would need 55 MB
     rng = np.random.default_rng(1)
     clouds = tuple(ParticleEnsemble(rng.standard_normal((8, 2))) for _ in range(24))
-    peak = traced_peak(lambda: _quantile_tables(clouds, 0.5, QUAD64, 256))
+    run = lambda: _quantile_tables(clouds, 0.5, QUAD64, 256)
+    assert fewest_chunks(run) >= 2
+    peak = traced_peak(run)
     assert peak <= budget("gauge", QUAD64.count * 256 * 8, 6)
 
 
 def test_rho_matrix_peak():
-    # the (100, 100, 64, 48) differences alone would take 250 MB
+    # the (100, 100, 32, 48) differences alone would take 123 MB
     rng = np.random.default_rng(2)
     clouds = [ParticleEnsemble(rng.standard_normal((int(rng.integers(2, 6)), 2))) for _ in range(200)]
     times = rng.uniform(0.0, 1.0, 200)
-    peak = traced_peak(lambda: rho_matrix(times[:100], clouds[:100], times[100:], clouds[100:], 2.0, QUAD64, 48))
+    run = lambda: rho_matrix(times[:100], clouds[:100], times[100:], clouds[100:], 2.0, QUAD64, 48)
+    assert fewest_chunks(run) >= 2
+    peak = traced_peak(run)
     assert peak <= budget("gauge", 100 * QUAD64.count * 48, 6)
 
 
 @pytest.mark.parametrize("op", [dmu_gauge, dxdmu_gauge])
 def test_gauge_derivatives_peak(op):
-    # 24 points x 32 directions x 256 nodes x 14 particles: 22 MB per temporary at once
+    # 24 points x 16 lines x 256 nodes x 14 particles: 11 MB per temporary at once
     rng = np.random.default_rng(3)
     mu = ParticleEnsemble(rng.standard_normal((14, 2)))
     nu = ParticleEnsemble(rng.standard_normal((14, 2)) + 0.3)
     xs = rng.standard_normal((24, 2))
-    peak = traced_peak(lambda: op(mu, nu, 0.5, QUAD32, xs))
+    run = lambda: op(mu, nu, 0.5, QUAD32, xs)
+    assert fewest_chunks(run) >= 2
+    peak = traced_peak(run)
     assert peak <= budget("gauge", QUAD32.count * 256 * 14, 4)
 
 
@@ -88,7 +106,9 @@ def test_phi_delta_derivatives_peak():
         ((0.1, ParticleEnsemble(rng.standard_normal((14, 2)))), (0.4, ParticleEnsemble(rng.standard_normal((10, 2))))),
         0.5,
     )
-    peak = traced_peak(lambda: phi_delta_derivatives(anchors, 0.3, mu, QUAD32))
+    run = lambda: phi_delta_derivatives(anchors, 0.3, mu, QUAD32)
+    assert fewest_chunks(run) >= 2
+    peak = traced_peak(run)
     assert peak <= budget("gauge", QUAD32.count * 256 * 24, 4)
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mfhjb import sliced_gauge
 from mfhjb.measures import ParticleEnsemble, translate
+from mfhjb.quadrature import quasi_normal
 from mfhjb.budget import CAPS
 from mfhjb.sliced_gauge import (
     C_D_CALIBRATED,
@@ -61,6 +62,64 @@ def test_quadrature_rejects_bad_input():
         SphereQuadrature(np.array([[1.0, 0.0]]), np.array([0.5]))
     with pytest.raises(ValueError):
         SphereQuadrature.equispaced_circle(2)
+
+
+def unfolded_circle(count):
+    """count equispaced directions, theta and -theta both kept, as a user rule."""
+    ang = 2.0 * np.pi * np.arange(count) / count
+    return SphereQuadrature(np.stack([np.cos(ang), np.sin(ang)], axis=1), np.full(count, 1.0 / count))
+
+
+UNFOLDED1 = SphereQuadrature(np.array([[1.0], [-1.0]]), np.array([0.5, 0.5]))
+
+
+def test_even_rules_fold_to_lines():
+    assert QUAD1.nodes.tolist() == [[1.0]] and QUAD1.weights.tolist() == [1.0]
+    for count in (4, 6, 16, 64, 128):
+        quad = SphereQuadrature.equispaced_circle(count)
+        ang = 2.0 * np.pi * np.arange(count // 2) / count
+        np.testing.assert_array_equal(quad.nodes, np.stack([np.cos(ang), np.sin(ang)], axis=1))
+        np.testing.assert_array_equal(quad.weights, np.full(count // 2, 2.0 / count))
+        np.testing.assert_allclose(quad.second_moment_matrix(), np.eye(2) / 2, rtol=0, atol=1e-15)
+    # odd counts and d >= 3 are left as they were, bit for bit
+    for count in (3, 5, 33, 127):
+        quad, want = SphereQuadrature.equispaced_circle(count), unfolded_circle(count)
+        assert quad.nodes.tobytes() == want.nodes.tobytes() and quad.weights.tobytes() == want.weights.tobytes()
+    z = quasi_normal(64, 3, 1)
+    q3 = SphereQuadrature.quasi_uniform_sphere(3, 64, seed=1)
+    assert q3.nodes.tobytes() == (z / np.linalg.norm(z, axis=1, keepdims=True)).tobytes()
+    assert q3.weights.tobytes() == np.full(64, 1.0 / 64).tobytes()
+    # a user's +-theta rule is never folded
+    assert UNFOLDED1.count == 2 and unfolded_circle(64).count == 64
+
+
+def test_folded_rules_match_unfolded():
+    # every sliced quantity is even in theta, so dropping -theta and doubling
+    # theta's weight changes values only at rounding level
+    def rel(a, b, floor=0.0):
+        return np.max(np.abs(np.asarray(a) - b)) / max(np.max(np.abs(b)), floor)
+
+    def quantities(mu, nu, quad):
+        return (
+            sw2(mu, nu, 0.5, quad),
+            gauge_g(mu, nu, 0.5, quad),
+            rho_matrix([0.1, 0.6], (mu, nu), [0.3], (nu,), 0.5, quad),
+            dmu_gauge(mu, nu, 0.5, quad, mu.points),
+            dxdmu_gauge(mu, nu, 0.5, quad, mu.points),
+        )
+
+    worst = 0.0
+    for d, folded, unfolded in ((1, QUAD1, UNFOLDED1), (2, SphereQuadrature.equispaced_circle(32), unfolded_circle(32))):
+        assert folded.count * 2 == unfolded.count
+        for seed in range(10):
+            n, m = (1, 1) if seed == 0 else (1, 4) if seed == 1 else (3 + seed % 4, 2 + seed % 5)
+            mu, nu = random_pair(seed, n, m, d)
+            got, want = quantities(mu, nu, folded), quantities(mu, nu, unfolded)
+            worst = max(worst, *(rel(a, b) for a, b in zip(got[:4], want[:4])))
+            # between one-particle clouds T is a shift and dxdmu is 0 up to
+            # rounding, so it is measured against its terms' scale, H = I/d
+            worst = max(worst, rel(got[4], want[4], 1.0 / d))
+    assert worst <= 1e-13
 
 
 # ---------------------------------------------------------------------------
