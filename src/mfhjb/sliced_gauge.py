@@ -41,7 +41,9 @@ from mfhjb.budget import CAPS, chunks
 from mfhjb.measures import ParticleEnsemble, translate
 from mfhjb.quadrature import gauss_hermite_normal, quasi_normal
 # _mixture_cdf stays importable here: the benchmark's traced probes wrap it by name
-from mfhjb.transport1d import _mixture_cdf, _mixture_pdf, _mixture_quantile, _transport, w2_discrete  # noqa: F401
+from mfhjb.transport1d import (  # noqa: F401
+    _SEED_GRID, _mixture_cdf, _mixture_pdf, _mixture_quantile, _transport, w2_discrete,
+)
 
 __all__ = [
     "GAUGE_SQUARE_FACTOR",
@@ -166,12 +168,12 @@ def _quantile_tables(clouds, sigma: float, quad: SphereQuadrature, m_points: int
     directions, m_points), one per distinct cloud object.  The distinct clouds,
     sorted by particle count, are the +inf-padded rows of one _stratified_quantiles
     solve per "gauge" chunk, each cloud charged at the widest one: directions x
-    levels x max(n, entry_state).  An entry's solve reads only its own row, and
-    its atom sums do not see trailing +inf atoms, so neither padding nor chunks
-    change a bit."""
+    (levels + the solve's seed grid points per row) x max(n, entry_state).  An
+    entry's solve reads only its own row, and its atom sums do not see trailing
+    +inf atoms, so neither padding nor chunks change a bit."""
     _check_dims(quad, *clouds)
     distinct = sorted({id(ens): ens for ens in clouds}.values(), key=lambda ens: ens.n)
-    width = quad.count * m_points * max(distinct[-1].n, CAPS["entry_state"])
+    width = quad.count * (m_points + _SEED_GRID) * max(distinct[-1].n, CAPS["entry_state"])
     tables = np.concatenate([_stratified_quantiles(_padded_rows(distinct[sl], quad), sigma, m_points)
                              for sl in chunks(len(distinct), width, "gauge")])
     solved = dict(zip(map(id, distinct), tables.reshape(len(distinct), quad.count, m_points)))
@@ -288,10 +290,10 @@ def _gauge_derivatives(mu, nu, sigma, quad, x, noise_nodes, mixed=True):
     width = quad.count * noise_nodes * max(mu.n, nu.n, CAPS["entry_state"])
     for sl in chunks(g.shape[1], width, "gauge"):
         args = g[:, sl, None] + sigma * z_nodes  # (A, chunk, K)
-        t = _transport(vm, sigma, vn, sigma, args)
+        t, dens = _transport(vm, sigma, vn, sigma, args, mixed)  # dens: mu's density, if mixed
         mean_t[:, sl] = (t * z_w).sum(axis=-1)
         if mixed:
-            slope = _mixture_pdf(vm, sigma, args) / _mixture_pdf(vn, sigma, t)
+            slope = dens / _mixture_pdf(vn, sigma, t)
             mean_slope[:, sl] = (slope * z_w).sum(axis=-1)
     resid = quad.weights[:, None] * (g - mean_t)  # (A, k)
     dmu = (resid.T[:, None, :] * quad.nodes.T).sum(axis=-1)  # (k, d)

@@ -16,11 +16,14 @@ the monotone coupling is a uniform-weight midpoint rule in probability space:
 Quantiles come from one safeguarded Newton solve, against the CDF below the
 median and against the survival function 1 - F above it, with steps taken
 in the Gaussian-quantile frame Phi^{-1}(F) deep in either tail (see
-``_mixture_quantile`` for its residual contract).  Probability levels are
-clamped to [P_MIN, 1 - P_MIN] before the solve: the inverse map grows like
-exp(z^2 / (4 sigma^2)) in the tails, and the clamp keeps quantile
-evaluations bounded at an error far below quadrature noise.  The public
-``SmoothedProjection.cdf`` returns values clamped the same way.
+``_mixture_quantile`` for its residual contract).  Each entry starts inside
+one cell of a fixed 17-point grid on which its row's F and F' were evaluated
+once, from the cubic Hermite interpolant of z against Phi^{-1}(F) there, and
+each Newton pass evaluates F and F' from one (z - v) / sigma buffer.
+Probability levels are clamped to [P_MIN, 1 - P_MIN] before the solve: the
+inverse map grows like exp(z^2 / (4 sigma^2)) in the tails, and the clamp
+keeps quantile evaluations bounded at an error far below quadrature noise.
+The public ``SmoothedProjection.cdf`` returns values clamped the same way.
 
 The private evaluators treat a +inf value as an absent atom (it adds exactly
 0 to F and to its density and is not counted), and sum over atoms in a fixed
@@ -51,7 +54,7 @@ P_MIN = 1e-14
 def _aligned_arg(values: np.ndarray, sigma: float, z: np.ndarray) -> np.ndarray:
     # values (n,) pairs with z of any shape; values (A, n) pairs row-wise with
     # z of shape (A, ...), evaluating row a against values[a].  The result is
-    # one (n,) + z.shape buffer, atoms leading, that _atom_mean sums in place.
+    # one (n,) + z.shape buffer, atoms leading, that _atom_sum sums in place.
     v = values.T.reshape(values.shape[::-1] + (1,) * (z.ndim - values.ndim + 1))
     arg = np.subtract(z, v, out=np.empty(v.shape[:1] + z.shape))
     arg /= sigma
@@ -76,32 +79,95 @@ def _atom_sum(terms: np.ndarray) -> np.ndarray:
     return runs[0]
 
 
-def _atom_mean(terms: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """_atom_sum of the (n,) + z.shape terms over the finite atoms of values:
-    a +inf atom (padding after a row's finite ones) adds a zero term and is
-    not counted."""
-    total = _atom_sum(terms)
+def _finite_count(values: np.ndarray, ndim: int):
+    """Each row's count of finite values, shaped to divide a sum over atoms of
+    ndim dimensions, or n itself when no row ends in a +inf pad."""
     if not np.isinf(values[..., -1]).any():
-        return total / values.shape[-1]
+        return values.shape[-1]
     count = np.isfinite(values).sum(axis=-1)
-    return total / count.reshape(count.shape + (1,) * (total.ndim - count.ndim))
+    return count.reshape(count.shape + (1,) * (ndim - count.ndim))
 
 
-def _mixture_cdf(values: np.ndarray, sigma: float, z: np.ndarray) -> np.ndarray:
-    """Raw (unclamped) CDF of the Gaussian-smoothed point cloud, vectorized over z."""
+def _mixture_cdf(values: np.ndarray, sigma: float, z: np.ndarray, density: bool = False, count=None):
+    """Raw (unclamped) CDF of the Gaussian-smoothed point cloud, vectorized over z.
+
+    With density=True, returns (F, F') from one (z - v) / sigma buffer.  A +inf
+    value is an absent atom: it adds a zero term and is not counted.  count,
+    the finite atoms per row shaped to divide a result (``_finite_count``), may
+    be passed by a caller that evaluates the same rows again."""
     arg = _aligned_arg(values, sigma, z)
-    return _atom_mean(ndtr(arg, out=arg), values)
+    if count is None:
+        count = _finite_count(values, arg.ndim - 1)
+    if not density:
+        return _atom_sum(ndtr(arg, out=arg)) / count
+    return _atom_sum(ndtr(arg)) / count, _density(arg, count, sigma)
 
 
 def _mixture_pdf(values: np.ndarray, sigma: float, z: np.ndarray) -> np.ndarray:
     arg = _aligned_arg(values, sigma, z)
+    return _density(arg, _finite_count(values, arg.ndim - 1), sigma)
+
+
+def _density(arg: np.ndarray, count, sigma: float) -> np.ndarray:
+    """The mixture density from an _aligned_arg buffer, which it overwrites."""
     arg *= arg
     arg *= -0.5
-    return _atom_mean(np.exp(arg, out=arg), values) / (sigma * np.sqrt(2.0 * np.pi))
+    return _atom_sum(np.exp(arg, out=arg)) / count / (sigma * np.sqrt(2.0 * np.pi))
 
 
 _EPS = np.finfo(float).eps
 _TAIL = 1e-3  # levels below this take Gaussian-frame steps while |F - p| > _TAIL p
+_SEED_CELLS = 16  # grid cells per signed row, a power of two for the bisection: K = 17 points
+_SEED_GRID = 2 * (_SEED_CELLS + 1)  # grid points per row of values, both signs
+_SEED_T = np.arange(_SEED_CELLS + 1) / _SEED_CELLS
+_Q_MIN = ndtri(1.0 - (1.0 - P_MIN))  # the mirrored upper clamp, just below P_MIN
+
+
+def _seed(signed, count, lows, highs, sigma, srow, level):
+    """Bracket (lo, hi) and seed z of each entry from its signed row's F and
+    F' on a fixed grid.
+
+    Each row's grid holds K points evenly over [min v + sigma Phi^{-1}(P'),
+    max v], P' = 1 - (1 - P_MIN) the smallest level a solve meets: every
+    term of F is <= P' at the first point and >= 1/2 at the last, so the
+    grid brackets every level in [P', 1/2].  A bisection finds the cell
+    whose computed F lies below p' at its left end (the first point needs
+    no test) and at or above p' at its right end; the seed is the cubic
+    Hermite interpolant of z against w = Phi^{-1}(F) on that cell, with
+    dz/dw = phi(w) / F', at w = Phi^{-1}(p'), clipped to the cell, or the
+    cell's midpoint where F is flat or F' underflows."""
+    bottom = lows + sigma * _Q_MIN
+    grid = bottom[:, None] + (highs - bottom)[:, None] * _SEED_T
+    grid[:, -1] = highs
+    cdf, dens = _mixture_cdf(signed.T, sigma, grid, density=True, count=count)
+    at = srow * (_SEED_CELLS + 1)  # each entry's first grid point, then its cell's left end
+    step = _SEED_CELLS // 2
+    while step:
+        np.add(at, step, out=at, where=cdf.ravel().take(at + step) < level)
+        step //= 2
+    lo, hi = grid.ravel().take(at), grid.ravel().take(at + 1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = ndtri(cdf)
+        slope = np.exp(-0.5 * w * w) / (np.sqrt(2.0 * np.pi) * dens)  # dz/dw
+        width = w[:, 1:] - w[:, :-1]
+        secant = (grid[:, 1:] - grid[:, :-1]) / width
+        m0, m1 = slope[:, :-1], slope[:, 1:]
+        c2 = (3.0 * secant - 2.0 * m0 - m1) / width
+        c3 = (m0 + m1 - 2.0 * secant) / (width * width)
+        # per cell, in s = Phi^{-1}(p') - w_left: z = ((c3 s + c2) s + m0) s + z_left
+        coef = np.stack((w[:, :-1], c3, c2, m0, grid[:, :-1]))
+        flat = ~(np.isfinite(c2) & np.isfinite(c3))  # F flat or F' underflowed: the midpoint
+        coef[:4, flat] = 0.0
+        coef[4, flat] = 0.5 * (grid[:, :-1] + grid[:, 1:])[flat]
+        c = coef.reshape(5, -1).take(at - srow, axis=1)  # cell r * cells + a of grid point r * K + a
+        s = ndtri(level) - c[0]
+        z = c[1] * s
+        z += c[2]
+        z *= s
+        z += c[3]
+        z *= s
+        z += c[4]
+    return lo, hi, np.fmin(np.fmax(z, lo), hi)
 
 
 def _mixture_quantile(values: np.ndarray, sigma: float, p: np.ndarray) -> np.ndarray:
@@ -110,22 +176,24 @@ def _mixture_quantile(values: np.ndarray, sigma: float, p: np.ndarray) -> np.nda
     p is first clamped to [P_MIN, 1 - P_MIN].  An entry with p > 1/2 solves
     the mirrored problem, values -v at level 1 - p (exact for p >= 1/2), and
     returns the negated root: the upper tail is solved against the survival
-    function 1 - F, so every solve runs at a level p' <= 1/2.  With
-    q = Phi^{-1}(p'), every term Phi((z - v_i) / sigma) is <= p' at
-    z = min v + sigma q and >= p' at z = max v + sigma q, so that pair
-    brackets the root.  Each entry starts from the moment-matched seed
-    mean v + sqrt(var v + sigma^2) q, clipped into its bracket.  Every CDF
-    evaluation moves one bracket end to z.  While p' < 1e-3 and
-    |F(z) - p'| > 1e-3 p', the step is Newton's on Phi^{-1}(F(z)) - q,
+    function 1 - F, so every solve runs at a level p' <= 1/2.  F and F' of
+    each signed row (v or -v) are evaluated in one pass on a grid of 17
+    points evenly over [min v + sigma Phi^{-1}(P'), max v], with
+    P' = 1 - (1 - P_MIN) <= p', which brackets every level p': an entry's
+    bracket is the grid cell where the computed F crosses p', and its seed
+    the cubic Hermite interpolant of z against Phi^{-1}(F) on that cell (see
+    ``_seed``).  Each Newton pass is one evaluation of F and F' together
+    and moves one bracket end to z.  With q = Phi^{-1}(p'), while p' < 1e-3
+    and |F(z) - p'| > 1e-3 p', the step is Newton's on Phi^{-1}(F(z)) - q,
     which is linear in z for one point, so deep-tail entries do not crawl
-    at sigma / |q| per step; otherwise it is Newton's on F(z) - p'.  A step
-    that does not land strictly inside the bracket is replaced by its
-    midpoint.  Only entries still running are evaluated, and entries of
-    one row at the same clamp level are solved once.
+    at sigma / |q| per step; otherwise it is Newton's on F(z) - p'.  A step that does not land strictly inside the
+    bracket is replaced by its midpoint.  Only entries still running are
+    evaluated, and entries of one row at the same clamp level are solved
+    once.  The seed reads only the entry's row, sigma and level.
 
-    A row may end in +inf values, absent atoms: F, F', the bracket ends and
-    the seed's moments see only the row's finite values, and the entry
-    gets the bits it would get from those values alone.
+    A row may end in +inf values, absent atoms: F, F', the grid and the
+    bracket see only the row's finite values, and the entry gets the bits it
+    would get from those values alone.
 
     Contract: an entry stops at the first z with
 
@@ -144,17 +212,14 @@ def _mixture_quantile(values: np.ndarray, sigma: float, p: np.ndarray) -> np.nda
     table = np.atleast_2d(values)  # one row for (n,) values, else row a pairs with p[a]
     rows = table.shape[0]
     upper = p > 0.5
-    # moments of the finite atoms only: +inf pads enter as 0 and are not counted
+    # bracket ends of the finite atoms only; +inf pads are not counted
     present = np.isfinite(table)
     low, high = table.min(axis=-1), np.where(present, table, -np.inf).max(axis=-1)
-    mean = _atom_mean(np.where(present, table, 0.0).T, table)
-    dev = np.where(present, table - mean[:, None], 0.0)
-    spread = np.sqrt(_atom_mean((dev * dev).T, table) + sigma**2)
     # column rows + a holds -v of row a, pads kept at +inf; srow is the column an
     # entry solves against, gathered atoms-leading for the CDF passes
     signed = np.concatenate((table, np.where(present, -table, table))).T.copy()
+    count = _finite_count(signed.T, 2)  # n, or each signed row's count of finite values
     lows, highs = np.concatenate((low, -high)), np.concatenate((high, -low))
-    means = np.concatenate((mean, -mean))
     srow = np.arange(p.size) // (p.size // rows) + rows * upper
     level = np.where(upper, 1.0 - p, p)
     copied = (p == P_MIN) | (p == 1.0 - P_MIN)
@@ -167,17 +232,15 @@ def _mixture_quantile(values: np.ndarray, sigma: float, p: np.ndarray) -> np.nda
         copied[source] = False
     todo = np.flatnonzero(~copied)
     srow, level = srow[todo], level[todo]
-    q = ndtri(level)
     has_tail = (level < _TAIL).any()
-    lo = lows[srow] + sigma * q
-    hi = highs[srow] + sigma * q
-    z = np.clip(means[srow] + spread[srow % rows] * q, lo, hi)
-    del q  # seeds only: the tail step recomputes Phi^{-1}(p') where it reads it
+    lo, hi, z = _seed(signed, count, lows, highs, sigma, srow, level)
+    v = None
     while todo.size:  # a finished entry's root overwrites its clipped level in p
-        v = np.take(signed, srow, axis=1).T
-        cdf = _mixture_cdf(v, sigma, z)
+        if v is None:  # the running entries' atoms and counts, gathered when the set shrinks
+            v = np.take(signed, srow, axis=1).T
+            finite = count if np.ndim(count) == 0 else count[srow, 0]
+        cdf, dens = _mixture_cdf(v, sigma, z, density=True, count=finite)
         f = cdf - level
-        dens = _mixture_pdf(v, sigma, z)
         lo = np.where(f < 0.0, z, lo)
         hi = np.where(f > 0.0, z, hi)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -198,15 +261,21 @@ def _mixture_quantile(values: np.ndarray, sigma: float, p: np.ndarray) -> np.nda
         todo, srow, level = todo[going], srow[going], level[going]
         has_tail = has_tail and (level < _TAIL).any()
         lo, hi, z = lo[going], hi[going], z_next[going]
+        v = None
     if source is not None:
         p[at] = p[source]
     return np.where(upper, -p, p).reshape(shape)
 
 
-def _transport(src_values, src_sigma, tgt_values, tgt_sigma, z):
+def _transport(src_values, src_sigma, tgt_values, tgt_sigma, z, density=False):
     """Monotone map F_tgt^{-1}(F_src(z)); value arrays pair with z as in
-    ``_mixture_cdf``, and the quantile solve clamps the CDF values."""
-    return _mixture_quantile(tgt_values, tgt_sigma, _mixture_cdf(src_values, src_sigma, z))
+    ``_mixture_cdf``, and the quantile solve clamps the CDF values.  With
+    density=True, returns (T(z), F_src'(z)), both from one source pass, and
+    else (T(z), None)."""
+    if not density:
+        return _mixture_quantile(tgt_values, tgt_sigma, _mixture_cdf(src_values, src_sigma, z)), None
+    cdf, dens = _mixture_cdf(src_values, src_sigma, z, density=True)
+    return _mixture_quantile(tgt_values, tgt_sigma, cdf), dens
 
 
 @dataclass(frozen=True)
@@ -258,7 +327,7 @@ class TransportMap1D:
         if not np.isfinite(z).all():
             raise ValueError("transport argument must be finite")
         src, tgt = self.source, self.target
-        return _transport(src.values, src.sigma, tgt.values, tgt.sigma, z)
+        return _transport(src.values, src.sigma, tgt.values, tgt.sigma, z)[0]
 
 
 def w2_smoothed(src: SmoothedProjection, tgt: SmoothedProjection, quad_points: int = 512) -> float:

@@ -53,9 +53,10 @@ class TableSolves:
         projected rows solved exactly once; each block's rows padded with +inf
         only after their finite values and only up to the block's widest cloud;
         blocks in particle-count order; and the scalar chunk rule, every cloud
-        charged at the request's widest, max(n, entry_state): each block
-        within the "gauge" cap unless it holds one cloud, and each block but
-        the last full, one more cloud would push it past the cap."""
+        charged at the request's widest, max(n, entry_state), for its levels
+        and the solve's seed grid points: each block within the "gauge" cap
+        unless it holds one cloud, and each block but the last full, one more
+        cloud would push it past the cap."""
         distinct = {id(c): c for c in clouds}.values()
         finite = []
         for block in self.blocks:
@@ -66,7 +67,7 @@ class TableSolves:
         got = sorted(row.tobytes() for rows in finite for row in rows)
         want = sorted(row.tobytes() for c in distinct for row in (c.points @ quad.nodes.T).T)
         assert got == want
-        width = max(self.blocks[-1].shape[1], CAPS["entry_state"]) * self.levels[-1]
+        width = max(self.blocks[-1].shape[1], CAPS["entry_state"]) * (self.levels[-1] + transport1d._SEED_GRID)
         for block in self.blocks:
             assert block.shape[0] == quad.count or block.shape[0] * width <= CAPS["gauge"]
         for block, nxt in zip(self.blocks, finite[1:]):
@@ -80,16 +81,17 @@ def table_solves(monkeypatch):
 
 
 class CdfPasses:
-    """Passes of transport1d._mixture_cdf and the atoms (points x particles) they evaluate."""
+    """Passes of transport1d._mixture_cdf and the atoms (points x particles) they
+    evaluate; a pass that also returns the density counts once."""
 
     def __init__(self, monkeypatch):
         self.passes = self.atoms = 0
         cdf = transport1d._mixture_cdf
 
-        def counted(values, sigma, z):
+        def counted(values, sigma, z, **kwargs):
             self.passes += 1
             self.atoms += np.size(z) * np.shape(values)[-1]
-            return cdf(values, sigma, z)
+            return cdf(values, sigma, z, **kwargs)
 
         monkeypatch.setattr(transport1d, "_mixture_cdf", counted)
 

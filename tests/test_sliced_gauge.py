@@ -274,6 +274,9 @@ def test_quantile_work_on_dense_derivatives_and_sw2_table(cdf_passes):
     nu = ParticleEnsemble(1.2 * rng.standard_normal((14, 2)) + 0.3)
     dmu_gauge(mu, nu, 0.5, quad, mu.points, 64)
     assert cdf_passes.atoms <= 2_500_000
+    # each entry starts inside one cell of its row's seed grid, so after the
+    # source pass and the grid's pass most entries stop in three passes
+    assert cdf_passes.passes <= 9 and cdf_passes.atoms <= 800_000
     mu_s = ParticleEnsemble(rng.standard_normal((128, 2)))
     cdf_passes.reset()
     sw2(mu_s, translate(mu_s, np.array([0.4, -0.3])), 0.5, quad, 64)
