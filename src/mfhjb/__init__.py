@@ -3,7 +3,8 @@
 The library works throughout with empirical measures (equal-weight particle
 clouds in R^d) and provides:
 
-- smoothed one-dimensional transport maps and Wasserstein-2 distances,
+- Gaussian-smoothed one-dimensional CDFs, quantiles and transport maps, and
+  the exact sorted-coupling W2 between point clouds on R,
 - the sliced Wasserstein metric with Gaussian regularization, its first-order
   measure derivative, mixed derivative, and translation-Hessian operator,
 - a constructive smooth variational principle over finite candidate sets,
@@ -15,16 +16,13 @@ clouds in R^d) and provides:
 """
 
 from mfhjb.measures import ParticleEnsemble, sample_iid, translate
-from mfhjb.transport1d import SmoothedProjection, TransportMap1D, w2_discrete, w2_smoothed
+from mfhjb.transport1d import w2_discrete
 
 __all__ = [
     "ParticleEnsemble",
     "sample_iid",
     "translate",
-    "SmoothedProjection",
-    "TransportMap1D",
     "w2_discrete",
-    "w2_smoothed",
 ]
 
 __version__ = "0.1.0"

@@ -150,6 +150,8 @@ def _check_dims(quad: SphereQuadrature, *clouds: ParticleEnsemble):
 def _stratified_quantiles(rows: np.ndarray, sigma: float, m_points: int) -> np.ndarray:
     """Quantiles of each row of smoothed (rows, n) values at the midpoint
     probability levels, shape (rows, m_points), from one _mixture_quantile solve."""
+    if m_points < 1:
+        raise ValueError(f"m_points must be >= 1, got {m_points}")
     p = (np.arange(m_points) + 0.5) / m_points
     return _mixture_quantile(rows, sigma, np.broadcast_to(p, (rows.shape[0], m_points)))
 

@@ -6,9 +6,11 @@ sigma has the strictly increasing, smooth CDF
     F(z) = (1/n) sum_i Phi((z - v_i) / sigma),
 
 so the monotone (optimal) map from one smoothed projection to another is the
-classical quantile composition  T(z) = F_target^{-1}(F_source(z)).  Squared
-Wasserstein-2 distances are evaluated by quantile stratification, which for
-the monotone coupling is a uniform-weight midpoint rule in probability space:
+classical quantile composition  T(z) = F_target^{-1}(F_source(z)).  The
+squared Wasserstein-2 distance between two smoothed projections is, for the
+monotone coupling, an integral over probability levels, which
+``sliced_gauge.sw2`` (in d = 1, one line of weight 1) evaluates by a
+uniform-weight midpoint rule over stratified quantiles:
 
     W2^2 = integral |z - T(z)|^2 dF_source(z)
          = integral_0^1 |F_source^{-1}(p) - F_target^{-1}(p)|^2 dp.
@@ -23,27 +25,20 @@ each Newton pass evaluates F and F' from one (z - v) / sigma buffer.
 Probability levels are clamped to [P_MIN, 1 - P_MIN] before the solve: the
 inverse map grows like exp(z^2 / (4 sigma^2)) in the tails, and the clamp
 keeps quantile evaluations bounded at an error far below quadrature noise.
-The public ``SmoothedProjection.cdf`` returns values clamped the same way.
 
-The private evaluators treat a +inf value as an absent atom (it adds exactly
-0 to F and to its density and is not counted), and sum over atoms in a fixed
-order that trailing zero terms do not change, so a row padded with +inf
-solves to the bits of the same cloud alone.  The public types reject
-non-finite values.
+The evaluators treat a +inf value as an absent atom (it adds exactly 0 to F
+and to its density and is not counted), and sum over atoms in a fixed order
+that trailing zero terms do not change, so a row padded with +inf solves to
+the bits of the same cloud alone.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 __all__ = [
     "P_MIN",
-    "SmoothedProjection",
-    "TransportMap1D",
-    "w2_smoothed",
     "w2_discrete",
     "w1_empirical_gaussian",
 ]
@@ -276,73 +271,6 @@ def _transport(src_values, src_sigma, tgt_values, tgt_sigma, z, density=False):
         return _mixture_quantile(tgt_values, tgt_sigma, _mixture_cdf(src_values, src_sigma, z)), None
     cdf, dens = _mixture_cdf(src_values, src_sigma, z, density=True)
     return _mixture_quantile(tgt_values, tgt_sigma, cdf), dens
-
-
-@dataclass(frozen=True)
-class SmoothedProjection:
-    """A 1-d point cloud convolved with N(0, sigma^2); sigma must be > 0."""
-
-    values: np.ndarray
-    sigma: float
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).ravel()
-        if vals.size < 1 or not np.isfinite(vals).all():
-            raise ValueError("values must be a non-empty finite 1-d array")
-        if not (self.sigma > 0.0):
-            raise ValueError("sigma must be strictly positive")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "sigma", float(self.sigma))
-
-    def cdf(self, z):
-        z = np.asarray(z, dtype=float)
-        if not np.isfinite(z).all():
-            raise ValueError("cdf argument must be finite")
-        return np.clip(_mixture_cdf(self.values, self.sigma, z), P_MIN, 1.0 - P_MIN)
-
-    def pdf(self, z):
-        z = np.asarray(z, dtype=float)
-        if not np.isfinite(z).all():
-            raise ValueError("pdf argument must be finite")
-        return _mixture_pdf(self.values, self.sigma, z)
-
-    def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails both comparisons
-            raise ValueError("quantile argument must lie in (0, 1)")
-        return _mixture_quantile(self.values, self.sigma, p)
-
-
-@dataclass(frozen=True)
-class TransportMap1D:
-    """Monotone transport map z -> F_target^{-1}(F_source(z))."""
-
-    source: SmoothedProjection
-    target: SmoothedProjection
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=float)
-        if not np.isfinite(z).all():
-            raise ValueError("transport argument must be finite")
-        src, tgt = self.source, self.target
-        return _transport(src.values, src.sigma, tgt.values, tgt.sigma, z)[0]
-
-
-def w2_smoothed(src: SmoothedProjection, tgt: SmoothedProjection, quad_points: int = 512) -> float:
-    """Wasserstein-2 distance between two smoothed projections.
-
-    Midpoint rule over M stratified quantiles: at z_j = F_src^{-1}((j-1/2)/M)
-    the transported point T(z_j) is exactly the target quantile at the same
-    probability level, so both sides reduce to one quantile sweep each.
-    """
-    if quad_points < 8:
-        raise ValueError("quad_points must be >= 8")
-    p = (np.arange(quad_points) + 0.5) / quad_points
-    qs = src.quantile(p)
-    qt = tgt.quantile(p)
-    return float(np.sqrt(np.mean((qs - qt) ** 2)))
 
 
 def w2_discrete(a, b) -> float:

@@ -157,8 +157,13 @@ def test_zero_monte_carlo_count_exits_one(tmp_path, sub, cfg, name):
         ("rates", {"reps": 0}),
         ("rates", {"reps": -1}),
         ("rates", {"ns": [0, 32]}),
+        ("gradient-check", {"m_points": 0}),
+        ("variational", {"m_points": 0}),
     ],
-    ids=["simulate-params", "n-sweep-params", "rates-reps-0", "rates-reps-negative", "rates-ns-0"],
+    ids=[
+        "simulate-params", "n-sweep-params", "rates-reps-0", "rates-reps-negative", "rates-ns-0",
+        "gradient-check-m-points-0", "variational-m-points-0",
+    ],
 )
 def test_bad_params_or_count_exits_one(tmp_path, sub, cfg):
     proc = _run_module(tmp_path, sub, cfg)

@@ -159,7 +159,8 @@ def test_nan_failure_reports_step():
     init = ParticleEnsemble(np.ones((4, D)))
     cfg = SimConfig(n=4, steps=5, t0=0.0, t1=1.0, seed=8)
     with pytest.raises(FloatingPointError, match="step"):
-        simulate(exploding, init, (ZERO_POLICY,), cfg, (0,))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            simulate(exploding, init, (ZERO_POLICY,), cfg, (0,))
 
 
 def test_moment_checks_zero_coefficients():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import ndtr
 
 from mfhjb import sliced_gauge
 from mfhjb.measures import ParticleEnsemble, translate
@@ -25,7 +27,7 @@ from mfhjb.sliced_gauge import (
     rho_matrix,
     sw2,
 )
-from mfhjb.transport1d import SmoothedProjection, w2_discrete, w2_smoothed
+from mfhjb.transport1d import w2_discrete
 
 QUAD2 = SphereQuadrature.equispaced_circle(64)
 QUAD1 = SphereQuadrature.two_point_1d()
@@ -133,14 +135,22 @@ def test_sw2_identical_is_zero():
 
 
 def test_sw2_d1_reduces_to_smoothed_w2():
+    # the midpoint rule over quantiles found by brentq on mean Phi((z - v) / sigma) - p,
+    # independent of the library's quantile solve
     rng = np.random.default_rng(1)
     a = rng.standard_normal((5, 1))
     b = rng.standard_normal((7, 1)) + 0.4
     mu, nu = ParticleEnsemble(a), ParticleEnsemble(b)
-    direct = w2_smoothed(
-        SmoothedProjection(a.ravel(), 0.5), SmoothedProjection(b.ravel(), 0.5), 256
-    )
-    assert sw2(mu, nu, 0.5, QUAD1) == pytest.approx(direct, rel=1e-10)
+    sigma, m = 0.5, 256
+    levels = (np.arange(m) + 0.5) / m
+
+    def quantiles(v):
+        lo, hi = v.min() - 10.0 * sigma, v.max() + 10.0 * sigma
+        return np.array([brentq(lambda z: ndtr((z - v) / sigma).mean() - p, lo, hi, xtol=1e-15)
+                         for p in levels])
+
+    direct = np.sqrt(np.mean((quantiles(a.ravel()) - quantiles(b.ravel())) ** 2))
+    assert sw2(mu, nu, sigma, QUAD1) == pytest.approx(direct, rel=1e-10)
 
 
 def test_sw2_translation_identity():
@@ -149,6 +159,12 @@ def test_sw2_translation_identity():
     c = np.array([0.8, -0.5])
     nu = translate(mu, c)
     assert sw2(mu, nu, 0.5, QUAD2) == pytest.approx(np.linalg.norm(c) / np.sqrt(2), abs=1e-6)
+
+
+def test_sw2_rejects_empty_level_count():
+    mu, nu = random_pair(0)
+    with pytest.raises(ValueError, match="m_points must be >= 1, got 0"):
+        sw2(mu, nu, 0.5, QUAD2, m_points=0)
 
 
 def test_sw2_dimension_mismatch():

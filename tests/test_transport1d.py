@@ -8,29 +8,30 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
+from mfhjb.measures import ParticleEnsemble
+from mfhjb.sliced_gauge import SphereQuadrature, sw2
 from mfhjb.transport1d import (
     P_MIN,
-    SmoothedProjection,
-    TransportMap1D,
     _atom_sum,
     _mixture_cdf,
     _mixture_pdf,
     _mixture_quantile,
+    _transport,
     w1_empirical_gaussian,
     w2_discrete,
-    w2_smoothed,
 )
+
+QUAD1 = SphereQuadrature.two_point_1d()
 
 
 def test_cdf_symmetry_single_value():
-    sp = SmoothedProjection(np.array([0.0]), sigma=1.0)
-    assert sp.cdf(0.0) == pytest.approx(0.5, abs=1e-15)
+    assert _mixture_cdf(np.array([0.0]), 1.0, np.asarray(0.0)) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_cdf_standard_normal_value():
-    sp = SmoothedProjection(np.array([0.0]), sigma=1.0)
-    assert sp.cdf(1.96) == pytest.approx(ndtr(1.96), rel=1e-13)
-    assert sp.cdf(1.96) == pytest.approx(0.9750021048517795, rel=1e-12)
+    f = _mixture_cdf(np.array([0.0]), 1.0, np.asarray(1.96))
+    assert f == pytest.approx(ndtr(1.96), rel=1e-13)
+    assert f == pytest.approx(0.9750021048517795, rel=1e-12)
 
 
 def test_cdf_translation_invariance():
@@ -38,52 +39,37 @@ def test_cdf_translation_invariance():
     vals = rng.standard_normal(6)
     z = rng.standard_normal(10)
     c = 3.7
-    a = SmoothedProjection(vals, 0.8).cdf(z)
-    b = SmoothedProjection(vals + c, 0.8).cdf(z + c)
+    a = _mixture_cdf(vals, 0.8, z)
+    b = _mixture_cdf(vals + c, 0.8, z + c)
     np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
 def test_cdf_strictly_increasing_on_grid():
-    # strictness holds wherever the clamp to [P_MIN, 1 - P_MIN] is inactive,
-    # i.e. within about 7.9 sigma of the particle range
-    sp = SmoothedProjection(np.array([-1.0, 0.3, 2.0]), sigma=0.5)
+    # strictness holds wherever rounding does not flatten F; the grid stays
+    # within 5 sigma of the particle range, well inside [P_MIN, 1 - P_MIN]
     z = np.linspace(-3.5, 4.5, 400)
-    f = sp.cdf(z)
+    f = _mixture_cdf(np.array([-1.0, 0.3, 2.0]), 0.5, z)
     assert np.all(np.diff(f) > 0)
 
 
-def test_cdf_rejects_nonfinite():
-    sp = SmoothedProjection(np.array([0.0]), sigma=1.0)
-    with pytest.raises(ValueError):
-        sp.cdf(np.nan)
-
-
-def test_sigma_positive_required():
-    with pytest.raises(ValueError):
-        SmoothedProjection(np.array([0.0]), sigma=0.0)
-
-
 def test_quantile_median_single_value():
-    sp = SmoothedProjection(np.array([0.0]), sigma=1.0)
-    assert sp.quantile(0.5) == pytest.approx(0.0, abs=1e-12)
+    assert _mixture_quantile(np.array([0.0]), 1.0, 0.5) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("p, level", [(1e-15, P_MIN), (1.0 - 1e-15, 1.0 - P_MIN)], ids=["lower", "upper"])
 def test_quantile_clamp_single_value(p, level):
     # a level beyond the clamp solves at the clamp level itself
-    sp = SmoothedProjection(np.array([0.0]), sigma=1.0)
-    assert sp.quantile(p) == pytest.approx(ndtri(level), abs=1e-9)
+    assert _mixture_quantile(np.array([0.0]), 1.0, p) == pytest.approx(ndtri(level), abs=1e-9)
 
 
 def test_quantile_symmetric_mixture():
-    sp = SmoothedProjection(np.array([-1.0, 1.0]), sigma=0.5)
-    assert sp.quantile(0.5) == pytest.approx(0.0, abs=1e-11)
+    assert _mixture_quantile(np.array([-1.0, 1.0]), 0.5, 0.5) == pytest.approx(0.0, abs=1e-11)
 
 
 def test_quantile_cdf_round_trip():
-    sp = SmoothedProjection(np.array([0.4, -0.2, 1.1]), sigma=0.7)
+    values, sigma = np.array([0.4, -0.2, 1.1]), 0.7
     z = np.linspace(-3 * 0.7, 3 * 0.7, 25)
-    back = sp.quantile(sp.cdf(z))
+    back = _mixture_quantile(values, sigma, _mixture_cdf(values, sigma, z))
     np.testing.assert_allclose(back, z, atol=1e-9)
 
 
@@ -180,7 +166,7 @@ def test_quantile_upper_tail_matches_survival_root(p):
         lambda z: ndtr((values - z) / sigma).mean() - (1.0 - p),
         0.0, 20.0, xtol=1e-300, rtol=4.0 * np.finfo(float).eps,
     )
-    z = SmoothedProjection(values, sigma).quantile(p)
+    z = _mixture_quantile(values, sigma, p)
     assert abs(z - root) <= 4.0 * np.spacing(root)
 
 
@@ -256,36 +242,18 @@ def test_quantile_of_padded_row_is_the_row_alone(values, pad, sigma, p):
     assert z[1].tobytes() == _mixture_quantile(values[:1], sigma, p).tobytes()
 
 
-def test_quantile_rejects_bad_p():
-    sp = SmoothedProjection(np.array([0.0]), sigma=1.0)
-    for p in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            sp.quantile(p)
-
-
-@pytest.mark.parametrize("method", ["quantile", "pdf"])
-@pytest.mark.parametrize("arg", [np.nan, np.array([0.5, np.nan]), np.array([0.25, np.inf])])
-def test_pdf_and_quantile_reject_nonfinite(method, arg):
-    sp = SmoothedProjection(np.array([0.0]), sigma=1.0)
-    with pytest.raises(ValueError):
-        getattr(sp, method)(arg)
-
-
 def test_transport_identity():
-    sp = SmoothedProjection(np.array([0.1, -0.5, 2.0]), sigma=0.6)
-    T = TransportMap1D(sp, sp)
+    values = np.array([0.1, -0.5, 2.0])
     z = np.linspace(-2, 3, 17)
-    np.testing.assert_allclose(T(z), z, atol=1e-9)
+    np.testing.assert_allclose(_transport(values, 0.6, values, 0.6, z)[0], z, atol=1e-9)
 
 
 def test_transport_translation_equivariance():
     rng = np.random.default_rng(1)
     vals = rng.standard_normal(5)
     c = 1.3
-    src = SmoothedProjection(vals, 0.5)
-    tgt = SmoothedProjection(vals + c, 0.5)
     z = np.linspace(-2, 2, 21)
-    np.testing.assert_allclose(TransportMap1D(src, tgt)(z), z + c, atol=1e-8)
+    np.testing.assert_allclose(_transport(vals, 0.5, vals + c, 0.5, z)[0], z + c, atol=1e-8)
 
 
 def test_transport_gaussian_scaling():
@@ -293,58 +261,54 @@ def test_transport_gaussian_scaling():
     # monotone map between centered Gaussians is multiplication by the
     # standard-deviation ratio
     s1, s2 = 0.5, 1.25
-    src = SmoothedProjection(np.array([0.0]), sigma=s1)
-    tgt = SmoothedProjection(np.array([0.0]), sigma=s2)
+    point = np.array([0.0])
     z = np.linspace(-1.5, 1.5, 13)
-    np.testing.assert_allclose(TransportMap1D(src, tgt)(z), z * s2 / s1, rtol=1e-9, atol=1e-10)
+    np.testing.assert_allclose(_transport(point, s1, point, s2, z)[0], z * s2 / s1, rtol=1e-9, atol=1e-10)
 
 
 @pytest.mark.parametrize("z", [-3.9, -4.0])
 def test_transport_lower_clamp(z):
     # the source CDF at z is below P_MIN, so z maps to the target's clamp quantile
-    src = SmoothedProjection(np.array([0.0]), sigma=0.5)
-    tgt = SmoothedProjection(np.array([0.0]), sigma=1.0)
-    assert TransportMap1D(src, tgt)(z) == pytest.approx(ndtri(P_MIN), abs=1e-9)
+    point = np.array([0.0])
+    assert _transport(point, 0.5, point, 1.0, np.asarray(z))[0] == pytest.approx(ndtri(P_MIN), abs=1e-9)
 
 
 def test_transport_strictly_increasing():
     rng = np.random.default_rng(2)
-    src = SmoothedProjection(rng.standard_normal(4), 0.4)
-    tgt = SmoothedProjection(rng.standard_normal(6) * 2.0 + 0.3, 0.4)
+    src = rng.standard_normal(4)
+    tgt = rng.standard_normal(6) * 2.0 + 0.3
     z = np.linspace(-2.5, 2.5, 200)
-    out = TransportMap1D(src, tgt)(z)
+    out = _transport(src, 0.4, tgt, 0.4, z)[0]
     assert np.all(np.diff(out) > 0)
 
 
 def test_pushforward_property():
     rng = np.random.default_rng(3)
-    src = SmoothedProjection(rng.standard_normal(5), 0.5)
-    tgt = SmoothedProjection(rng.standard_normal(7) + 1.0, 0.5)
+    src = rng.standard_normal(5)
+    tgt = rng.standard_normal(7) + 1.0
     M = 256
     p = (np.arange(M) + 0.5) / M
-    z = src.quantile(p)
-    transported = TransportMap1D(src, tgt)(z)
-    np.testing.assert_allclose(np.sort(transported), tgt.quantile(p), atol=1e-8)
+    z = _mixture_quantile(src, 0.5, p)
+    transported = _transport(src, 0.5, tgt, 0.5, z)[0]
+    np.testing.assert_allclose(np.sort(transported), _mixture_quantile(tgt, 0.5, p), atol=1e-8)
 
 
-def test_w2_smoothed_identical_is_zero():
-    sp = SmoothedProjection(np.array([0.0, 1.0]), sigma=0.5)
-    assert w2_smoothed(sp, sp, 128) == pytest.approx(0.0, abs=1e-12)
+def _line_cloud(values):
+    # a 1-d cloud: sw2 on the one line of weight 1 is the smoothed 1-d W2
+    return ParticleEnsemble(np.reshape(values, (-1, 1)))
 
 
-def test_w2_smoothed_translation():
+def test_sw2_1d_identical_is_zero():
+    mu = _line_cloud([0.0, 1.0])
+    assert sw2(mu, mu, 0.5, QUAD1, m_points=128) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_sw2_1d_translation():
     rng = np.random.default_rng(4)
     vals = rng.standard_normal(6)
     c = 0.9
-    src = SmoothedProjection(vals, 0.5)
-    tgt = SmoothedProjection(vals + c, 0.5)
-    assert w2_smoothed(src, tgt, 256) == pytest.approx(c, abs=1e-6)
-
-
-def test_w2_smoothed_rejects_small_quadrature():
-    sp = SmoothedProjection(np.array([0.0]), sigma=1.0)
-    with pytest.raises(ValueError):
-        w2_smoothed(sp, sp, 4)
+    w = sw2(_line_cloud(vals), _line_cloud(vals + c), 0.5, QUAD1, m_points=256)
+    assert w == pytest.approx(c, abs=1e-6)
 
 
 def test_w2_discrete_simple_cases():
@@ -369,14 +333,14 @@ def test_w2_discrete_matches_brute_force_small():
         assert w2_discrete(a, b) == pytest.approx(math.sqrt(best / n), rel=1e-14)
 
 
-def test_w2_smoothed_converges_to_discrete_as_sigma_shrinks():
+def test_sw2_1d_converges_to_discrete_as_sigma_shrinks():
     rng = np.random.default_rng(6)
     a = rng.standard_normal(6)
     b = rng.standard_normal(6) + 0.7
     oracle = w2_discrete(a, b)
     gaps = []
     for sigma in (0.5, 0.25, 0.125, 0.0625):
-        w = w2_smoothed(SmoothedProjection(a, sigma), SmoothedProjection(b, sigma), 1024)
+        w = sw2(_line_cloud(a), _line_cloud(b), sigma, QUAD1, m_points=1024)
         gaps.append(abs(w - oracle))
     assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
     assert gaps[-1] <= 0.05 * oracle
