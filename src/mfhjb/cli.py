@@ -403,11 +403,15 @@ _RUNNERS = {
 }
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        cfg = json.load(fh)
+        cfg = json.load(fh, parse_constant=_reject_constant)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
     return cfg

@@ -4,7 +4,7 @@ for the dynamic programming principle and the limiting HJB equation.
 The admissible controls are step controls: piecewise constant in time, each
 piece either a fixed action or a spatial-grid feedback table.  Value
 estimation maximizes the Monte Carlo cost over a finite policy class with
-common random numbers across candidates, so it lower-bounds the true value by
+common random numbers across the policies, so it lower-bounds the true value by
 construction and attains it when the optimum lies in the class (as in the
 linear-drift scenario, where the optimal control is a vertex of the action
 box).
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mfhjb.budget import chunks
-from mfhjb.dynamics import SimConfig, _check_counts, _generator, _half_trace, _stderr, simulate
+from mfhjb.dynamics import SimConfig, _check_counts, _generator, _stderr, simulate
 from mfhjb.measures import ParticleEnsemble, sample_iid
 
 __all__ = [
@@ -42,48 +42,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ActionSpace:
-    """Either a box [lo, hi]^q or a finite list of actions."""
+    """The box [lo, hi] of actions; a finite action list is a SearchSpec's."""
 
-    kind: str  # "box" | "finite"
-    lo: np.ndarray | None = None
-    hi: np.ndarray | None = None
-    points: tuple = ()
+    lo: np.ndarray
+    hi: np.ndarray
 
     def __post_init__(self):
-        if self.kind == "box":
-            lo = np.asarray(self.lo, dtype=float).ravel()
-            hi = np.asarray(self.hi, dtype=float).ravel()
-            if lo.shape != hi.shape or np.any(lo >= hi):
-                raise ValueError("box needs lo < hi componentwise")
-            object.__setattr__(self, "lo", lo)
-            object.__setattr__(self, "hi", hi)
-        elif self.kind == "finite":
-            pts = tuple(np.asarray(p, dtype=float).ravel() for p in self.points)
-            if not pts:
-                raise ValueError("finite action space needs at least one point")
-            object.__setattr__(self, "points", pts)
-        else:
-            raise ValueError(f"unknown action space kind {self.kind!r}")
+        lo = np.asarray(self.lo, dtype=float).ravel()
+        hi = np.asarray(self.hi, dtype=float).ravel()
+        if lo.shape != hi.shape or np.any(lo >= hi):
+            raise ValueError("box needs lo < hi componentwise")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def dim(self) -> int:
-        return self.lo.shape[0] if self.kind == "box" else self.points[0].shape[0]
+        return self.lo.shape[0]
 
     def contains(self, a: np.ndarray) -> bool:
         a = np.asarray(a, dtype=float).ravel()
-        if self.kind == "box":
-            return bool(np.all(a >= self.lo - 1e-12) and np.all(a <= self.hi + 1e-12))
-        return any(np.array_equal(a, p) for p in self.points)
+        return bool(np.all(a >= self.lo - 1e-12) and np.all(a <= self.hi + 1e-12))
 
     def vertices(self) -> list:
-        if self.kind == "finite":
-            return [np.array(p) for p in self.points]
         corners = itertools.product(*[(l, h) for l, h in zip(self.lo, self.hi)])
         return [np.array(c) for c in corners]
 
     def grid(self, res: int) -> list:
-        if self.kind == "finite":
-            return [np.array(p) for p in self.points]
         axes = [np.linspace(l, h, res) for l, h in zip(self.lo, self.hi)]
         return [np.array(c) for c in itertools.product(*axes)]
 
@@ -376,7 +360,7 @@ def value_estimate(
 ) -> dict:
     """Maximize the Monte Carlo cost over the policy class.
 
-    All candidates are evaluated on the same noise (common random numbers),
+    All policies are evaluated on the same noise (common random numbers),
     so policy comparisons are exact whenever the pathwise cost difference is
     noise-free (e.g. action-independent diffusion).  The exhaustive search
     draws that noise once: each chunk of paths simulates every candidate in
@@ -585,31 +569,20 @@ def viscosity_check(
     coeffs: CoefficientSet,
     candidate: TestFunction,
     probes: list,
-    quad,
     action_grid: list | None = None,
-    gauge_scales: tuple = (0.0, 0.5, 1.0),
     tol: float = 1e-9,
 ) -> dict:
     """Sign checks of the sub/supersolution inequalities at probe points.
 
-    At each probe (t0, mu0) the candidate is touched by gauge perturbations
-    u +- c * rho(., (t0, mu0)): the perturbation and its first derivatives
-    vanish at the probe while its translation Hessian contributes c * H_gauge,
-    so the composite residual is residual(u) +- c/2 tr(sigma0 sigma0^T H_gauge).
-    Touching from above (maximum of u - test fn) must keep the residual >= 0
-    (subsolution direction); from below, <= 0 (supersolution direction).
+    At each probe (t0, mu0) the residual of the candidate must be >= -tol
+    where it touches from above (maximum of u - test fn, the subsolution
+    direction) and <= tol where it touches from below (supersolution).
     """
-    from mfhjb.sliced_gauge import h_gauge
-
-    hg = h_gauge(coeffs.d, quad)
     report = []
     for t0, mu0 in probes:
-        base = hjb_residual(coeffs, candidate, t0, mu0, action_grid)
-        bump = float(_half_trace(np.asarray(coeffs.common_diffusion(t0), dtype=float), hg))
-        sub_ok = all(base + c * bump >= -tol for c in gauge_scales)
-        super_ok = all(base - c * bump <= tol for c in gauge_scales)
+        residual = hjb_residual(coeffs, candidate, t0, mu0, action_grid)
         report.append(
-            {"t": t0, "residual": base, "sub_ok": bool(sub_ok), "super_ok": bool(super_ok)}
+            {"t": t0, "residual": residual, "sub_ok": residual >= -tol, "super_ok": residual <= tol}
         )
     return {
         "probes": report,

@@ -11,8 +11,8 @@ drawn coordinatewise from the space kernel on [-1, 1]^d, and clamp(s) =
 min(max(s, 0), T).  The terminal cost omits the time variable.  The joint
 offset integral has dimension dn + 1, so it is estimated by a fixed seeded
 quasi-random offset set (one set per spec: the estimate is a deterministic
-function) instead of a full tensor grid; ``mollified_b``, ``mollified_f``
-and ``mollified_g`` also report its standard error.
+function) instead of a full tensor grid; ``mollified`` also reports its
+standard error.
 
 Smoothing preserves the uniform bound K, contracts Lipschitz constants
 (|g_m^i(xbar) - g_m^i(xbar')| <= K [|dx^i| + mean_j |dx^j|]), and converges
@@ -32,10 +32,7 @@ from mfhjb.quadrature import quasi_uniform
 __all__ = [
     "MollifierSpec",
     "bump_kernel_tables",
-    "mollified_b",
-    "mollified_f",
-    "mollified_g",
-    "mollify_rate_bound",
+    "mollified",
     "mollify_rate_sweep",
     "MollifiedCoefficients",
 ]
@@ -43,15 +40,15 @@ __all__ = [
 _KERNEL_NODES = 4097  # grid size of the bump kernel's quantile table
 
 
-@lru_cache(maxsize=8)
-def bump_kernel_tables(nodes: int = _KERNEL_NODES) -> tuple:
+@lru_cache(maxsize=1)
+def bump_kernel_tables() -> tuple:
     """Quantile table of the normalized bump exp(-1/(1-u^2)) on [-1, 1].
 
     Returns (u_grid, cdf_grid, first_abs_moment).  The kernel integrates to
     one under its own grid quadrature by construction; the residual
     normalization defect on the grid is below 1e-10.
     """
-    u = np.linspace(-1.0, 1.0, nodes)
+    u = np.linspace(-1.0, 1.0, _KERNEL_NODES)
     with np.errstate(divide="ignore", over="ignore"):
         dens = np.where(np.abs(u) < 1.0, np.exp(-1.0 / np.maximum(1.0 - u**2, 1e-300)), 0.0)
     cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(u))])
@@ -77,7 +74,6 @@ class MollifierSpec:
     m: int
     offsets: int = 4096
     seed: int = 0
-    stderr_cap: float = np.inf
 
     def __post_init__(self):
         if self.m < 1:
@@ -177,46 +173,23 @@ def _sum_in_order(v: np.ndarray):
     return v.sum(axis=0) if v[0].size > 1 else np.add.accumulate(v, axis=0)[-1]
 
 
-def _single_index(kind, coeffs, spec, i, t, xbar, a, horizon):
+def mollified(kind: str, coeffs, spec: MollifierSpec, t: float, xbar, a=None, horizon: float = 1.0):
+    """The smoothed coefficient ``kind`` ("drift", "running_cost" or
+    "terminal_cost", which ignores t and a) of every particle of the (n, d)
+    state xbar, with the standard error of the offset estimate: (mean,
+    stderr), each (n, d) for the drift and (n,) for a cost.  An action array
+    is raveled and given to every particle."""
     xbar = np.asarray(xbar, dtype=float)
     n, d = xbar.shape
-    if not (0 <= i < n):
-        raise IndexError(f"particle index {i} out of range for n = {n}")
-    if isinstance(a, np.ndarray) or isinstance(a, (list, tuple)):
+    if isinstance(a, (np.ndarray, list, tuple)):
         a = np.broadcast_to(np.asarray(a, dtype=float).ravel(), (n, np.size(a)))
-    t_off, z_off = _draw_offsets(spec, n, d)
-    mean, stderr = _mollified_all(kind, coeffs, spec, t, xbar, a, horizon, t_off, z_off)
-    err = float(np.max(np.atleast_1d(stderr)[i]))
-    flagged = err > spec.stderr_cap
-    return mean[i], err, flagged
-
-
-def mollified_b(coeffs, spec: MollifierSpec, i: int, t: float, xbar, a, horizon: float = 1.0):
-    """Smoothed drift for particle i: (value (d,), stderr, flagged)."""
-    return _single_index("drift", coeffs, spec, i, t, xbar, a, horizon)
-
-
-def mollified_f(coeffs, spec: MollifierSpec, i: int, t: float, xbar, a, horizon: float = 1.0):
-    """Smoothed running cost for particle i: (value, stderr, flagged)."""
-    return _single_index("running_cost", coeffs, spec, i, t, xbar, a, horizon)
-
-
-def mollified_g(coeffs, spec: MollifierSpec, i: int, xbar, horizon: float = 1.0):
-    """Smoothed terminal cost for particle i: (value, stderr, flagged)."""
-    return _single_index("terminal_cost", coeffs, spec, i, 0.0, xbar, None, horizon)
-
-
-def mollify_rate_bound(
-    coeffs, spec: MollifierSpec, i: int, t: float, xbar, horizon: float = 1.0, beta: float | None = None
-) -> float:
-    """The a priori error bound K (time term + space term) for particle i,
-    evaluated with the kernel's own offset sample."""
-    return float(_rate_bounds(coeffs, spec, t, horizon, beta, *_draw_offsets(spec, *np.shape(xbar)))[i])
+    return _mollified_all(kind, coeffs, spec, t, xbar, a, horizon, *_draw_offsets(spec, n, d))
 
 
 def _rate_bounds(coeffs, spec, t, horizon, beta, t_off, z_off) -> np.ndarray:
-    """mollify_rate_bound of every particle, (n,), from one offset draw; each
-    particle's row is made contiguous, so that its mean sums as it would alone."""
+    """The a priori error bound K (time term + space term) of every particle,
+    (n,), evaluated with the kernel's own offset draw; each particle's row is
+    made contiguous, so that its mean sums as it would alone."""
     beta = coeffs.beta if beta is None else beta
     t_eff = np.minimum(np.maximum(t - t_off / spec.m, 0.0), horizon)
     time_term = float(np.mean(np.abs(t - t_eff) ** beta))

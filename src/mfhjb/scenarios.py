@@ -47,7 +47,7 @@ def _lq_drift(params: dict) -> CoefficientSet:
     sig0 = float(params.get("sigma0", 0.3))
     radius = float(params.get("radius", 8.0))
     inner = float(params.get("clip_inner", 0.5))
-    space = ActionSpace("box", lo=-np.ones(d), hi=np.ones(d))
+    space = ActionSpace(-np.ones(d), np.ones(d))
 
     sig_mat = sig * np.eye(d)
     sig0_mat = sig0 * np.eye(d)
@@ -77,7 +77,7 @@ def _lq_drift(params: dict) -> CoefficientSet:
 
 def _zero(params: dict) -> CoefficientSet:
     d = int(params.get("d", 2))
-    space = ActionSpace("box", lo=-np.ones(d), hi=np.ones(d))
+    space = ActionSpace(-np.ones(d), np.ones(d))
     zmat = np.zeros((d, d))
     return CoefficientSet(
         drift=lambda t, x, cloud, a: np.zeros_like(x),
@@ -101,7 +101,7 @@ def _mean_reversion_mf(params: dict) -> CoefficientSet:
     pull = float(params.get("pull", 1.0))
     mf_weight = float(params.get("mf_weight", 1.0))
     p = np.broadcast_to(np.asarray(params.get("p", 1.0), dtype=float), (d,)).copy()
-    space = ActionSpace("box", lo=-np.ones(d), hi=np.ones(d))
+    space = ActionSpace(-np.ones(d), np.ones(d))
     sig_mat = sig * np.eye(d)
     sig0_mat = sig0 * np.eye(d)
     u0 = np.ones(d) / np.sqrt(d)
@@ -154,7 +154,7 @@ def _bounded_trig(params: dict) -> CoefficientSet:
     time_amp = float(params.get("time_amp", 1.0))
     space_amp = float(params.get("space_amp", 1.0))
     sig = float(params.get("sigma", 0.2))
-    space = ActionSpace("box", lo=-np.ones(d), hi=np.ones(d))
+    space = ActionSpace(-np.ones(d), np.ones(d))
     u0 = np.ones(d) / np.sqrt(d)
     sig_mat = sig * np.eye(d)
 

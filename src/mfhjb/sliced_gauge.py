@@ -199,8 +199,8 @@ def rho_matrix(times_a, clouds_a, times_b, clouds_b, sigma: float, quad: SphereQ
     """The (La, Lb) matrix of rho((t_a, mu_a), (t_b, mu_b)) = (t_a - t_b)^2 +
     GAUGE_SQUARE_FACTOR * sliced gap, from one quantile table per distinct
     cloud object on either side; each entry is the same bits as ``rho``."""
-    if sigma <= 0.0:
-        raise ValueError("gauge functional requires sigma > 0")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"gauge functional requires 0 < sigma < inf, got {sigma}")
     la = len(clouds_a)
     q = _quantile_tables(tuple(clouds_a) + tuple(clouds_b), sigma, quad, m_points)
     dt = np.subtract.outer(np.asarray(times_a, dtype=float), np.asarray(times_b, dtype=float))
@@ -222,8 +222,8 @@ def sw2(
     coupling is used (requires equal particle counts).
     """
     _check_dims(quad, mu, nu)
-    if sigma < 0.0:
-        raise ValueError("sigma must be >= 0")
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError(f"sw2 requires 0 <= sigma < inf, got {sigma}")
     if sigma == 0.0:
         if mu.n != nu.n:
             raise ValueError("sigma = 0 requires equal particle counts")
@@ -279,8 +279,8 @@ def _gauge_derivatives(mu, nu, sigma, quad, x, noise_nodes, mixed=True):
     same whatever chunk it falls in.
     """
     _check_dims(quad, mu, nu)
-    if sigma <= 0.0:
-        raise ValueError("sigma must be > 0")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"gauge derivatives require 0 < sigma < inf, got {sigma}")
     xs = np.atleast_2d(np.asarray(x, dtype=float))
     if not np.isfinite(xs).all():
         raise ValueError("x must be finite")
@@ -391,12 +391,6 @@ class GaugeAnchors:
         anchors along the last axis: one weighted last-axis sum, shared by
         phi_delta and the variational certificate."""
         return (rho_active * self.weights()).sum(axis=-1)
-
-    def truncation_tail_bound(self, rho_sup: float) -> float:
-        """2^{-k_max} * sup over rho values, bounding the dropped geometric tail."""
-        if len(self.anchors) <= self.k_max + 1:
-            return 0.0
-        return 2.0 ** (-self.k_max) * rho_sup
 
 
 def phi_delta(
@@ -521,22 +515,21 @@ def lifted_gauge_fd_gradient(
     quad: SphereQuadrature,
     h: float = 1e-4,
     m_points: int = 256,
-    factor: float | None = None,
 ) -> np.ndarray:
-    """Central-difference gradient of the lifted gauge functional.
+    """Central-difference gradient of the lifted functional sw2^2.
 
-    Lifting the functional to particle coordinates, X -> s * sw2^2(emp(X), nu),
+    Lifting the functional to particle coordinates, X -> sw2^2(emp(X), nu),
     the measure derivative at particle i is n times the coordinate gradient,
-    so n (F(X + h e_il) - F(X - h e_il)) / (2h) estimates dmu_gauge(x_i)_l.
+    so s n (F(X + h e_il) - F(X - h e_il)) / (2h) estimates the derivative of
+    s * sw2^2 at x_i, and dmu_gauge(x_i)_l at s = GAUGE_SQUARE_FACTOR.
     """
-    s = GAUGE_SQUARE_FACTOR if factor is None else factor
     n, d = mu.n, mu.d
     # nu is fixed across the sweep, so its table is solved once
     qn = _stratified_quantiles((nu.points @ quad.nodes.T).T.copy(), sigma, m_points)
 
-    def gauge_from(points):
+    def sw2_squared(points):
         qm = _stratified_quantiles((points @ quad.nodes.T).T.copy(), sigma, m_points)
-        return s * _sliced_gap(qm[None], qn[None], quad.weights)[0, 0]
+        return _sliced_gap(qm[None], qn[None], quad.weights)[0, 0]
 
     grad = np.zeros((n, d))
     for i in range(n):
@@ -545,7 +538,7 @@ def lifted_gauge_fd_gradient(
             pts_m = mu.points.copy()
             pts_p[i, l] += h
             pts_m[i, l] -= h
-            grad[i, l] = n * (gauge_from(pts_p) - gauge_from(pts_m)) / (2.0 * h)
+            grad[i, l] = n * (sw2_squared(pts_p) - sw2_squared(pts_m)) / (2.0 * h)
     return grad
 
 
@@ -557,20 +550,19 @@ def pin_gauge_square_factor(
     h: float = 1e-4,
     m_points: int = 256,
     noise_nodes: int = 256,
-    candidates: tuple = (0.5, 1.0),
 ) -> dict:
     """Decide the scalar factor s in gauge_g = s * sw2^2 by oracle.
 
     Compares the finite-difference gradient of the lifted functional
-    s * sw2^2 against the closed-form dmu_gauge for each candidate s and
-    returns the candidate with the smaller relative error.
+    s * sw2^2 against the closed-form dmu_gauge for s = 1/2 and s = 1 and
+    returns the factor with the smaller relative error.
     """
     analytic = dmu_gauge(mu, nu, sigma, quad, mu.points, noise_nodes)
     scale = float(np.linalg.norm(analytic))
     # the lifted functional is linear in s, so one unit-factor sweep suffices
-    fd_unit = lifted_gauge_fd_gradient(mu, nu, sigma, quad, h, m_points, factor=1.0)
+    fd_unit = lifted_gauge_fd_gradient(mu, nu, sigma, quad, h, m_points)
     results = {}
-    for s in candidates:
+    for s in (0.5, 1.0):
         results[s] = float(np.linalg.norm(s * fd_unit - analytic)) / max(scale, 1e-300)
     best = min(results, key=results.get)
     return {"factor": best, "errors": results}

@@ -33,7 +33,7 @@ __all__ = ["CandidateSet", "BPResult", "borwein_preiss"]
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Finite candidates (t_i, mu_i) with score values, budget, and smoothing.
+    """Candidate points (t_i, mu_i) with score values, budget, and smoothing.
 
     The designated start index must satisfy max G - lambda <= G[start].
     """

@@ -19,7 +19,7 @@ from mfhjb.control import (
 )
 from mfhjb.dynamics import SimConfig, ito_expectation_check, moment_checks
 from mfhjb.measures import ParticleEnsemble, sample_iid, translate
-from mfhjb.mollify import MollifierSpec, mollified_b, mollified_g, mollify_rate_sweep
+from mfhjb.mollify import MollifierSpec, mollified, mollify_rate_sweep
 from mfhjb.scenarios import lq_test_function, lq_true_value, scenario
 from mfhjb.sliced_gauge import (
     GAUGE_SQUARE_FACTOR,
@@ -182,7 +182,7 @@ def test_c06_phi_delta_derivative_bounds():
 
 def _ito_fixture():
     d = 2
-    space = ActionSpace("box", lo=-np.ones(d), hi=np.ones(d))
+    space = ActionSpace(-np.ones(d), np.ones(d))
     eye = np.eye(d)
     zero_mat = np.zeros((d, d))
 
@@ -247,7 +247,7 @@ def test_c07_ito_expectation():
 def test_c08_moment_bounds():
     start = time.time()
     d = 2
-    space = ActionSpace("box", lo=-np.ones(d), hi=np.ones(d))
+    space = ActionSpace(-np.ones(d), np.ones(d))
     coeffs = CoefficientSet(
         drift=lambda t, x, cloud, a: np.zeros_like(x),
         diffusion=lambda t, x, a: np.eye(d),
@@ -286,8 +286,8 @@ def test_c09_mollifier_suite():
     for _ in range(10):
         xbar = rng.standard_normal((4, 1)) * 2.0
         t = float(rng.uniform(0, 1))
-        vb, _, _ = mollified_b(bt, spec, 0, t, xbar, np.zeros(1))
-        vg, _, _ = mollified_g(bt, spec, 0, xbar)
+        vb = mollified("drift", bt, spec, t, xbar, np.zeros(1))[0][0]
+        vg = mollified("terminal_cost", bt, spec, 0.0, xbar)[0][0]
         bound_ok = bound_ok and np.linalg.norm(vb) <= bt.K + 1e-12 and abs(vg) <= bt.K + 1e-12
 
     time_sc = scenario("bounded_trig", {"d": 1, "time_amp": 1.0, "space_amp": 0.0})
@@ -305,8 +305,8 @@ def test_c09_mollifier_suite():
     for _ in range(100):
         xbar = rng.standard_normal((4, 1))
         dx = rng.standard_normal((4, 1)) * 0.3
-        g1, e1, _ = mollified_g(bt, spec_l, 0, xbar)
-        g2, e2, _ = mollified_g(bt, spec_l, 0, xbar + dx)
+        g1, e1 = (v[0] for v in mollified("terminal_cost", bt, spec_l, 0.0, xbar))
+        g2, e2 = (v[0] for v in mollified("terminal_cost", bt, spec_l, 0.0, xbar + dx))
         allowance = bt.K * (np.linalg.norm(dx[0]) + np.mean(np.linalg.norm(dx, axis=1)))
         lip_ok = lip_ok and abs(g1 - g2) <= allowance + 3 * (e1 + e2) + 1e-12
 

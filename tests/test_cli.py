@@ -159,10 +159,17 @@ def test_zero_monte_carlo_count_exits_one(tmp_path, sub, cfg, name):
         ("rates", {"ns": [0, 32]}),
         ("gradient-check", {"m_points": 0}),
         ("variational", {"m_points": 0}),
+        # json.dumps writes these as the literals NaN, Infinity and -Infinity
+        ("metric", {"sigma": float("nan")}),
+        ("gradient-check", {"sigma": float("nan")}),
+        ("h-check", {"sigma": float("nan")}),
+        ("metric", {"sigma": float("inf")}),
+        ("metric", {"sigma": float("-inf")}),
     ],
     ids=[
         "simulate-params", "n-sweep-params", "rates-reps-0", "rates-reps-negative", "rates-ns-0",
-        "gradient-check-m-points-0", "variational-m-points-0",
+        "gradient-check-m-points-0", "variational-m-points-0", "metric-sigma-nan",
+        "gradient-check-sigma-nan", "h-check-sigma-nan", "metric-sigma-inf", "metric-sigma-minus-inf",
     ],
 )
 def test_bad_params_or_count_exits_one(tmp_path, sub, cfg):

@@ -23,11 +23,10 @@ from mfhjb.control import (
 from mfhjb.dynamics import SimConfig, simulate
 from mfhjb.measures import ParticleEnsemble, sample_iid
 from mfhjb.scenarios import lq_test_function, lq_true_value, scenario
-from mfhjb.sliced_gauge import SphereQuadrature
 
 
 def test_action_space_box():
-    space = ActionSpace("box", lo=[-1, -1], hi=[1, 1])
+    space = ActionSpace([-1, -1], [1, 1])
     verts = space.vertices()
     assert len(verts) == 4
     assert space.contains([0.5, -0.5])
@@ -35,13 +34,9 @@ def test_action_space_box():
     assert len(space.grid(3)) == 9
 
 
-def test_action_space_finite_and_errors():
-    space = ActionSpace("finite", points=([0.0], [1.0]))
-    assert len(space.vertices()) == 2
+def test_action_space_errors():
     with pytest.raises(ValueError):
-        ActionSpace("box", lo=[1.0], hi=[0.0])
-    with pytest.raises(ValueError):
-        ActionSpace("weird")
+        ActionSpace([1.0], [0.0])
 
 
 def test_step_control_lookup():
@@ -422,13 +417,12 @@ def test_viscosity_check_closed_form_and_negative_control():
     p = np.array([1.0, -0.5])
     lq = scenario("lq_drift", {"d": 2, "p": p.tolist()})
     tf = lq_test_function(p, 1.0)
-    quad = SphereQuadrature.equispaced_circle(32)
     rng = np.random.default_rng(18)
     probes = [
         (float(rng.uniform(0.2, 0.8)), ParticleEnsemble(rng.standard_normal((6, 2)) * 0.4))
         for _ in range(5)
     ]
-    rep = viscosity_check(lq, tf, probes, quad)
+    rep = viscosity_check(lq, tf, probes)
     assert rep["sub_all"] and rep["super_all"]
 
     slope = 0.4
@@ -437,7 +431,7 @@ def test_viscosity_check_closed_form_and_negative_control():
         dt=lambda t, cloud: tf.dt(t, cloud) - slope,
         dmu=tf.dmu, dxdmu=tf.dxdmu, h_op=tf.h_op,
     )
-    rep2 = viscosity_check(lq, bumped, probes, quad)
+    rep2 = viscosity_check(lq, bumped, probes)
     assert not rep2["sub_all"]
     assert all(r["residual"] < -1e-6 for r in rep2["probes"])
 

@@ -27,7 +27,7 @@ from mfhjb.measures import ParticleEnsemble, sample_iid, translate
 from mfhjb.scenarios import scenario
 
 D = 2
-SPACE = ActionSpace("box", lo=-np.ones(D), hi=np.ones(D))
+SPACE = ActionSpace(-np.ones(D), np.ones(D))
 EYE = np.eye(D)
 ZERO = np.zeros((D, D))
 

@@ -10,18 +10,16 @@ from mfhjb.mollify import (
     MollifierSpec,
     _draw_offsets,
     _mollified_all,
+    _rate_bounds,
     bump_kernel_tables,
-    mollified_b,
-    mollified_f,
-    mollified_g,
-    mollify_rate_bound,
+    mollified,
     mollify_rate_sweep,
 )
 from mfhjb.scenarios import scenario
 
 
 def simple_coeffs(b=None, f=None, g=None, K=10.0, beta=1.0, d=2):
-    space = ActionSpace("box", lo=-np.ones(d), hi=np.ones(d))
+    space = ActionSpace(-np.ones(d), np.ones(d))
     zmat = np.zeros((d, d))
     return CoefficientSet(
         drift=b or (lambda t, x, cloud, a: np.zeros_like(x)),
@@ -54,25 +52,18 @@ def test_constant_coefficient_exact():
     coeffs = simple_coeffs(b=lambda t, x, cloud, a: np.broadcast_to(c, x.shape).astype(float))
     spec = MollifierSpec(m=3, offsets=256, seed=0)
     xbar = np.random.default_rng(0).standard_normal((5, 2))
-    val, err, flagged = mollified_b(coeffs, spec, 2, 0.4, xbar, np.zeros(2))
+    val, err = mollified("drift", coeffs, spec, 0.4, xbar, np.zeros(2))
     # kernel has unit mass; only float accumulation separates val from c
-    np.testing.assert_allclose(val, c, rtol=1e-14)
-    assert err < 1e-14 and not flagged
+    np.testing.assert_allclose(val[2], c, rtol=1e-14)
+    assert err[2].max() < 1e-14
 
 
 def test_linear_coefficient_symmetric_kernel():
     coeffs = simple_coeffs(b=lambda t, x, cloud, a: x.copy())
     spec = MollifierSpec(m=8, offsets=4096, seed=1)
     xbar = np.random.default_rng(1).standard_normal((4, 2))
-    val, err, _ = mollified_b(coeffs, spec, 1, 0.2, xbar, np.zeros(2))
-    np.testing.assert_allclose(val, xbar[1], atol=5e-5)
-
-
-def test_index_out_of_range():
-    coeffs = simple_coeffs()
-    spec = MollifierSpec(m=2, offsets=16)
-    with pytest.raises(IndexError):
-        mollified_b(coeffs, spec, 9, 0.1, np.zeros((3, 2)), np.zeros(2))
+    val = mollified("drift", coeffs, spec, 0.2, xbar, np.zeros(2))[0]
+    np.testing.assert_allclose(val[1], xbar[1], atol=5e-5)
 
 
 def test_uniform_bound_preserved():
@@ -82,9 +73,9 @@ def test_uniform_bound_preserved():
     for _ in range(10):
         xbar = rng.standard_normal((4, 1)) * 2.0
         t = float(rng.uniform(0, 1))
-        vb, _, _ = mollified_b(bt, spec, 0, t, xbar, np.zeros(1))
-        vf, _, _ = mollified_f(bt, spec, 0, t, xbar, np.zeros(1))
-        vg, _, _ = mollified_g(bt, spec, 0, xbar)
+        vb = mollified("drift", bt, spec, t, xbar, np.zeros(1))[0][0]
+        vf = mollified("running_cost", bt, spec, t, xbar, np.zeros(1))[0][0]
+        vg = mollified("terminal_cost", bt, spec, 0.0, xbar)[0][0]
         assert np.linalg.norm(vb) <= bt.K + 1e-12
         assert abs(vf) <= bt.K + 1e-12
         assert abs(vg) <= bt.K + 1e-12
@@ -100,9 +91,9 @@ def test_rate_bound_holds():
             t = float(rng.uniform(0, 1))
             a = np.zeros((3, 1))
             exact = bt.drift(t, xbar, xbar, a)
-            got, err, _ = mollified_b(bt, spec, 0, t, xbar, np.zeros(1))
-            bound = mollify_rate_bound(bt, spec, 0, t, xbar)
-            assert np.linalg.norm(got - exact[0]) <= bound * 1.05 + 3 * err
+            got, err = mollified("drift", bt, spec, t, xbar, np.zeros(1))
+            bound = _rate_bounds(bt, spec, t, 1.0, None, *_draw_offsets(spec, 3, 1))[0]
+            assert np.linalg.norm(got[0] - exact[0]) <= bound * 1.05 + 3 * err[0].max()
 
 
 def _rate_bound_per_particle(coeffs, spec, i, t, xbar, horizon=1.0, beta=None):
@@ -133,7 +124,7 @@ def test_rate_bounds_match_per_particle_draws(monkeypatch, n, d):
     for m in (2, 16):
         spec = MollifierSpec(m=m, offsets=256, seed=13)
         want = [_rate_bound_per_particle(coeffs, spec, i, t, x, beta=0.7) for t, x, _ in probes for i in range(n)]
-        got = [mollify_rate_bound(coeffs, spec, i, t, x, beta=0.7) for t, x, _ in probes for i in range(n)]
+        got = [b for t, x, _ in probes for b in _rate_bounds(coeffs, spec, t, 1.0, 0.7, *_draw_offsets(spec, n, d))]
         assert got == want
         sup = max(_rate_bound_per_particle(coeffs, spec, i, t, x) for t, x, _ in probes for i in range(n))
         assert tab["bound"][m] == sup
@@ -147,8 +138,8 @@ def test_lipschitz_transfer():
     for _ in range(20):
         xbar = rng.standard_normal((4, 1))
         dx = rng.standard_normal((4, 1)) * 0.3
-        g1, e1, _ = mollified_g(bt, spec, 0, xbar)
-        g2, e2, _ = mollified_g(bt, spec, 0, xbar + dx)
+        g1, e1 = (v[0] for v in mollified("terminal_cost", bt, spec, 0.0, xbar))
+        g2, e2 = (v[0] for v in mollified("terminal_cost", bt, spec, 0.0, xbar + dx))
         allowance = bt.K * (
             np.linalg.norm(dx[0]) + np.mean(np.linalg.norm(dx, axis=1))
         )
@@ -230,17 +221,6 @@ def test_mollified_coefficients_batch_rows_match_rows_alone(name, params, n):
             )
             for got, want in zip(batch, alone):
                 np.testing.assert_array_equal(got[i], want)
-
-
-def test_stderr_cap_flags():
-    rng_local = np.random.default_rng(9)
-    wiggly = simple_coeffs(
-        b=lambda t, x, cloud, a: np.sin(50.0 * x), K=60.0, d=1
-    )
-    spec = MollifierSpec(m=1, offsets=64, seed=9, stderr_cap=1e-12)
-    xbar = rng_local.standard_normal((3, 1))
-    _, err, flagged = mollified_b(wiggly, spec, 0, 0.5, xbar, np.zeros(1))
-    assert err > 1e-12 and flagged
 
 
 def _offset_loop(kind, coeffs, spec, t, xbar, a, horizon, t_off, z_off):

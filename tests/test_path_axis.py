@@ -31,7 +31,7 @@ from mfhjb.mollify import MollifiedCoefficients, MollifierSpec
 from mfhjb.scenarios import scenario
 
 D = 2
-SPACE = ActionSpace("box", lo=-np.ones(D), hi=np.ones(D))
+SPACE = ActionSpace(-np.ones(D), np.ones(D))
 
 
 def _parent_pass(coeffs, init, policies, cfg, path, noise_ids=None):

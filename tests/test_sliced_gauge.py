@@ -185,6 +185,18 @@ def test_sw2_sigma_zero_uses_discrete_oracle():
         sw2(mu, nu_bad, 0.0, QUAD1)
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf])
+def test_non_finite_sigma_is_rejected(sigma):
+    # a NaN fails every comparison, so a bare sigma <= 0 test lets it through
+    mu, nu = random_pair(20)
+    with pytest.raises(ValueError):
+        sw2(mu, nu, sigma, QUAD2)
+    with pytest.raises(ValueError):
+        rho_matrix([0.0], (mu,), [0.0], (nu,), sigma, QUAD2)
+    with pytest.raises(ValueError):
+        dmu_gauge(mu, nu, sigma, QUAD2, mu.points)
+
+
 def test_sw2_metric_axioms():
     rng = np.random.default_rng(5)
     for seed in range(5):
@@ -556,15 +568,6 @@ def test_rho_matrix_entries_equal_rho_and_gauge_g():
             )
     with pytest.raises(ValueError):
         rho_matrix([0.0], clouds[:1], [0.0], clouds[:1], 0.0, QUAD2)
-
-
-def test_phi_delta_truncation_tail_bound():
-    mu, _ = random_pair(18)
-    many = GaugeAnchors(tuple((0.1, mu) for _ in range(50)), delta=0.5, k_max=40)
-    rho_sup = 1.0
-    assert many.truncation_tail_bound(rho_sup) <= 1e-10
-    few = GaugeAnchors(((0.1, mu),), delta=0.5)
-    assert few.truncation_tail_bound(rho_sup) == 0.0
 
 
 def test_phi_delta_dt_bound_always():
