@@ -177,13 +177,24 @@ def mollified(kind: str, coeffs, spec: MollifierSpec, t: float, xbar, a=None, ho
     """The smoothed coefficient ``kind`` ("drift", "running_cost" or
     "terminal_cost", which ignores t and a) of every particle of the (n, d)
     state xbar, with the standard error of the offset estimate: (mean,
-    stderr), each (n, d) for the drift and (n,) for a cost.  An action array
-    is raveled and given to every particle."""
+    stderr), each (n, d) for the drift and (n,) for a cost.  The action a is
+    one (q,) action shared by every particle or an (n, q) array of one
+    action per particle."""
     xbar = np.asarray(xbar, dtype=float)
     n, d = xbar.shape
-    if isinstance(a, (np.ndarray, list, tuple)):
-        a = np.broadcast_to(np.asarray(a, dtype=float).ravel(), (n, np.size(a)))
+    a = None if a is None else _particle_actions(a, n)
     return _mollified_all(kind, coeffs, spec, t, xbar, a, horizon, *_draw_offsets(spec, n, d))
+
+
+def _particle_actions(a, n: int) -> np.ndarray:
+    """The (n, q) actions of n particles from one shared (q,) action or an
+    (n, q) array."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 1:
+        return np.broadcast_to(a, (n, a.size))
+    if a.ndim != 2 or a.shape[0] != n:
+        raise ValueError(f"action shape {a.shape} is neither (q,) nor ({n}, q)")
+    return a
 
 
 def _rate_bounds(coeffs, spec, t, horizon, beta, t_off, z_off) -> np.ndarray:
@@ -207,7 +218,8 @@ def mollify_rate_sweep(
 ) -> dict:
     """Sup error over probes of each mollified coefficient versus m.
 
-    Probes are (t, xbar, a) triples; xbar is an (n, d) state matrix.  Returns
+    Probes are (t, xbar, a) triples; xbar is an (n, d) state matrix and a
+    an action as ``mollified`` takes it.  Returns
     per-coefficient {m: sup_error} tables together with the per-m a priori
     bounds, for rate fitting by the caller.
     """
@@ -220,7 +232,7 @@ def mollify_rate_sweep(
         for t, xbar, a in probes:
             xbar = np.asarray(xbar, dtype=float)
             n = xbar.shape[0]
-            av = np.broadcast_to(np.asarray(a, dtype=float).ravel(), (n, np.size(a)))
+            av = _particle_actions(a, n)
             exact_b = coeffs.drift(t, xbar, xbar, av)
             exact_f = coeffs.running_cost(t, xbar, xbar, av)
             exact_g = coeffs.terminal_cost(xbar, xbar)

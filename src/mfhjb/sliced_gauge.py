@@ -156,6 +156,15 @@ def _stratified_quantiles(rows: np.ndarray, sigma: float, m_points: int) -> np.n
     return _mixture_quantile(rows, sigma, np.broadcast_to(p, (rows.shape[0], m_points)))
 
 
+def _row_quantiles(rows: np.ndarray, sigma: float, m_points: int) -> np.ndarray:
+    """_stratified_quantiles of (rows, n) values in "gauge" chunks of rows, each
+    row charged like a table's: (levels + the seed grid points) x max(n,
+    entry_state).  A row's solve reads only that row, so chunks change no bit."""
+    cost = (m_points + _SEED_GRID) * max(rows.shape[1], CAPS["entry_state"])
+    return np.concatenate([_stratified_quantiles(rows[sl], sigma, m_points)
+                           for sl in chunks(rows.shape[0], cost, "gauge")])
+
+
 def _padded_rows(clouds, quad: SphereQuadrature) -> np.ndarray:
     """The projected (directions, n) rows of each cloud, stacked and padded with
     +inf, an absent atom to the quantile solve, to the widest cloud's n."""
@@ -516,30 +525,41 @@ def lifted_gauge_fd_gradient(
     h: float = 1e-4,
     m_points: int = 256,
 ) -> np.ndarray:
-    """Central-difference gradient of the lifted functional sw2^2.
+    """Central-difference gradient of the lifted functional sw2^2, (n, d).
 
-    Lifting the functional to particle coordinates, X -> sw2^2(emp(X), nu),
-    the measure derivative at particle i is n times the coordinate gradient,
-    so s n (F(X + h e_il) - F(X - h e_il)) / (2h) estimates the derivative of
+    Lifting the functional to particle coordinates, F(X) = sw2^2(emp(X), nu)
+    = sum_j w_j G_j(X theta_j), where G_j is the 1-d squared gap of line j on
+    the midpoint-level tables.  The measure derivative at particle i is n times
+    the coordinate gradient, so s n dF/dx_il estimates the derivative of
     s * sw2^2 at x_i, and dmu_gauge(x_i)_l at s = GAUGE_SQUARE_FACTOR.
+
+    X -> X theta_j is linear, so the chain rule through the projection is
+    exact and only G_j is differenced: on each line j, atom i's projection is
+    moved by +h and by -h, giving the central gap difference D_ji, and
+    dF/dx_il = sum_j w_j theta_jl D_ji / (2h).  Each particle is one table
+    solve of its 2 x lines perturbed rows (in "gauge" chunks of rows), and
+    nu's table is solved once.  The W2^2 part is finite-differenced on the
+    same table rule, so the oracle stays independent of dmu_gauge.
+
+    In d = 1 (theta = [1]) a coordinate step is a step on the line, and the
+    result is bit-identical to perturbing each coordinate of the cloud.  In
+    d = 2 and 3 it agrees with that coordinate-wise difference to about 1e-9
+    relative on random 6-vs-5 pairs at 128 levels: the step on line j is h,
+    not h theta_jl.
     """
-    n, d = mu.n, mu.d
-    # nu is fixed across the sweep, so its table is solved once
-    qn = _stratified_quantiles((nu.points @ quad.nodes.T).T.copy(), sigma, m_points)
-
-    def sw2_squared(points):
-        qm = _stratified_quantiles((points @ quad.nodes.T).T.copy(), sigma, m_points)
-        return _sliced_gap(qm[None], qn[None], quad.weights)[0, 0]
-
-    grad = np.zeros((n, d))
+    n, lines = mu.n, quad.count
+    _check_dims(quad, mu, nu)
+    qn = _row_quantiles((nu.points @ quad.nodes.T).T.copy(), sigma, m_points)  # (A, M)
+    vm = (mu.points @ quad.nodes.T).T  # (A, n)
+    diff = np.empty((lines, n))
     for i in range(n):
-        for l in range(d):
-            pts_p = mu.points.copy()
-            pts_m = mu.points.copy()
-            pts_p[i, l] += h
-            pts_m[i, l] -= h
-            grad[i, l] = n * (sw2_squared(pts_p) - sw2_squared(pts_m)) / (2.0 * h)
-    return grad
+        rows = np.concatenate([vm, vm])
+        rows[:lines, i] += h
+        rows[lines:, i] -= h
+        q = _row_quantiles(rows, sigma, m_points)
+        diff[:, i] = ((q[:lines] - qn) ** 2).mean(axis=-1) - ((q[lines:] - qn) ** 2).mean(axis=-1)
+    terms = quad.weights[:, None, None] * quad.nodes[:, None, :] * diff[:, :, None]  # (A, n, d)
+    return n * terms.sum(axis=0) / (2.0 * h)
 
 
 def pin_gauge_square_factor(

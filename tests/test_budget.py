@@ -19,9 +19,11 @@ from mfhjb.sliced_gauge import (
     _quantile_tables,
     dmu_gauge,
     dxdmu_gauge,
+    lifted_gauge_fd_gradient,
     phi_delta_derivatives,
     rho_matrix,
 )
+from mfhjb.transport1d import _SEED_GRID
 
 # 32 and 64 directions, folded to 16 and 32 lines
 QUAD32 = SphereQuadrature.equispaced_circle(32)
@@ -110,6 +112,19 @@ def test_phi_delta_derivatives_peak():
     assert fewest_chunks(run) >= 2
     peak = traced_peak(run)
     assert peak <= budget("gauge", QUAD32.count * 256 * 24, 4)
+
+
+def test_lifted_fd_gradient_peak():
+    # 1024 lines of 4 particles: each particle's 2048 perturbed rows as one
+    # block would take 113 MB
+    quad = SphereQuadrature.quasi_uniform_sphere(3, 1024)
+    rng = np.random.default_rng(9)
+    mu = ParticleEnsemble(rng.standard_normal((4, 3)))
+    nu = ParticleEnsemble(rng.standard_normal((4, 3)) + 0.3)
+    run = lambda: lifted_gauge_fd_gradient(mu, nu, 0.5, quad)
+    assert fewest_chunks(run) >= 2
+    peak = traced_peak(run)
+    assert peak <= budget("gauge", (256 + _SEED_GRID) * max(4, CAPS["entry_state"]), 6)
 
 
 def test_monte_carlo_pass_peak():

@@ -58,6 +58,26 @@ def test_constant_coefficient_exact():
     assert err[2].max() < 1e-14
 
 
+def test_mollified_shared_and_per_particle_actions():
+    # lq_drift's drift is the action itself; a second drift mixes it with x
+    lq = scenario("lq_drift", {"d": 2})
+    mixed = simple_coeffs(b=lambda t, x, cloud, a: np.sin(x) + a * x.mean(axis=-2, keepdims=True))
+    spec = MollifierSpec(m=3, offsets=64, seed=2)
+    rng = np.random.default_rng(3)
+    xbar = rng.standard_normal((3, 2))
+    actions = rng.uniform(-1.0, 1.0, (3, 2))
+    for coeffs in (lq, mixed):
+        per_particle = mollified("drift", coeffs, spec, 0.4, xbar, actions)
+        for i, ai in enumerate(actions):
+            shared = mollified("drift", coeffs, spec, 0.4, xbar, ai)
+            for got, want in zip(per_particle, shared):
+                np.testing.assert_array_equal(got[i], want[i])
+    np.testing.assert_array_equal(mollified("drift", lq, spec, 0.4, xbar, actions)[0], actions)
+    for bad in (np.zeros((2, 2)), np.zeros((3, 2, 1)), 0.5):
+        with pytest.raises(ValueError, match="action shape"):
+            mollified("drift", lq, spec, 0.4, xbar, bad)
+
+
 def test_linear_coefficient_symmetric_kernel():
     coeffs = simple_coeffs(b=lambda t, x, cloud, a: x.copy())
     spec = MollifierSpec(m=8, offsets=4096, seed=1)

@@ -19,6 +19,7 @@ from mfhjb.sliced_gauge import (
     dxdmu_gauge,
     gauge_g,
     h_gauge,
+    lifted_gauge_fd_gradient,
     phi_delta,
     phi_delta_derivative_bounds,
     phi_delta_derivatives,
@@ -264,6 +265,55 @@ def test_pin_gauge_square_factor_selects_half():
     assert res["factor"] == GAUGE_SQUARE_FACTOR == 0.5
     assert res["errors"][0.5] < 1e-3
     assert res["errors"][1.0] > 0.5
+
+
+def _coordinate_fd_gradient(mu, nu, sigma, quad, h=1e-4, m_points=256):
+    """The coordinate-wise oracle: each coordinate of each particle moved by
+    +-h, the whole cloud projected and its table solved, and the two sliced
+    gaps differenced."""
+    qn = sliced_gauge._stratified_quantiles((nu.points @ quad.nodes.T).T.copy(), sigma, m_points)
+
+    def gap(points):
+        qm = sliced_gauge._stratified_quantiles((points @ quad.nodes.T).T.copy(), sigma, m_points)
+        return sliced_gauge._sliced_gap(qm[None], qn[None], quad.weights)[0, 0]
+
+    grad = np.zeros(mu.points.shape)
+    for i, l in np.ndindex(grad.shape):
+        step = np.zeros(grad.shape)
+        step[i, l] = h
+        grad[i, l] = mu.n * (gap(mu.points + step) - gap(mu.points - step)) / (2.0 * h)
+    return grad
+
+
+@pytest.mark.parametrize("d, quad", [
+    (1, QUAD1),
+    (2, SphereQuadrature.equispaced_circle(32)),
+    (3, SphereQuadrature.quasi_uniform_sphere(3, 32)),
+])
+def test_lifted_fd_gradient_matches_coordinate_differences(d, quad):
+    # a coordinate step is a step on the line in d = 1; in d >= 2 the line
+    # step is h rather than h theta_jl, a truncation-level difference
+    for seed in range(10):
+        mu, nu = random_pair(seed, d=d)
+        got = lifted_gauge_fd_gradient(mu, nu, 0.5, quad, m_points=128)
+        want = _coordinate_fd_gradient(mu, nu, 0.5, quad, m_points=128)
+        assert got.shape == (6, d)
+        if d == 1:
+            assert np.array_equal(got, want)
+        else:
+            assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+
+def test_lifted_fd_gradient_work(cdf_passes):
+    # n perturbation pairs per line instead of n d perturbed clouds
+    mu, nu = random_pair(62)
+    quad = SphereQuadrature.equispaced_circle(32)
+    _coordinate_fd_gradient(mu, nu, 0.5, quad)
+    reference = cdf_passes.atoms
+    cdf_passes.reset()
+    lifted_gauge_fd_gradient(mu, nu, 0.5, quad)
+    assert cdf_passes.atoms <= 0.6 * reference
+    assert pin_gauge_square_factor(mu, nu, 0.5, quad)["factor"] == GAUGE_SQUARE_FACTOR == 0.5
 
 
 def test_dmu_gauge_translation_formula():
