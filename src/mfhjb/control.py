@@ -1,13 +1,12 @@
 """Cost functionals, value estimation by policy search, and residual checks
 for the dynamic programming principle and the limiting HJB equation.
 
-The admissible controls are step controls: piecewise constant in time, each
-piece either a fixed action or a spatial-grid feedback table.  Value
-estimation maximizes the Monte Carlo cost over a finite policy class with
-common random numbers across the policies, so it lower-bounds the true value by
-construction and attains it when the optimum lies in the class (as in the
-linear-drift scenario, where the optimal control is a vertex of the action
-box).
+The admissible controls are step controls: piecewise constant in time, one
+fixed action per piece.  Value estimation maximizes the Monte Carlo cost
+over a finite policy class with common random numbers across the policies,
+so it lower-bounds the true value by construction and attains it when the
+optimum lies in the class (as in the linear-drift scenario, where the
+optimal control is a vertex of the action box).
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from mfhjb.measures import ParticleEnsemble, sample_iid
 
 __all__ = [
     "ActionSpace",
-    "FeedbackTable",
     "StepControl",
     "TestFunction",
     "CoefficientSet",
@@ -59,61 +57,19 @@ class ActionSpace:
     def dim(self) -> int:
         return self.lo.shape[0]
 
-    def contains(self, a: np.ndarray) -> bool:
-        a = np.asarray(a, dtype=float).ravel()
-        return bool(np.all(a >= self.lo - 1e-12) and np.all(a <= self.hi + 1e-12))
-
     def vertices(self) -> list:
         corners = itertools.product(*[(l, h) for l, h in zip(self.lo, self.hi)])
         return [np.array(c) for c in corners]
 
-    def grid(self, res: int) -> list:
-        axes = [np.linspace(l, h, res) for l, h in zip(self.lo, self.hi)]
-        return [np.array(c) for c in itertools.product(*axes)]
-
-
-@dataclass(frozen=True)
-class FeedbackTable:
-    """Grid feedback a(x): the action of the cell containing x.
-
-    Cells partition the box [lo, hi]^d uniformly with the given shape; points
-    outside are clipped to the boundary cells.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-    table: np.ndarray  # shape (*cells, q)
-
-    def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float).ravel()
-        hi = np.asarray(self.hi, dtype=float).ravel()
-        table = np.asarray(self.table, dtype=float)
-        if table.ndim != lo.shape[0] + 1:
-            raise ValueError("table needs one grid axis per state dimension plus the action axis")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "table", table)
-
-    def actions_for(self, x: np.ndarray) -> np.ndarray:
-        """The (..., n, q) actions at the points x of shape (..., n, d)."""
-        shape = self.table.shape[:-1]
-        frac = (x - self.lo) / (self.hi - self.lo)
-        idx = []
-        for j, cells in enumerate(shape):
-            # clipped before the cast, which far-outside points would overflow;
-            # fmax/fmin send NaN to cell 0
-            k = np.fmin(np.fmax(frac[..., j] * cells, 0.0), cells - 1).astype(int)
-            idx.append(k)
-        return self.table[tuple(idx)]
-
 
 @dataclass(frozen=True)
 class StepControl:
-    """Piecewise-constant-in-time control: breakpoints and per-piece actions.
+    """Piecewise-constant-in-time control: breakpoints and one fixed action
+    per piece.
 
     ``breakpoints[0]`` is the start of the horizon; piece i applies on
     [breakpoints[i], breakpoints[i+1]) and the last piece runs to the end.
-    Each action is a fixed vector or a FeedbackTable.
+    Each action is raveled to a float vector.
     """
 
     breakpoints: np.ndarray
@@ -126,37 +82,25 @@ class StepControl:
         if bp.size == 0 or np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be non-empty and strictly increasing")
         object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "actions", tuple(self.actions))
+        object.__setattr__(self, "actions", tuple(np.asarray(a, dtype=float).ravel() for a in self.actions))
         object.__setattr__(self, "_starts", tuple(bp.tolist()))
-        # one read-only answer per (fixed piece, batch shape): the Euler scheme
-        # restacks actions only when some policy answers with another object
-        object.__setattr__(self, "_fixed", {})
 
     @staticmethod
     def constant(t0: float, a) -> "StepControl":
-        return StepControl(np.array([t0]), (np.asarray(a, dtype=float).ravel(),))
+        return StepControl(np.array([t0]), (a,))
+
+    def piece(self, t: float) -> int:
+        """The index of the piece in force at time t; the first before the start."""
+        return max(bisect.bisect_right(self._starts, t + 1e-12) - 1, 0)
 
     def actions_at(self, t: float, x: np.ndarray) -> np.ndarray:
-        """The (..., n, q) actions at time t for states x of shape (..., n, d)."""
-        idx = max(bisect.bisect_right(self._starts, t + 1e-12) - 1, 0)
-        act = self.actions[idx]
-        if x.ndim == 1:
-            x = x[None]
-        if isinstance(act, FeedbackTable):
-            return act.actions_for(x)
-        key = (idx, x.shape[:-1])
-        if key not in self._fixed:
-            a = np.asarray(act, dtype=float).ravel()
-            self._fixed[key] = np.broadcast_to(a, x.shape[:-1] + a.shape)
-        return self._fixed[key]
+        """The (..., n, q) actions at time t for states x of shape (..., n, d),
+        a read-only broadcast of the piece's action."""
+        a = self.actions[self.piece(t)]
+        return np.broadcast_to(a, (x.shape[:-1] or (1,)) + a.shape)  # one point: a batch of one
 
     def describe(self) -> str:
-        parts = []
-        for t, a in zip(self.breakpoints, self.actions):
-            if isinstance(a, FeedbackTable):
-                parts.append(f"t>={t:.3g}: feedback{a.table.shape[:-1]}")
-            else:
-                parts.append(f"t>={t:.3g}: {np.round(np.asarray(a, dtype=float), 6).tolist()}")
+        parts = [f"t>={t:.3g}: {np.round(a, 6).tolist()}" for t, a in zip(self.breakpoints, self.actions)]
         return "; ".join(parts)
 
 
@@ -322,21 +266,16 @@ def _mean(per_path: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Finite policy class for value estimation.
+    """Finite policy class for value estimation: n_intervals pieces split the
+    horizon evenly, and every assignment of an action to each piece is a
+    policy.
 
     actions: explicit list of action vectors, or None for the vertices of the
-    action box.  n_intervals pieces split the horizon evenly; "exhaustive"
-    enumerates every per-piece assignment, "feedback_ascent" runs coordinate
-    ascent over a spatial feedback table (one piece).
+    action box.
     """
 
     actions: tuple | None = None
     n_intervals: int = 1
-    kind: str = "exhaustive"
-    feedback_shape: tuple = (2,)
-    feedback_lo: np.ndarray | None = None
-    feedback_hi: np.ndarray | None = None
-    sweeps: int = 2
 
     def action_list(self, space: ActionSpace) -> list:
         if self.actions is not None:
@@ -362,16 +301,14 @@ def value_estimate(
 
     All policies are evaluated on the same noise (common random numbers),
     so policy comparisons are exact whenever the pathwise cost difference is
-    noise-free (e.g. action-independent diffusion).  The exhaustive search
-    draws that noise once: each chunk of paths simulates every candidate in
-    one batched pass, and each candidate's cost is bit-identical to
+    noise-free (e.g. action-independent diffusion).  The search draws that
+    noise once: each chunk of paths simulates every candidate in one
+    batched pass, and each candidate's cost is bit-identical to
     ``cost_j``'s.
     Returns the best value (the first of equal maxima), the maximizing
     policy, and the full evaluation trace in enumeration order.
     """
     _check_counts(paths=paths)
-    if search.kind == "feedback_ascent":
-        return _feedback_ascent(coeffs, init, cfg, search, paths)
     policies = tuple(_exhaustive_policies(search, coeffs.action_space, cfg.t0, cfg.t1))
     if not policies:
         raise ValueError("empty policy class")
@@ -387,41 +324,6 @@ def value_estimate(
         "stderr": trace[best]["stderr"],
         "trace": trace,
     }
-
-
-def _feedback_ascent(coeffs, init, cfg, search, paths) -> dict:
-    acts = search.action_list(coeffs.action_space)
-    lo = np.asarray(search.feedback_lo, dtype=float)
-    hi = np.asarray(search.feedback_hi, dtype=float)
-    shape = tuple(search.feedback_shape)
-    table = np.tile(np.mean(acts, axis=0), shape + (1,))
-    trace = []
-
-    def policy_for(tab):
-        return StepControl(np.array([cfg.t0]), (FeedbackTable(lo, hi, tab),))
-
-    policy = policy_for(table)
-    current = cost_j(coeffs, init, policy, cfg, paths)["mean"]
-    for _ in range(search.sweeps):
-        improved = False
-        for cell in itertools.product(*[range(c) for c in shape]):
-            # a cell's trials differ from the current table only at that
-            # cell, so they are fixed before its loop and share one pass
-            trials = []
-            for a in acts:
-                trial = table.copy()
-                trial[cell] = a
-                trials.append((trial, policy_for(trial)))
-            per_path = _cost_paths(coeffs, init, tuple(p for _, p in trials), cfg, paths, None)[0]
-            for (trial, pol), row in zip(trials, per_path):
-                val = _mean(row)
-                trace.append({"policy": pol.describe(), "mean": val, "stderr": float("nan")})
-                if val > current:
-                    current, policy, table = val, pol, trial
-                    improved = True
-        if not improved:
-            break
-    return {"value": current, "best_policy": policy, "stderr": float("nan"), "trace": trace}
 
 
 def value_fd_approx(
@@ -508,14 +410,8 @@ def dpp_residual(
     for chunk, running, clouds in _passes(coeffs, init, legs, cfg_leg, paths_outer):
         for p, leg_running, leg_clouds in zip(chunk, running[:, 0], clouds[:, 0]):
             cfg_tail = SimConfig(n=n, steps=n_steps - steps_leg, t0=s_mid, t1=t1, seed=seed + 31 * (p + 1))
-            if search.kind == "feedback_ascent":
-                cont = [
-                    value_estimate(coeffs, ParticleEnsemble(cloud), cfg_tail, search, paths_inner)["value"]
-                    for cloud in leg_clouds
-                ]
-            else:
-                per_path = _cost_paths(coeffs, init, tails, cfg_tail, paths_inner, None, leg_clouds)
-                cont = [max(_mean(row) for row in rows) for rows in per_path]
+            per_path = _cost_paths(coeffs, init, tails, cfg_tail, paths_inner, None, leg_clouds)
+            cont = [max(_mean(row) for row in rows) for rows in per_path]
             for i, (r, c) in enumerate(zip(leg_running, cont)):
                 totals[i, p] = math.fsum(r.tolist()) / n + c
     means = [float(leg_totals.mean()) for leg_totals in totals]

@@ -187,8 +187,9 @@ def simulate(
     integrate the left-Riemann running cost along them.
 
     ``coeffs`` is a control.CoefficientSet, called with the current state as
-    its own cloud; each of the A ``policies`` supplies (..., n, q) actions
-    through ``actions_at(t, X)``, and all are advanced as one state on one
+    its own cloud; each of the A ``policies``, control.StepControl objects,
+    supplies (..., n, q) actions through ``actions_at(t, X)`` and its piece
+    index through ``piece(t)``, and all are advanced as one state on one
     noise draw per step (common random numbers).  Each of the P ``paths``
     runs on its own noise; ``starts``, L start clouds (L, n, d) of init's
     size, replace init's points (L = 1 without them).  Returns the running
@@ -216,9 +217,10 @@ def _euler(coeffs, starts, policies, cfg, paths, noise_ids):
     (P, L, A, n, q), the drift b_k (P, L, A, n, d), sigma_k (d, d) or
     (..., n, d, d), sigma0_k (d, d) and dW0_k (P, d).  The step is taken
     with exactly the yielded arrays.  Each state is a fresh C-ordered array,
-    and a_k is the previous step's array while every policy answers with
-    the same object (a fixed piece); nothing yielded is written afterwards,
-    and consumers must not write it either.
+    and a_k is the previous step's array while every policy stays in the
+    same piece; nothing yielded is written afterwards, and consumers must
+    not write it either.  Actions whose length is not the action space's
+    dimension raise ValueError.
     """
     n, d = starts.shape[-2:]
     dt = cfg.dt
@@ -241,16 +243,20 @@ def _euler(coeffs, starts, policies, cfg, paths, noise_ids):
 
     x = np.empty((len(paths), starts.shape[0], len(policies), n, d))
     x[...] = starts[:, None]
-    answers = None
+    pieces = None
     for k in range(cfg.steps):
         t = cfg.t0 + dt * k
-        # a fixed piece answers with the same array at every step, so the
-        # actions are restacked only when some policy's answer changes, in C
-        # order (stacked broadcast answers would put the action axis outermost)
-        now = [pol.actions_at(t, x[:, :, i]) for i, pol in enumerate(policies)]
-        if answers is None or any(new is not old for new, old in zip(now, answers)):
-            a = np.ascontiguousarray(np.stack(now, axis=2), dtype=float)
-        answers = now
+        # a policy's action is fixed on each piece, so the actions are
+        # restacked only when some policy enters another piece, in C order
+        # (stacked broadcast answers would put the action axis outermost)
+        now = tuple(pol.piece(t) for pol in policies)
+        if now != pieces:
+            answers = [pol.actions_at(t, x[:, :, i]) for i, pol in enumerate(policies)]
+            a = np.ascontiguousarray(np.stack(answers, axis=2), dtype=float)
+            if a.shape[-1] != coeffs.action_space.dim:
+                raise ValueError(f"actions have {a.shape[-1]} components, but the action space has "
+                                 f"{coeffs.action_space.dim}")
+            pieces = now
         b = coeffs.drift(t, x, x, a)
         sig = np.asarray(coeffs.diffusion(t, x, a), dtype=float)
         sig0 = np.asarray(coeffs.common_diffusion(t), dtype=float)

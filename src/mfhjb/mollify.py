@@ -44,25 +44,22 @@ _KERNEL_NODES = 4097  # grid size of the bump kernel's quantile table
 def bump_kernel_tables() -> tuple:
     """Quantile table of the normalized bump exp(-1/(1-u^2)) on [-1, 1].
 
-    Returns (u_grid, cdf_grid, first_abs_moment).  The kernel integrates to
-    one under its own grid quadrature by construction; the residual
-    normalization defect on the grid is below 1e-10.
+    Returns (u_grid, cdf_grid).  The kernel integrates to one under its own
+    grid quadrature by construction; the residual normalization defect on
+    the grid is below 1e-10.
     """
     u = np.linspace(-1.0, 1.0, _KERNEL_NODES)
     with np.errstate(divide="ignore", over="ignore"):
         dens = np.where(np.abs(u) < 1.0, np.exp(-1.0 / np.maximum(1.0 - u**2, 1e-300)), 0.0)
     cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(u))])
-    total = cdf[-1]
-    dens /= total
-    cdf /= total
-    first_moment = float(np.trapezoid(np.abs(u) * dens, u))
+    cdf /= cdf[-1]
     u.setflags(write=False)
     cdf.setflags(write=False)
-    return u, cdf, first_moment
+    return u, cdf
 
 
 def _bump_quantile(p: np.ndarray) -> np.ndarray:
-    u, cdf, _ = bump_kernel_tables()
+    u, cdf = bump_kernel_tables()
     return np.interp(p, cdf, u)
 
 

@@ -159,10 +159,16 @@ def _stratified_quantiles(rows: np.ndarray, sigma: float, m_points: int) -> np.n
 def _row_quantiles(rows: np.ndarray, sigma: float, m_points: int) -> np.ndarray:
     """_stratified_quantiles of (rows, n) values in "gauge" chunks of rows, each
     row charged like a table's: (levels + the seed grid points) x max(n,
-    entry_state).  A row's solve reads only that row, so chunks change no bit."""
+    entry_state).  Rows may end in +inf, absent atoms; each chunk is cut to
+    its widest row's finite values.  A row's solve reads only that row's
+    finite values, so neither chunks nor cuts change a bit."""
     cost = (m_points + _SEED_GRID) * max(rows.shape[1], CAPS["entry_state"])
-    return np.concatenate([_stratified_quantiles(rows[sl], sigma, m_points)
-                           for sl in chunks(rows.shape[0], cost, "gauge")])
+    tables = []
+    for sl in chunks(rows.shape[0], cost, "gauge"):
+        block = rows[sl]
+        block = np.ascontiguousarray(block[:, : np.isfinite(block).sum(axis=1).max()])
+        tables.append(_stratified_quantiles(block, sigma, m_points))
+    return np.concatenate(tables)
 
 
 def _padded_rows(clouds, quad: SphereQuadrature) -> np.ndarray:
@@ -177,16 +183,14 @@ def _padded_rows(clouds, quad: SphereQuadrature) -> np.ndarray:
 def _quantile_tables(clouds, sigma: float, quad: SphereQuadrature, m_points: int) -> np.ndarray:
     """Stacked quantile tables of a sequence of clouds, shape (len(clouds),
     directions, m_points), one per distinct cloud object.  The distinct clouds,
-    sorted by particle count, are the +inf-padded rows of one _stratified_quantiles
-    solve per "gauge" chunk, each cloud charged at the widest one: directions x
-    (levels + the solve's seed grid points per row) x max(n, entry_state).  An
-    entry's solve reads only its own row, and its atom sums do not see trailing
-    +inf atoms, so neither padding nor chunks change a bit."""
+    sorted by particle count, are the +inf-padded rows of one _row_quantiles
+    solve, so a chunk may cut a cloud's rows and holds only as many atoms as
+    its widest cloud.  An entry's solve reads only its own row, and its atom
+    sums do not see trailing +inf atoms, so neither padding nor chunks change
+    a bit."""
     _check_dims(quad, *clouds)
     distinct = sorted({id(ens): ens for ens in clouds}.values(), key=lambda ens: ens.n)
-    width = quad.count * (m_points + _SEED_GRID) * max(distinct[-1].n, CAPS["entry_state"])
-    tables = np.concatenate([_stratified_quantiles(_padded_rows(distinct[sl], quad), sigma, m_points)
-                             for sl in chunks(len(distinct), width, "gauge")])
+    tables = _row_quantiles(_padded_rows(distinct, quad), sigma, m_points)
     solved = dict(zip(map(id, distinct), tables.reshape(len(distinct), quad.count, m_points)))
     return np.stack([solved[id(ens)] for ens in clouds])
 

@@ -22,6 +22,7 @@ from mfhjb.sliced_gauge import (
     lifted_gauge_fd_gradient,
     phi_delta_derivatives,
     rho_matrix,
+    sw2,
 )
 from mfhjb.transport1d import _SEED_GRID
 
@@ -124,6 +125,19 @@ def test_lifted_fd_gradient_peak():
     run = lambda: lifted_gauge_fd_gradient(mu, nu, 0.5, quad)
     assert fewest_chunks(run) >= 2
     peak = traced_peak(run)
+    assert peak <= budget("gauge", (256 + _SEED_GRID) * max(4, CAPS["entry_state"]), 6)
+
+
+def test_sw2_one_cloud_over_the_cap_peak():
+    # 1024 lines of 4 particles: each cloud's rows alone are over the cap, and
+    # with a block per cloud sw2 would peak at 54 MB
+    quad = SphereQuadrature.quasi_uniform_sphere(3, 1024)
+    rng = np.random.default_rng(10)
+    mu = ParticleEnsemble(rng.standard_normal((4, 3)))
+    nu = ParticleEnsemble(rng.standard_normal((4, 3)) + 0.3)
+    # sw2's one sliced gap is a single row, so the chunk count is the tables'
+    assert fewest_chunks(lambda: _quantile_tables((mu, nu), 0.5, quad, 256)) >= 2
+    peak = traced_peak(lambda: sw2(mu, nu, 0.5, quad))
     assert peak <= budget("gauge", (256 + _SEED_GRID) * max(4, CAPS["entry_state"]), 6)
 
 

@@ -153,6 +153,9 @@ def test_zero_monte_carlo_count_exits_one(tmp_path, sub, cfg, name):
     "sub,cfg",
     [
         ("simulate", {"params": "x"}),
+        # lq_drift in d = 2 takes two action components; its drift would broadcast one
+        ("simulate", {"n": 8, "steps": 5, "action": [0.5]}),
+        ("simulate", {"n": 8, "steps": 5, "action": [0.5, 0.5, 0.5]}),
         ("n-sweep", {"params": "x"}),
         ("rates", {"reps": 0}),
         ("rates", {"reps": -1}),
@@ -167,7 +170,8 @@ def test_zero_monte_carlo_count_exits_one(tmp_path, sub, cfg, name):
         ("metric", {"sigma": float("-inf")}),
     ],
     ids=[
-        "simulate-params", "n-sweep-params", "rates-reps-0", "rates-reps-negative", "rates-ns-0",
+        "simulate-params", "simulate-short-action", "simulate-long-action", "n-sweep-params", "rates-reps-0",
+        "rates-reps-negative", "rates-ns-0",
         "gradient-check-m-points-0", "variational-m-points-0", "metric-sigma-nan",
         "gradient-check-sigma-nan", "h-check-sigma-nan", "metric-sigma-inf", "metric-sigma-minus-inf",
     ],

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from conftest import record_path
 from mfhjb.control import (
     ActionSpace,
     CoefficientSet,
-    FeedbackTable,
     SearchSpec,
     StepControl,
     TestFunction,
@@ -29,9 +27,6 @@ def test_action_space_box():
     space = ActionSpace([-1, -1], [1, 1])
     verts = space.vertices()
     assert len(verts) == 4
-    assert space.contains([0.5, -0.5])
-    assert not space.contains([1.5, 0.0])
-    assert len(space.grid(3)) == 9
 
 
 def test_action_space_errors():
@@ -46,50 +41,11 @@ def test_step_control_lookup():
     np.testing.assert_array_equal(pol.actions_at(0.5, x), -np.ones((3, 1)))
     np.testing.assert_array_equal(pol.actions_at(0.9, x), -np.ones((3, 1)))
     np.testing.assert_array_equal(pol.actions_at(-1.0, np.zeros(1)), np.ones((1, 1)))  # one point, before the start
-    # one read-only answer per fixed piece and batch shape
-    assert pol.actions_at(0.1, x) is pol.actions_at(0.2, x)
+    # the piece in force, the first before the start, and a read-only answer
+    assert [pol.piece(t) for t in (-1.0, 0.0, 0.1, 0.5 - 1e-13, 0.5, 0.9)] == [0, 0, 0, 1, 1, 1]
     assert not pol.actions_at(0.1, x).flags.writeable
-    assert pol.actions_at(0.1, np.zeros((2, 3, 1))) is not pol.actions_at(0.1, x)
     with pytest.raises(ValueError):
         StepControl(np.array([0.5, 0.5]), (np.array([1.0]), np.array([1.0])))
-
-
-def test_feedback_table_lookup():
-    table = FeedbackTable(
-        lo=np.array([-1.0]), hi=np.array([1.0]), table=np.array([[-1.0], [1.0]])
-    )
-    x = np.array([[-0.7], [0.3], [2.0]])
-    np.testing.assert_array_equal(table.actions_for(x), [[-1.0], [1.0], [1.0]])
-    pol = StepControl(np.array([0.0]), (table,))
-    np.testing.assert_array_equal(pol.actions_at(0.1, x), [[-1.0], [1.0], [1.0]])
-
-
-def test_feedback_table_far_outside_points_take_their_side():
-    # frac * cells beyond the int64 range must still clip to the near edge
-    table = FeedbackTable(lo=np.array([-1.0]), hi=np.array([1.0]), table=np.array([[-1.0], [1.0]]))
-    x = np.array([[1e300], [1e18], [1e19], [-1e19]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = table.actions_for(x)
-    np.testing.assert_array_equal(got, [[1.0], [1.0], [1.0], [-1.0]])
-
-
-def test_feedback_table_batch_matches_rows():
-    # a (P, L, n, d) state, with points outside the box on every side, looks
-    # up each (p, l) row exactly as that row alone; so does a step control
-    rng = np.random.default_rng(5)
-    table = FeedbackTable(lo=np.array([-1.0, -0.5]), hi=np.array([1.0, 2.0]),
-                          table=rng.standard_normal((3, 4, 2)))
-    x = rng.uniform(-3.0, 4.0, (2, 3, 7, 2))
-    x[0, 0, :4] = [[-1.0, -0.5], [1.0, 2.0], [-50.0, 0.0], [0.0, 1e9]]  # edges and far outside
-    got = table.actions_for(x)
-    pol = StepControl(np.array([0.0, 0.5]), (table, np.array([0.3, -0.3])))
-    assert got.shape == (2, 3, 7, 2)
-    for i in np.ndindex(2, 3):
-        np.testing.assert_array_equal(got[i], table.actions_for(x[i]))
-        np.testing.assert_array_equal(pol.actions_at(0.2, x)[i], pol.actions_at(0.2, x[i]))
-        np.testing.assert_array_equal(pol.actions_at(0.7, x)[i], pol.actions_at(0.7, x[i]))
-    assert np.isin(got, table.table.reshape(-1, 2)).all()
 
 
 def test_cost_zero_and_constant_running():
@@ -119,6 +75,16 @@ def test_cost_lq_linear_drift_analytic():
     assert abs(rec["mean"] - expect) <= 3 * rec["stderr"]
 
 
+@pytest.mark.parametrize("a", [[0.5], [0.5, 0.5, 0.5]], ids=["short", "long"])
+def test_cost_j_rejects_action_of_wrong_length(a):
+    # lq_drift's drift would broadcast a (1,) action over both coordinates
+    lq = scenario("lq_drift", {"d": 2})
+    init = sample_iid({"kind": "gaussian"}, 8, 2, seed=2)
+    cfg = SimConfig(n=8, steps=4, t0=0.0, t1=1.0, seed=3)
+    with pytest.raises(ValueError, match=f"actions have {len(a)} components, but the action space has 2"):
+        cost_j(lq, init, StepControl.constant(0.0, a), cfg, paths=2)
+
+
 def test_value_estimate_degenerate_and_zero():
     zero = scenario("zero")
     init = sample_iid({"kind": "gaussian"}, 8, 2, seed=4)
@@ -142,58 +108,6 @@ def test_value_estimate_lq_optimum_and_sup_property():
     np.testing.assert_array_equal(rec["best_policy"].actions[0], np.sign(p))
     # sup property: the reported value dominates every traced policy
     assert all(rec["value"] >= item["mean"] for item in rec["trace"])
-
-
-def test_value_estimate_feedback_ascent_runs():
-    lq = scenario("lq_drift", {"d": 1, "p": [1.0]})
-    init = sample_iid({"kind": "gaussian", "std": 0.3}, 64, 1, seed=8)
-    cfg = SimConfig(n=64, steps=10, t0=0.0, t1=1.0, seed=9)
-    spec = SearchSpec(
-        kind="feedback_ascent", feedback_shape=(2,),
-        feedback_lo=np.array([-2.0]), feedback_hi=np.array([2.0]), sweeps=1,
-    )
-    rec = value_estimate(lq, init, cfg, spec, paths=4)
-    # ascent should find the all-ones table (drift up maximizes <p, x>)
-    best = rec["best_policy"].actions[0]
-    np.testing.assert_array_equal(best.table, np.ones((2, 1)))
-
-
-def test_feedback_ascent_trace_matches_per_trial_cost_j():
-    # the per-cell batched pass must reproduce one cost_j per trial table,
-    # accepted in order on a strict improvement, bit for bit
-    mr = scenario("mean_reversion_mf", {"d": 2, "mf_center": 0.5})
-    init = sample_iid({"kind": "gaussian", "std": 0.8}, 24, 2, seed=50)
-    cfg = SimConfig(n=24, steps=8, t0=0.0, t1=1.0, seed=51)
-    lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
-    spec = SearchSpec(kind="feedback_ascent", feedback_shape=(2, 2),
-                      feedback_lo=lo, feedback_hi=hi, sweeps=2)
-    rec = value_estimate(mr, init, cfg, spec, paths=3)
-
-    def evaluate(tab):
-        policy = StepControl(np.array([cfg.t0]), (FeedbackTable(lo, hi, tab),))
-        return cost_j(mr, init, policy, cfg, paths=3)["mean"], policy
-
-    acts = spec.action_list(mr.action_space)
-    table = np.tile(np.mean(acts, axis=0), (2, 2, 1))
-    current, policy = evaluate(table)
-    trace = []
-    for _ in range(spec.sweeps):
-        improved = False
-        for cell in np.ndindex(2, 2):
-            for a in acts:
-                trial = table.copy()
-                trial[cell] = a
-                val, pol = evaluate(trial)
-                trace.append((pol.describe(), val))
-                if val > current:
-                    current, policy, table = val, pol, trial
-                    improved = True
-        if not improved:
-            break
-    assert [(r["policy"], r["mean"]) for r in rec["trace"]] == trace
-    assert rec["value"] == current
-    np.testing.assert_array_equal(rec["best_policy"].actions[0].table, table)
-    assert len({v for _, v in trace}) > 1  # the trials are not all alike
 
 
 def test_value_fd_approx_one_resample_has_infinite_stderr():

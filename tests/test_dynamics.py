@@ -7,7 +7,6 @@ from conftest import record_path
 from mfhjb.control import (
     ActionSpace,
     CoefficientSet,
-    FeedbackTable,
     StepControl,
     TestFunction,
     cost_j,
@@ -387,7 +386,8 @@ def test_state_dependent_diffusion_hjb_residual_matches_action_loop():
     coeffs, tf = _state_dependent_case()
     rng = np.random.default_rng(22)
     x = rng.standard_normal((12, D))
-    for grid in (None, SPACE.grid(3)):
+    axis = np.linspace(-1.0, 1.0, 3)
+    for grid in (None, [np.array([u, v]) for u in axis for v in axis]):  # the vertices, then a 3 x 3 grid
         actions = SPACE.vertices() if grid is None else grid
         for t in (0.0, 0.35, 0.8):
             ham = np.full(12, -np.inf)
@@ -455,11 +455,11 @@ def test_policy_batch_matches_each_policy_alone():
     coeffs, _ = _state_dependent_case()
     init = sample_iid({"kind": "gaussian", "std": 0.7}, 16, D, seed=31)
     cfg = SimConfig(n=16, steps=7, t0=0.0, t1=0.7, seed=32, epsilon=0.1, noise_seed=33)
-    table = FeedbackTable(lo=-np.ones(D), hi=np.ones(D), table=np.arange(8.0).reshape(2, 2, 2) / 8.0)
     policies = (
         ZERO_POLICY,
         StepControl(np.array([0.0, 0.3]), (np.array([1.0, -1.0]), np.array([-0.5, 0.5]))),
-        StepControl(np.array([0.0]), (table,)),
+        StepControl(np.array([0.0, 0.1, 0.4, 0.5]),
+                    (np.array([0.25, 0.5]), np.array([-1.0, 0.0]), np.array([0.75, -0.25]), np.array([0.0, 1.0]))),
     )
     ids = np.random.default_rng(34).permutation(16)
     running, terminal = simulate(coeffs, init, policies, cfg, (2,), ids)

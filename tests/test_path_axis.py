@@ -17,7 +17,6 @@ from mfhjb.budget import CAPS
 from mfhjb.control import (
     ActionSpace,
     CoefficientSet,
-    FeedbackTable,
     SearchSpec,
     StepControl,
     _exhaustive_policies,
@@ -138,40 +137,6 @@ def test_exhaustive_search_matches_per_path_loop(monkeypatch, per_chunk):
     assert (rec["value"], rec["stderr"]) == (value, stderr)
 
 
-def test_feedback_ascent_matches_per_path_loop(monkeypatch):
-    mr = scenario("mean_reversion_mf", {"d": 2, "mf_center": 0.5})
-    init = sample_iid({"kind": "gaussian", "std": 0.8}, 24, 2, seed=72)
-    cfg = SimConfig(n=24, steps=8, t0=0.0, t1=1.0, seed=73)
-    lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
-    spec = SearchSpec(kind="feedback_ascent", feedback_shape=(2, 2), feedback_lo=lo, feedback_hi=hi, sweeps=2)
-    _paths_per_chunk(monkeypatch, 4 * 24 * 2, 2)  # a cell's 4 trials, 2 paths per pass
-    rec = value_estimate(mr, init, cfg, spec, paths=5)
-
-    def evaluate(tab):
-        policy = StepControl(np.array([cfg.t0]), (FeedbackTable(lo, hi, tab),))
-        return math.fsum(_parent_cost_paths(mr, init, (policy,), cfg, 5)[0]) / 5, policy
-
-    acts = spec.action_list(mr.action_space)
-    table = np.tile(np.mean(acts, axis=0), (2, 2, 1))
-    current, policy = evaluate(table)
-    trace = []
-    for _ in range(spec.sweeps):
-        improved = False
-        for cell in np.ndindex(2, 2):
-            for a in acts:
-                trial = table.copy()
-                trial[cell] = a
-                val, pol = evaluate(trial)
-                trace.append((pol.describe(), val))
-                if val > current:
-                    current, policy, table = val, pol, trial
-                    improved = True
-        if not improved:
-            break
-    assert [(r["policy"], r["mean"]) for r in rec["trace"]] == trace
-    assert rec["value"] == current
-
-
 @pytest.mark.parametrize("epsilon", [0.0, 0.2], ids=["eps0", "eps"])
 def test_cost_j_permuted_ids_matches_per_path_loop(monkeypatch, epsilon):
     # per-particle diffusion, the perturbation channel and a permutation of
@@ -247,16 +212,14 @@ def test_path_batch_rows_match_single_paths():
 
 
 def test_scheme_states_are_fresh_and_actions_restack_at_breakpoints():
-    # a three-piece fixed policy beside one whose middle piece is feedback:
-    # the actions are restacked at step 0, at every step of the feedback
-    # piece, when it ends and at each later breakpoint, and reused otherwise
+    # two three-piece policies: the actions are restacked at step 0 and at
+    # each later breakpoint of either policy, and reused otherwise
     coeffs = _state_dependent()
     init = sample_iid({"kind": "gaussian", "std": 0.7}, 12, D, seed=88)
     cfg = SimConfig(n=12, steps=10, t0=0.0, t1=1.0, seed=89, epsilon=0.1)
-    table = FeedbackTable(-np.ones(D), np.ones(D), np.array([[[1.0, 0.0], [0.0, 1.0]], [[-1.0, 0.0], [0.0, -1.0]]]))
     policies = (
         StepControl(np.array([0.0, 0.5, 0.7]), (np.array([1.0, -1.0]), np.array([0.2, 0.4]), np.array([-0.6, 0.3]))),
-        StepControl(np.array([0.0, 0.2, 0.4]), (np.array([0.5, 0.5]), table, np.array([-1.0, 1.0]))),
+        StepControl(np.array([0.0, 0.2, 0.4]), (np.array([0.5, 0.5]), np.array([0.8, -0.4]), np.array([-1.0, 1.0]))),
     )
     scheme = _euler(coeffs, init.points[None], policies, cfg, range(3), None)
     yielded, copies = [], []
@@ -273,7 +236,7 @@ def test_scheme_states_are_fresh_and_actions_restack_at_breakpoints():
             np.testing.assert_array_equal(v, c)
     actions = [a for _, a, *_ in yielded]
     restacked = [k for k, a in enumerate(actions) if k == 0 or a is not actions[k - 1]]
-    assert restacked == [0, 2, 3, 4, 5, 7]
+    assert restacked == [0, 2, 4, 5, 7]
 
     running, x = simulate(coeffs, init, policies, cfg, range(3))
     for p in range(3):
