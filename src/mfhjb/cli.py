@@ -2,9 +2,10 @@
 
 Each subcommand runs one verification suite with a JSON config, writes
 machine-readable results to the output directory, and exits 0 only if every
-asserted tolerance passed.  Malformed configs exit 1; bad arguments exit 2,
-and so does an --out directory that cannot be created or written; tolerance
-failures exit 3; numerical failures (a non-finite simulated state) exit 4.
+asserted tolerance passed.  Malformed configs exit 1, and so does a config key
+the subcommand never reads; bad arguments exit 2, and so does an --out
+directory that cannot be created or written; tolerance failures exit 3;
+numerical failures (a non-finite simulated state) exit 4.
 Result files are byte-identical across reruns with the same config and seed;
 wall-clock metadata is isolated in a separate meta.json.
 """
@@ -145,19 +146,21 @@ def _run_variational(cfg, seed):
     sets = cfg.get("sets", 50)
     d = cfg.get("d", 1)
     quad = SphereQuadrature.for_dimension(d, cfg.get("quad", 16), seed)
+    max_size, lam, delta = cfg.get("max_size", 30), cfg.get("lam", 0.5), cfg.get("delta", 0.3)
+    m_points = cfg.get("m_points", 48)
     rng = np.random.default_rng(seed)
     passed = 0
     for k in range(sets):
-        size = int(rng.integers(2, cfg.get("max_size", 30)))
+        size = int(rng.integers(2, max_size))
         times = rng.uniform(0, 1, size)
         ensembles = tuple(
             ParticleEnsemble(rng.standard_normal((int(rng.integers(2, 6)), d))) for _ in range(size)
         )
         g_values = rng.uniform(0, 1, size)
-        lam = cfg.get("lam", 0.5)  # start at the lowest-scoring admissible candidate, first on ties
+        # start at the lowest-scoring admissible candidate, first on ties
         start = int(np.where(g_values >= g_values.max() - lam, g_values, np.inf).argmin())
-        cands = CandidateSet(times, ensembles, g_values, lam=lam, delta=cfg.get("delta", 0.3), start=start)
-        res = borwein_preiss(cands, quad, m_points=cfg.get("m_points", 48))
+        cands = CandidateSet(times, ensembles, g_values, lam=lam, delta=delta, start=start)
+        res = borwein_preiss(cands, quad, m_points=m_points)
         cert = res.certificate
         if cert["item1_ok"] and cert["item2_ok"] and cert["item3_ok"] and cert["complete"]:
             passed += 1
@@ -253,12 +256,13 @@ def _eps_sweep_data(cfg, seed):
         actions=(np.array([1.0, 0.0]), np.array([0.0, 0.0]), np.array([-1.0, 0.0]))
     )
     eps_list = [0.0] + list(cfg.get("eps", [0.05, 0.1, 0.2, 0.4]))
+    m, paths = cfg.get("m", 32), cfg.get("paths", 32)
+    resamples, offsets = cfg.get("resamples", 2), cfg.get("offsets", 32)
     vals = {}
     for eps in eps_list:
         rec = value_fd_approx(
-            coeffs, mu_spec, 0.0, eps, n=n, m=cfg.get("m", 32), cfg=sim,
-            search=search, paths=cfg.get("paths", 32),
-            resamples=cfg.get("resamples", 2), offsets=cfg.get("offsets", 32), seed=seed,
+            coeffs, mu_spec, 0.0, eps, n=n, m=m, cfg=sim, search=search, paths=paths,
+            resamples=resamples, offsets=offsets, seed=seed,
         )
         vals[eps] = rec["value"]
     return eps_list, vals
@@ -296,16 +300,15 @@ def _run_n_sweep(cfg, seed):
     coeffs = scenario("mean_reversion_mf", params)
     mu_spec = {"kind": "gaussian", "mean": [0.3], "std": 1.2}
     ref_n = cfg.get("ref_n", 256)
-    m = cfg.get("m", 32)
-    paths = cfg.get("paths", 64)
+    m, paths = cfg.get("m", 32), cfg.get("paths", 64)
+    resamples, offsets = cfg.get("resamples", 3), cfg.get("offsets", 32)
     sim = SimConfig(n=ref_n, steps=cfg.get("steps", 16), t0=0.0, t1=1.0, seed=seed)
     search = SearchSpec()
 
     def vhat(n):
         return value_fd_approx(
             coeffs, mu_spec, 0.0, 0.0, n=n, m=m, cfg=sim, search=search,
-            paths=paths, resamples=cfg.get("resamples", 3),
-            offsets=cfg.get("offsets", 32), seed=seed,
+            paths=paths, resamples=resamples, offsets=offsets, seed=seed,
         )["value"]
 
     ref = vhat(ref_n)
@@ -407,14 +410,30 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-def _load_config(path: str | None) -> dict:
+class _Config(dict):
+    """A config that notes each top-level key read through get or []."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def _load_config(path: str | None) -> _Config:
     if path is None:
-        return {}
+        return _Config()
     with open(path) as fh:
         cfg = json.load(fh, parse_constant=_reject_constant)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
-    return cfg
+    return _Config(cfg)
 
 
 def main(argv=None) -> int:
@@ -450,6 +469,11 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 4
+    # a key the subcommand never read, a typo say, would silently have run the default
+    unknown = sorted(set(cfg) - cfg.read - {"seed"})
+    if unknown:
+        print(f"error: bad config: unknown key(s) {', '.join(map(repr, unknown))}", file=sys.stderr)
+        return 1
 
     result = {
         "schema_version": SCHEMA_VERSION,

@@ -81,11 +81,6 @@ class SimConfig:
     def idio_seed(self) -> int:
         return self.seed if self.noise_seed is None else self.noise_seed
 
-    def replace(self, **kw) -> "SimConfig":
-        from dataclasses import replace
-
-        return replace(self, **kw)
-
 
 class _NoiseStream:
     """The Philox stream of one (seed, channel), built once and re-keyed to
@@ -219,10 +214,14 @@ def _euler(coeffs, starts, policies, cfg, paths, noise_ids):
     with exactly the yielded arrays.  Each state is a fresh C-ordered array,
     and a_k is the previous step's array while every policy stays in the
     same piece; nothing yielded is written afterwards, and consumers must
-    not write it either.  Actions whose length is not the action space's
-    dimension raise ValueError.
+    not write it either.  A ``cfg.n`` other than the start clouds' n, and
+    actions whose length is not the action space's dimension or that lie
+    outside its box, raise ValueError.
     """
     n, d = starts.shape[-2:]
+    if cfg.n != n:
+        raise ValueError(f"cfg.n = {cfg.n}, but the start clouds hold {n} particles")
+    space = coeffs.action_space
     dt = cfg.dt
     sq = math.sqrt(dt)
     ids, rows = None, n  # without noise_ids the blocks are used as drawn
@@ -251,11 +250,16 @@ def _euler(coeffs, starts, policies, cfg, paths, noise_ids):
         # (stacked broadcast answers would put the action axis outermost)
         now = tuple(pol.piece(t) for pol in policies)
         if now != pieces:
+            # each policy's answer broadcasts its piece's (q,) action, so the
+            # actions are checked before they are broadcast over the batch
+            for act in (pol.actions[i] for pol, i in zip(policies, now)):
+                if act.size != space.dim:
+                    raise ValueError(f"actions have {act.size} components, but the action space has {space.dim}")
+                if not ((space.lo <= act) & (act <= space.hi)).all():
+                    raise ValueError(f"action {act.tolist()} lies outside the action box "
+                                     f"[{space.lo.tolist()}, {space.hi.tolist()}]")
             answers = [pol.actions_at(t, x[:, :, i]) for i, pol in enumerate(policies)]
             a = np.ascontiguousarray(np.stack(answers, axis=2), dtype=float)
-            if a.shape[-1] != coeffs.action_space.dim:
-                raise ValueError(f"actions have {a.shape[-1]} components, but the action space has "
-                                 f"{coeffs.action_space.dim}")
             pieces = now
         b = coeffs.drift(t, x, x, a)
         sig = np.asarray(coeffs.diffusion(t, x, a), dtype=float)
@@ -286,14 +290,14 @@ def moment_checks(
     init: ParticleEnsemble,
     policy,
     cfg: SimConfig,
-    p: float = 2.0,
     shift: np.ndarray | None = None,
     h_fractions: tuple = (0.25, 0.5, 1.0),
 ) -> dict:
-    """Empirical constants for the three a priori moment estimates.
+    """Empirical constants for the three a priori moment estimates, at the
+    moment order p = 2.
 
-    c_growth  bounds E[sup |X|^p]^(1/p) / (1 + E|xi|^p)^(1/p);
-    c_lip     bounds E[sup |X - X'|^p]^(1/p) / (E|xi - xi'|^p)^(1/p) for a
+    c_growth  bounds E[sup |X|^2]^(1/2) / (1 + E|xi|^2)^(1/2);
+    c_lip     bounds E[sup |X - X'|^2]^(1/2) / (E|xi - xi'|^2)^(1/2) for a
               paired run started from a shifted cloud on the same noise;
     c_holder  bounds E[sup_{[t0, t0+h]} |X - xi|^2] / h over sub-horizons.
 
@@ -311,14 +315,14 @@ def moment_checks(
     traj, *shifted = np.stack(states + [next(scheme)[0, :, 0]], axis=1)  # each (steps + 1, n, d)
 
     sup_abs = np.linalg.norm(traj, axis=2).max(axis=0)  # (n,)
-    e_sup = float(np.mean(sup_abs**p))
-    e_init = float(np.mean(np.linalg.norm(init.points, axis=1) ** p))
-    c_growth = (e_sup / (1.0 + e_init)) ** (1.0 / p)
+    e_sup = float(np.mean(sup_abs**2.0))
+    e_init = float(np.mean(np.linalg.norm(init.points, axis=1) ** 2.0))
+    c_growth = (e_sup / (1.0 + e_init)) ** 0.5
 
     c_lip = None
     if shift is not None:
         diffs = np.linalg.norm(traj - shifted[0], axis=2).max(axis=0)
-        c_lip = float(np.mean(diffs**p) ** (1.0 / p) / np.linalg.norm(shift))
+        c_lip = float(np.mean(diffs**2.0) ** 0.5 / np.linalg.norm(shift))
 
     c_holder = {}
     disp = np.linalg.norm(traj - init.points[None], axis=2)  # (steps+1, n)

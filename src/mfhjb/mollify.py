@@ -170,17 +170,17 @@ def _sum_in_order(v: np.ndarray):
     return v.sum(axis=0) if v[0].size > 1 else np.add.accumulate(v, axis=0)[-1]
 
 
-def mollified(kind: str, coeffs, spec: MollifierSpec, t: float, xbar, a=None, horizon: float = 1.0):
+def mollified(kind: str, coeffs, spec: MollifierSpec, t: float, xbar, a=None):
     """The smoothed coefficient ``kind`` ("drift", "running_cost" or
     "terminal_cost", which ignores t and a) of every particle of the (n, d)
     state xbar, with the standard error of the offset estimate: (mean,
     stderr), each (n, d) for the drift and (n,) for a cost.  The action a is
     one (q,) action shared by every particle or an (n, q) array of one
-    action per particle."""
+    action per particle.  Shifted times are clamped to the horizon [0, 1]."""
     xbar = np.asarray(xbar, dtype=float)
     n, d = xbar.shape
     a = None if a is None else _particle_actions(a, n)
-    return _mollified_all(kind, coeffs, spec, t, xbar, a, horizon, *_draw_offsets(spec, n, d))
+    return _mollified_all(kind, coeffs, spec, t, xbar, a, 1.0, *_draw_offsets(spec, n, d))
 
 
 def _particle_actions(a, n: int) -> np.ndarray:
@@ -211,12 +211,12 @@ def mollify_rate_sweep(
     ms: tuple,
     probes: list,
     spec_kwargs: dict | None = None,
-    horizon: float = 1.0,
 ) -> dict:
     """Sup error over probes of each mollified coefficient versus m.
 
     Probes are (t, xbar, a) triples; xbar is an (n, d) state matrix and a
-    an action as ``mollified`` takes it.  Returns
+    an action as ``mollified`` takes it, with shifted times clamped to the
+    horizon [0, 1] as there.  Returns
     per-coefficient {m: sup_error} tables together with the per-m a priori
     bounds, for rate fitting by the caller.
     """
@@ -234,14 +234,14 @@ def mollify_rate_sweep(
             exact_f = coeffs.running_cost(t, xbar, xbar, av)
             exact_g = coeffs.terminal_cost(xbar, xbar)
             t_off, z_off = _draw_offsets(spec, n, xbar.shape[1])
-            args = (spec, t, xbar, av, horizon, t_off, z_off)
+            args = (spec, t, xbar, av, 1.0, t_off, z_off)
             got_b = _mollified_all("drift", coeffs, *args, with_stderr=False)
             got_f = _mollified_all("running_cost", coeffs, *args, with_stderr=False)
             got_g = _mollified_all("terminal_cost", coeffs, *args, with_stderr=False)
             sup["b"] = max(sup["b"], float(np.linalg.norm(got_b - exact_b, axis=1).max()))
             sup["f"] = max(sup["f"], float(np.abs(got_f - exact_f).max()))
             sup["g"] = max(sup["g"], float(np.abs(got_g - exact_g).max()))
-            bound_sup = max(bound_sup, float(_rate_bounds(coeffs, spec, t, horizon, None, t_off, z_off).max()))
+            bound_sup = max(bound_sup, float(_rate_bounds(coeffs, spec, t, 1.0, None, t_off, z_off).max()))
         for key in ("b", "f", "g"):
             table[key][m] = sup[key]
         table["bound"][m] = bound_sup

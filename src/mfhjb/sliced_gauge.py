@@ -34,6 +34,7 @@ term-wise the operators above.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -374,13 +375,13 @@ class GaugeAnchors:
     """Anchor sequence (t_k, mu_k) with geometric weights 2^{-k}.
 
     ``delta`` sets the smoothing of the underlying gauge terms through
-    sigma = 1/delta.  At most k_max + 1 anchors contribute; the dropped tail
-    is below 2^{-k_max} times the largest term.
+    sigma = 1/delta.  At most k_max + 1 = 41 anchors contribute; the dropped
+    tail is below 2^{-k_max} times the largest term.
     """
 
     anchors: tuple
     delta: float
-    k_max: int = 40
+    k_max: ClassVar[int] = 40
 
     def __post_init__(self):
         if len(self.anchors) == 0:
@@ -471,7 +472,6 @@ def phi_delta_derivative_bounds(
     mu: ParticleEnsemble,
     quad: SphereQuadrature,
     horizon: float,
-    lam: float | None = None,
     c_d: float | None = None,
     noise_nodes: int = 256,
     m_points: int = 256,
@@ -487,16 +487,16 @@ def phi_delta_derivative_bounds(
         int |dxdmu phi|^2 <= C_d delta^2 ((1 + lam)/delta^2 + M2(mu_0))
         |H phi|           <= C_d
 
-    If lam is not supplied, the smallest budget consistent with the anchor
-    sequence is used.  C_d defaults to the calibrated per-dimension constant.
+    lam is the smallest budget consistent with the anchor sequence
+    (``_implied_lambda``).  C_d defaults to the calibrated per-dimension
+    constant.
     """
     d = mu.d
     if c_d is None:
         c_d = C_D_CALIBRATED.get(d)
         if c_d is None:
             raise ValueError(f"no calibrated constant for d = {d}; pass c_d or run calibrate_c_d")
-    if lam is None:
-        lam = _implied_lambda(anchors, quad, m_points)
+    lam = _implied_lambda(anchors, quad, m_points)
     der = phi_delta_derivatives(anchors, t, mu, quad, noise_nodes)
     delta = anchors.delta
     m2_mu, m2_mu0 = mu.second_moment(), anchors.anchors[0][1].second_moment()
@@ -592,26 +592,20 @@ def pin_gauge_square_factor(
     return {"factor": best, "errors": results}
 
 
-def calibrate_c_d(
-    d: int,
-    quad: SphereQuadrature | None = None,
-    seed: int = 0,
-    n_configs: int = 6,
-    safety: float = 2.0,
-) -> float:
+def calibrate_c_d(d: int, seed: int = 0) -> float:
     """Calibrate the dimension constant C_d from the translation oracle.
 
-    Uses anchor families mu_k = translate(mu, c_k), for which the derivative
-    quantities have closed forms (each anchor contributes -c_k/d to the
-    measure derivative, zero mixed derivative, and kappa_d I to H), and
-    records the largest ratio of observed quantity to bound argument, times a
-    safety factor.
+    Uses 6 random anchor families mu_k = translate(mu, c_k), for which the
+    derivative quantities have closed forms (each anchor contributes -c_k/d
+    to the measure derivative, zero mixed derivative, and kappa_d I to H), on
+    ``SphereQuadrature.for_dimension`` with 32 directions in d = 2 and 96
+    otherwise, and records the largest ratio of observed quantity to bound
+    argument, times a safety factor of 2.
     """
-    if quad is None:
-        quad = SphereQuadrature.for_dimension(d, 32 if d == 2 else 96, seed)
+    quad = SphereQuadrature.for_dimension(d, 32 if d == 2 else 96, seed)
     rng = np.random.default_rng(seed)
     ratios = []
-    for _ in range(n_configs):
+    for _ in range(6):
         n = int(rng.integers(3, 7))
         base = ParticleEnsemble(rng.standard_normal((n, d)))
         delta = float(rng.uniform(0.2, 1.0))
@@ -633,4 +627,4 @@ def calibrate_c_d(
         }
         for name, denom in args.items():
             ratios.append(rec[name] / denom)
-    return safety * float(np.max(ratios))
+    return 2.0 * float(np.max(ratios))

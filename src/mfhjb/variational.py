@@ -89,18 +89,13 @@ def _pairwise_rho(cands: CandidateSet, quad: SphereQuadrature, m_points: int) ->
     return rho_matrix(times, clouds, times, clouds, 1.0 / cands.delta, quad, m_points)
 
 
-def borwein_preiss(
-    cands: CandidateSet,
-    quad: SphereQuadrature,
-    max_iter: int = 64,
-    m_points: int = 64,
-    k_max: int = 40,
-) -> BPResult:
+def borwein_preiss(cands: CandidateSet, quad: SphereQuadrature, m_points: int = 64) -> BPResult:
     """Run the constructive selection and verify its certificate exhaustively.
 
     Raises if the start-point hypothesis fails.  If the iteration does not
-    stabilize within max_iter (impossible for exact argmax selection, kept as
-    a guard), the certificate is returned with complete = False.
+    stabilize within 64 iterations (impossible for exact argmax selection,
+    kept as a guard), the certificate is returned with complete = False.
+    The anchors are padded to GaugeAnchors.k_max + 1 = 41.
     """
     cands.check_start_hypothesis()
     dd = cands.delta**2
@@ -111,7 +106,7 @@ def borwein_preiss(
     s_trace = []
     prev = cands.start
     complete = False
-    for k in range(1, max_iter + 1):
+    for k in range(1, 65):
         best = float(s_vals.max())
         # exact argmax; prefer the previous anchor on exact ties (required for
         # strictness of certificate item (3)), else lowest index
@@ -129,12 +124,8 @@ def borwein_preiss(
     tilde = prev
 
     # close the geometric series by repeating the final point up to k_max
-    padded = list(anchor_indices) + [tilde] * (k_max + 1 - len(anchor_indices))
-    anchors = GaugeAnchors(
-        tuple((float(cands.times[i]), cands.ensembles[i]) for i in padded),
-        cands.delta,
-        k_max=k_max,
-    )
+    padded = list(anchor_indices) + [tilde] * (GaugeAnchors.k_max + 1 - len(anchor_indices))
+    anchors = GaugeAnchors(tuple((float(cands.times[i]), cands.ensembles[i]) for i in padded), cands.delta)
 
     certificate = _verify_certificate(cands, rho_mat, tilde, padded, anchors)
     certificate["complete"] = complete

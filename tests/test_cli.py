@@ -168,12 +168,18 @@ def test_zero_monte_carlo_count_exits_one(tmp_path, sub, cfg, name):
         ("h-check", {"sigma": float("nan")}),
         ("metric", {"sigma": float("inf")}),
         ("metric", {"sigma": float("-inf")}),
+        # lq_drift's action box is [-1, 1]^2
+        ("simulate", {"n": 8, "steps": 5, "action": [5.0, -7.0]}),
+        # typos of paths and sigma, which would run the defaults
+        ("value", {"path": 4}),
+        ("metric", {"sigmaa": 0.4}),
     ],
     ids=[
         "simulate-params", "simulate-short-action", "simulate-long-action", "n-sweep-params", "rates-reps-0",
         "rates-reps-negative", "rates-ns-0",
         "gradient-check-m-points-0", "variational-m-points-0", "metric-sigma-nan",
         "gradient-check-sigma-nan", "h-check-sigma-nan", "metric-sigma-inf", "metric-sigma-minus-inf",
+        "simulate-action-outside-box", "value-unknown-key", "metric-unknown-key",
     ],
 )
 def test_bad_params_or_count_exits_one(tmp_path, sub, cfg):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,6 +86,24 @@ def test_cost_j_rejects_action_of_wrong_length(a):
         cost_j(lq, init, StepControl.constant(0.0, a), cfg, paths=2)
 
 
+def test_actions_outside_the_box_raise():
+    # lq_drift's box is [-1, 1]^2: a search over [2, 0] would report a value
+    # above the control problem's
+    lq = scenario("lq_drift", {"d": 2})
+    init = sample_iid({"kind": "gaussian"}, 8, 2, seed=2)
+    cfg = SimConfig(n=8, steps=4, t0=0.0, t1=1.0, seed=3)
+    outside = SearchSpec(actions=(np.array([2.0, 0.0]),))
+    match = r"action \[2.0, 0.0\] lies outside the action box \[\[-1.0, -1.0\], \[1.0, 1.0\]\]"
+    with pytest.raises(ValueError, match=match):
+        value_estimate(lq, init, cfg, outside, paths=2)
+    with pytest.raises(ValueError, match=match):
+        dpp_residual(lq, init, 0.0, 0.5, 1.0, outside, n_steps=4, paths_outer=2, paths_inner=2)
+    with pytest.raises(ValueError, match="outside the action box"):
+        cost_j(lq, init, StepControl.constant(0.0, [0.5, np.nan]), cfg, paths=2)
+    # the box's faces are admissible
+    assert np.isfinite(cost_j(lq, init, StepControl.constant(0.0, [1.0, -1.0]), cfg, paths=2)["mean"])
+
+
 def test_value_estimate_degenerate_and_zero():
     zero = scenario("zero")
     init = sample_iid({"kind": "gaussian"}, 8, 2, seed=4)
@@ -146,7 +165,7 @@ def test_value_fd_approx_resamples_match_fresh_coefficients():
     for r, value in enumerate(rec["per_resample"]):
         mol = MollifiedCoefficients(lq, MollifierSpec(m=8, offsets=8, seed=70), 16, horizon=1.0)
         init = sample_iid(mu_spec, 16, 2, seed=63 + 1000 * r)
-        run_cfg = cfg.replace(epsilon=0.2, seed=62 + r)
+        run_cfg = replace(cfg, epsilon=0.2, seed=62 + r)
         assert value == value_estimate(mol, init, run_cfg, SearchSpec(), 2)["value"]
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,6 +61,14 @@ def test_simconfig_validation():
         SimConfig(n=1, steps=10, t0=0, t1=1, seed=0, epsilon=-0.1)
 
 
+def test_simconfig_n_must_match_the_start_clouds():
+    # cfg.n = 8 would otherwise simulate the 16-particle cloud without a word
+    init = sample_iid({"kind": "gaussian"}, 16, D, seed=6)
+    cfg = SimConfig(n=8, steps=2, t0=0.0, t1=1.0, seed=12)
+    with pytest.raises(ValueError, match=r"cfg\.n = 8, but the start clouds hold 16 particles"):
+        simulate(const_coeffs(sig=EYE), init, (ZERO_POLICY,), cfg, (0,))
+
+
 def test_initial_condition_preserved():
     init = sample_iid({"kind": "gaussian"}, 16, D, seed=0)
     cfg = SimConfig(n=16, steps=5, t0=0.0, t1=0.5, seed=1)
@@ -111,7 +120,7 @@ def test_common_noise_shared_across_idio_seeds():
     init = sample_iid({"kind": "gaussian"}, 16, D, seed=1)
     coeffs = const_coeffs(sig=0.5 * EYE, sig0=0.3 * EYE)
     cfg_a = SimConfig(n=16, steps=10, t0=0.0, t1=1.0, seed=7)
-    cfg_b = cfg_a.replace(noise_seed=12345)
+    cfg_b = replace(cfg_a, noise_seed=12345)
     ba = record_path(coeffs, init, ZERO_POLICY, cfg_a)
     bb = record_path(coeffs, init, ZERO_POLICY, cfg_b)
     assert (ba.common_increments == bb.common_increments).all()

@@ -64,3 +64,62 @@ def test_no_library_code_only_tests_reach():
                        for name, where, line, attr in uses):
                 unused.append(f"{path.name}:{qualname}")
     assert unused == []
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(qualified name, bare name, parameters, which have defaults) of each
+    function in __all__ and each public method of a class in __all__; a
+    method's parameters exclude the self or cls a call binds."""
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in exported:
+            found.append((node.name, node, 0))
+        elif isinstance(node, ast.ClassDef) and node.name in exported:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    static = any(getattr(dec, "id", None) == "staticmethod" for dec in item.decorator_list)
+                    found.append((f"{node.name}.{item.name}", item, 0 if static else 1))
+    for qualname, func, bound in found:
+        args = func.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+        yield qualname, func.name, positional[bound:], defaulted
+
+
+def _calls(tree: ast.Module):
+    """(bare callee name, positional count, keyword names) of each call; a
+    benchmark ``ops(f, *args)`` call is a call of f, and a call that unpacks
+    * or ** passes every parameter (count None)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if getattr(func, "id", None) == "ops" and args:
+            func, args = args[0], args[1:]
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if any(isinstance(a, ast.Starred) for a in args) or any(k.arg is None for k in node.keywords):
+            yield name, None, set()
+        else:
+            yield name, len(args), {k.arg for k in node.keywords}
+
+
+def test_every_default_is_overridden_somewhere():
+    # a defaulted parameter of the public surface that no call in the package,
+    # the benchmark or the tests ever passes is a constant in disguise
+    library = sorted((ROOT / "src" / "mfhjb").glob("*.py"))
+    callers = library + sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    calls = [call for path in callers for call in _calls(ast.parse(path.read_text(), str(path)))]
+    never = []
+    for path in library:
+        for qualname, name, params, defaulted in _defaulted_parameters(ast.parse(path.read_text(), str(path))):
+            for param in defaulted:
+                index = params.index(param)
+                if not any(callee == name and (count is None or index < count or param in keywords)
+                           for callee, count, keywords in calls):
+                    never.append(f"{path.name}:{qualname}({param})")
+    assert never == []

@@ -637,8 +637,8 @@ def test_phi_delta_dt_bound_always():
 
 def test_phi_delta_h_is_geometric_series_of_constant_matrices():
     mu, nu = random_pair(20)
-    k_long = 40
-    anchors = GaugeAnchors(tuple((0.2, mu) for _ in range(k_long + 1)), delta=0.5, k_max=k_long)
+    k_long = GaugeAnchors.k_max  # 40
+    anchors = GaugeAnchors(tuple((0.2, mu) for _ in range(k_long + 1)), delta=0.5)
     der = phi_delta_derivatives(anchors, 0.5, nu, QUAD2, noise_nodes=16)
     kappa = 0.5  # 1/d for d = 2
     expected_norm = 2.0 * kappa * np.sqrt(2.0)
