@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -173,8 +173,6 @@ class CoefficientSet:
     beta: float
     action_space: ActionSpace
     d: int
-    name: str = ""
-    params: dict = field(default_factory=dict)
 
     def validate(self, seed: int = 0) -> dict:
         """Spot-check the advertised bound K and Lipschitz constants.

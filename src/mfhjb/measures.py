@@ -61,45 +61,58 @@ def translate(ens: ParticleEnsemble, w) -> ParticleEnsemble:
     return ParticleEnsemble(ens.points + w)
 
 
-def _sample_component(spec: dict, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    kind = spec.get("kind")
-    if kind == "point_mass":
-        c = np.broadcast_to(np.asarray(spec.get("center", 0.0), dtype=float), (d,))
-        return np.tile(c, (n, 1))
-    if kind == "uniform_box":
-        lo = np.broadcast_to(np.asarray(spec.get("lo", -1.0), dtype=float), (d,))
-        hi = np.broadcast_to(np.asarray(spec.get("hi", 1.0), dtype=float), (d,))
-        return rng.uniform(lo, hi, size=(n, d))
-    if kind == "gaussian":
-        mean = np.broadcast_to(np.asarray(spec.get("mean", 0.0), dtype=float), (d,))
-        if "cov" in spec:
-            cov = np.asarray(spec["cov"], dtype=float)
-            if cov.ndim == 0:
-                cov = float(cov) * np.eye(d)
-            return rng.multivariate_normal(mean, cov, size=n)
-        std = float(spec.get("std", 1.0))
-        return mean + std * rng.standard_normal((n, d))
-    raise ValueError(f"unknown distribution kind {kind!r}")
+def _point_mass(n: int, d: int, rng: np.random.Generator, center=0.0) -> np.ndarray:
+    return np.tile(np.broadcast_to(np.asarray(center, dtype=float), (d,)), (n, 1))
+
+
+def _uniform_box(n: int, d: int, rng: np.random.Generator, lo=-1.0, hi=1.0) -> np.ndarray:
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), (d,))
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), (d,))
+    return rng.uniform(lo, hi, size=(n, d))
+
+
+def _gaussian(n: int, d: int, rng: np.random.Generator, mean=0.0, std=1.0) -> np.ndarray:
+    return np.broadcast_to(np.asarray(mean, dtype=float), (d,)) + float(std) * rng.standard_normal((n, d))
+
+
+def _mixture(n: int, d: int, rng: np.random.Generator, components) -> np.ndarray:
+    weights = np.array([comp.get("weight", 1.0) for comp in components], dtype=float)
+    labels = rng.choice(len(components), size=n, p=weights / weights.sum())
+    pts = np.empty((n, d))
+    for j, comp in enumerate(components):
+        # an unpicked component draws no points, which leaves rng as it was
+        mask = labels == j
+        keys = {key: value for key, value in comp.items() if key != "weight"}
+        pts[mask] = _draw(keys, int(mask.sum()), d, rng, _COMPONENT_KINDS)
+    return pts
+
+
+_COMPONENT_KINDS = {"point_mass": _point_mass, "uniform_box": _uniform_box, "gaussian": _gaussian}
+_KINDS = {**_COMPONENT_KINDS, "mixture": _mixture}
+
+
+def _draw(spec: dict, n: int, d: int, rng: np.random.Generator, kinds: dict) -> np.ndarray:
+    keys = dict(spec)
+    kind = keys.pop("kind", None)
+    if kind not in kinds:
+        raise ValueError(f"unknown distribution kind {kind!r}")
+    return kinds[kind](n, d, rng, **keys)
 
 
 def sample_iid(spec: dict, n: int, d: int, seed: int) -> ParticleEnsemble:
     """Draw n i.i.d. points from a named distribution spec, deterministically.
 
-    Supported kinds: ``point_mass``, ``uniform_box``, ``gaussian`` and
-    ``mixture`` (components carry a ``weight`` and any non-mixture spec).
+    A spec names its ``kind`` and that kind's keys, each optional:
+
+    - ``point_mass``: ``center`` (0.0);
+    - ``uniform_box``: ``lo`` (-1.0) and ``hi`` (1.0);
+    - ``gaussian``: ``mean`` (0.0) and ``std`` (1.0), independent coordinates;
+    - ``mixture``: ``components``, a list of non-mixture specs, each with an
+      optional ``weight`` (1.0).
+
+    A center, bound or mean is a scalar or a length-d list.  Any other key
+    raises ``TypeError``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    if spec.get("kind") == "mixture":
-        comps = spec["components"]
-        weights = np.array([c.get("weight", 1.0) for c in comps], dtype=float)
-        weights = weights / weights.sum()
-        labels = rng.choice(len(comps), size=n, p=weights)
-        pts = np.empty((n, d))
-        for j, comp in enumerate(comps):
-            mask = labels == j
-            if mask.any():
-                pts[mask] = _sample_component(comp, int(mask.sum()), d, rng)
-        return ParticleEnsemble(pts)
-    return ParticleEnsemble(_sample_component(spec, n, d, rng))
+    return ParticleEnsemble(_draw(spec, n, d, np.random.default_rng(seed), _KINDS))

@@ -40,13 +40,10 @@ def _profile_lipschitz_factor(inner: float) -> float:
     return float(np.max(chi + np.abs(r * dchi)))
 
 
-def _lq_drift(params: dict) -> CoefficientSet:
-    d = int(params.get("d", 2))
-    p = np.broadcast_to(np.asarray(params.get("p", np.ones(d)), dtype=float), (d,)).copy()
-    sig = float(params.get("sigma", 0.3))
-    sig0 = float(params.get("sigma0", 0.3))
-    radius = float(params.get("radius", 8.0))
-    inner = float(params.get("clip_inner", 0.5))
+def _lq_drift(d=2, p=1.0, sigma=0.3, sigma0=0.3, radius=8.0, clip_inner=0.5) -> CoefficientSet:
+    d = int(d)
+    p = np.broadcast_to(np.asarray(p, dtype=float), (d,)).copy()
+    sig, sig0, radius, inner = float(sigma), float(sigma0), float(radius), float(clip_inner)
     space = ActionSpace(-np.ones(d), np.ones(d))
 
     sig_mat = sig * np.eye(d)
@@ -70,13 +67,11 @@ def _lq_drift(params: dict) -> CoefficientSet:
         beta=1.0,
         action_space=space,
         d=d,
-        name="lq_drift",
-        params={"p": p.tolist(), "sigma": sig, "sigma0": sig0, "radius": radius, "clip_inner": inner},
     )
 
 
-def _zero(params: dict) -> CoefficientSet:
-    d = int(params.get("d", 2))
+def _zero(d=2) -> CoefficientSet:
+    d = int(d)
     space = ActionSpace(-np.ones(d), np.ones(d))
     zmat = np.zeros((d, d))
     return CoefficientSet(
@@ -89,18 +84,16 @@ def _zero(params: dict) -> CoefficientSet:
         beta=1.0,
         action_space=space,
         d=d,
-        name="zero",
-        params={},
     )
 
 
-def _mean_reversion_mf(params: dict) -> CoefficientSet:
-    d = int(params.get("d", 1))
-    sig = float(params.get("sigma", 0.4))
-    sig0 = float(params.get("sigma0", 0.4))
-    pull = float(params.get("pull", 1.0))
-    mf_weight = float(params.get("mf_weight", 1.0))
-    p = np.broadcast_to(np.asarray(params.get("p", 1.0), dtype=float), (d,)).copy()
+def _mean_reversion_mf(
+    d=1, sigma=0.4, sigma0=0.4, pull=1.0, mf_weight=1.0, p=1.0, mf_center=0.0
+) -> CoefficientSet:
+    d = int(d)
+    sig, sig0, pull = float(sigma), float(sigma0), float(pull)
+    mf_weight, mf_center = float(mf_weight), float(mf_center)
+    p = np.broadcast_to(np.asarray(p, dtype=float), (d,)).copy()
     space = ActionSpace(-np.ones(d), np.ones(d))
     sig_mat = sig * np.eye(d)
     sig0_mat = sig0 * np.eye(d)
@@ -112,8 +105,6 @@ def _mean_reversion_mf(params: dict) -> CoefficientSet:
     def running_cost(t, x, cloud, a):
         aa = np.broadcast_to(a, x.shape)
         return -np.tanh(np.sum(aa**2, axis=-1))
-
-    mf_center = float(params.get("mf_center", 0.0))
 
     def terminal_cost(x, cloud):
         # concave in the cloud mean, so finite-n mean fluctuations depress
@@ -141,19 +132,14 @@ def _mean_reversion_mf(params: dict) -> CoefficientSet:
         beta=1.0,
         action_space=space,
         d=d,
-        name="mean_reversion_mf",
-        params={"sigma": sig, "sigma0": sig0, "pull": pull},
     )
 
 
-def _bounded_trig(params: dict) -> CoefficientSet:
+def _bounded_trig(d=1, horizon=1.0, time_amp=1.0, space_amp=1.0, sigma=0.2) -> CoefficientSet:
     """Holder-1/2 time dependence (through sqrt |t - T/2|) with clamped
     Lipschitz space dependence; used by the mollification rate tests."""
-    d = int(params.get("d", 1))
-    horizon = float(params.get("horizon", 1.0))
-    time_amp = float(params.get("time_amp", 1.0))
-    space_amp = float(params.get("space_amp", 1.0))
-    sig = float(params.get("sigma", 0.2))
+    d = int(d)
+    horizon, time_amp, space_amp, sig = float(horizon), float(time_amp), float(space_amp), float(sigma)
     space = ActionSpace(-np.ones(d), np.ones(d))
     u0 = np.ones(d) / np.sqrt(d)
     sig_mat = sig * np.eye(d)
@@ -190,8 +176,6 @@ def _bounded_trig(params: dict) -> CoefficientSet:
         beta=0.5,
         action_space=space,
         d=d,
-        name="bounded_trig",
-        params={"horizon": horizon, "time_amp": time_amp, "space_amp": space_amp},
     )
 
 
@@ -204,12 +188,14 @@ _BUILDERS = {
 
 
 def scenario(name: str, params: dict | None = None, validate: bool = True) -> CoefficientSet:
-    """Construct a named scenario; fails loudly if the bound probes reject it."""
+    """Construct a named scenario from its keyword parameters; a parameter
+    the scenario does not take raises ``TypeError``, and the bound probes
+    fail loudly if they reject the result."""
     if name not in _BUILDERS:
         raise ValueError(f"unknown scenario {name!r}; choose from {sorted(_BUILDERS)}")
     if params is not None and not isinstance(params, dict):
         raise ValueError(f"params must be an object of named parameters, got {params!r}")
-    coeffs = _BUILDERS[name](params or {})
+    coeffs = _BUILDERS[name](**(params or {}))
     if validate:
         coeffs.validate()
     return coeffs

@@ -10,7 +10,7 @@ from conftest import record_path
 
 import mfhjb
 from mfhjb.budget import CAPS
-from mfhjb.cli import main
+from mfhjb.cli import _RUNNERS, main
 from mfhjb.control import StepControl
 from mfhjb.dynamics import SimConfig
 from mfhjb.measures import sample_iid
@@ -173,6 +173,20 @@ def test_zero_monte_carlo_count_exits_one(tmp_path, sub, cfg, name):
         # typos of paths and sigma, which would run the defaults
         ("value", {"path": 4}),
         ("metric", {"sigmaa": 0.4}),
+        # typos inside a scenario's params, a sample spec and a mixture component
+        ("simulate", {"n": 8, "steps": 5, "params": {"sigmaa": 0.4}}),
+        ("simulate", {"n": 8, "steps": 5, "init": {"kind": "gaussian", "sd": 3.0}}),
+        ("simulate", {"n": 8, "steps": 5, "init": {"kind": "mixture", "components": [
+            {"kind": "gaussian", "wieght": 0.5}, {"kind": "gaussian", "mean": 2.0}]}}),
+        # no line to fit through eps = 0
+        ("eps-sweep", {"eps": [0.1]}),
+        ("eps-sweep", {"eps": []}),
+        # no certificate or probe to check
+        ("variational", {"sets": 0}),
+        ("hjb-residual", {"probes": 0}),
+        # an explicit null is not the derived default
+        ("metric", {"shift": None}),
+        ("simulate", {"n": 8, "steps": 5, "action": None}),
     ],
     ids=[
         "simulate-params", "simulate-short-action", "simulate-long-action", "n-sweep-params", "rates-reps-0",
@@ -180,6 +194,9 @@ def test_zero_monte_carlo_count_exits_one(tmp_path, sub, cfg, name):
         "gradient-check-m-points-0", "variational-m-points-0", "metric-sigma-nan",
         "gradient-check-sigma-nan", "h-check-sigma-nan", "metric-sigma-inf", "metric-sigma-minus-inf",
         "simulate-action-outside-box", "value-unknown-key", "metric-unknown-key",
+        "simulate-params-unknown-key", "simulate-init-unknown-key", "simulate-mixture-weight-typo",
+        "eps-sweep-one-eps", "eps-sweep-no-eps", "variational-sets-0", "hjb-residual-probes-0",
+        "metric-shift-null", "simulate-action-null",
     ],
 )
 def test_bad_params_or_count_exits_one(tmp_path, sub, cfg):
@@ -205,6 +222,53 @@ def test_loglog_fit_sizes_exit_one(tmp_path, sub, cfg, message):
     assert proc.returncode == 1
     assert proc.stderr == f"error: {message}\n"
     assert not (tmp_path / "o" / "results.json").exists()
+
+
+@pytest.mark.parametrize("sub", list(_RUNNERS))
+def test_unknown_key_exits_one_before_any_work(tmp_path, capsys, sub):
+    # the key check comes first: no library function runs and nothing is written
+    library = Path(mfhjb.__file__).parent
+    entered = []
+
+    def note(frame, event, arg):
+        path = Path(frame.f_code.co_filename)
+        if event == "call" and path.parent == library and path.name != "cli.py":
+            entered.append(f"{path.name}:{frame.f_code.co_name}")
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"no_such_key": 1}))
+    sys.setprofile(note)
+    try:
+        code = main([sub, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    finally:
+        sys.setprofile(None)
+    assert code == 1
+    assert capsys.readouterr().err == "error: bad config: unknown key(s) 'no_such_key'\n"
+    assert entered == []
+    assert not (tmp_path / "o" / "results.json").exists()
+
+
+@pytest.mark.parametrize(
+    "sub,cfg,message",
+    [
+        ("n-sweep", {"ref_m": 16}, "bad config: unknown key(s) 'ref_m'"),
+        ("eps-sweep", {"eps": []}, "eps needs at least two distinct values, each > 0, for a line fit, got []"),
+        ("eps-sweep", {"eps": [0.1, 0.1]},
+         "eps needs at least two distinct values, each > 0, for a line fit, got [0.1, 0.1]"),
+        ("eps-sweep", {"eps": [0.0, 0.1, 0.2]},
+         "eps needs at least two distinct values, each > 0, for a line fit, got [0.0, 0.1, 0.2]"),
+    ],
+    ids=["n-sweep-typo", "eps-sweep-empty", "eps-sweep-repeated", "eps-sweep-zero"],
+)
+def test_bad_sweep_config_exits_before_any_estimate(tmp_path, monkeypatch, capsys, sub, cfg, message):
+    from mfhjb import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "value_fd_approx", lambda *args, **kwargs: calls.append(kwargs) or {"value": 0.0})
+    code, _, res = run_cli(tmp_path, sub, cfg)
+    assert code == 1 and res is None
+    assert calls == []
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_malformed_config_exits_one(tmp_path):

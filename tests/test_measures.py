@@ -91,3 +91,23 @@ def test_sample_mixture_and_unknown_kind():
     assert vals == {0.0, 10.0}
     with pytest.raises(ValueError):
         sample_iid({"kind": "nope"}, 2, 1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "gaussian", "sd": 3.0},
+        {"kind": "gaussian", "cov": 2.0},
+        {"kind": "point_mass", "centre": 1.0},
+        {"kind": "uniform_box", "low": 0.0},
+        {"kind": "mixture", "components": [{"kind": "point_mass"}], "weights": [1.0]},
+        # a component of weight 0 is never picked, and is checked all the same
+        {"kind": "mixture", "components": [
+            {"kind": "point_mass"}, {"kind": "point_mass", "weight": 0.0, "centre": 1.0}]},
+    ],
+    ids=["gaussian-sd", "gaussian-cov", "point-mass-centre", "uniform-box-low", "mixture-weights",
+         "mixture-unpicked-component"],
+)
+def test_unknown_spec_key_rejected(spec):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        sample_iid(spec, 1, 2, seed=0)

@@ -8,7 +8,6 @@ from mfhjb.scenarios import lq_test_function, lq_true_value, scenario, smooth_cl
 def test_all_scenarios_construct_and_validate():
     for name in ("lq_drift", "zero", "mean_reversion_mf", "bounded_trig"):
         coeffs = scenario(name)
-        assert coeffs.name == name
         assert coeffs.K >= 0.0
 
 
@@ -21,6 +20,13 @@ def test_unknown_scenario_rejected():
 def test_params_must_be_an_object(params):
     with pytest.raises(ValueError, match="params must be an object"):
         scenario("lq_drift", params)
+
+
+@pytest.mark.parametrize("name", ["lq_drift", "zero", "mean_reversion_mf", "bounded_trig"])
+def test_unknown_param_rejected(name):
+    # a typo of sigma would otherwise build the scenario at the default
+    with pytest.raises(TypeError, match="sigmaa"):
+        scenario(name, {"sigmaa": 0.4})
 
 
 def test_zero_scenario_evaluators():
@@ -59,7 +65,6 @@ def test_lq_bound_on_many_probes_inside_half_radius():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_lq_default_p_is_ones_in_any_dimension(d):
     lq = scenario("lq_drift", {"d": d})
-    assert lq.params["p"] == [1.0] * d
     ones = scenario("lq_drift", {"d": d, "p": [1.0] * d})
     x = np.random.default_rng(5).standard_normal((6, d))
     np.testing.assert_array_equal(lq.terminal_cost(x, x), ones.terminal_cost(x, x))
