@@ -69,7 +69,7 @@ class StepControl:
 
     ``breakpoints[0]`` is the start of the horizon; piece i applies on
     [breakpoints[i], breakpoints[i+1]) and the last piece runs to the end.
-    Each action is raveled to a float vector.
+    Each action is kept as a read-only copy raveled to a float vector.
     """
 
     breakpoints: np.ndarray
@@ -82,7 +82,10 @@ class StepControl:
         if bp.size == 0 or np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be non-empty and strictly increasing")
         object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "actions", tuple(np.asarray(a, dtype=float).ravel() for a in self.actions))
+        actions = tuple(np.array(a, dtype=float).ravel() for a in self.actions)
+        for a in actions:
+            a.setflags(write=False)
+        object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "_starts", tuple(bp.tolist()))
 
     @staticmethod
@@ -92,12 +95,6 @@ class StepControl:
     def piece(self, t: float) -> int:
         """The index of the piece in force at time t; the first before the start."""
         return max(bisect.bisect_right(self._starts, t + 1e-12) - 1, 0)
-
-    def actions_at(self, t: float, x: np.ndarray) -> np.ndarray:
-        """The (..., n, q) actions at time t for states x of shape (..., n, d),
-        a read-only broadcast of the piece's action."""
-        a = self.actions[self.piece(t)]
-        return np.broadcast_to(a, (x.shape[:-1] or (1,)) + a.shape)  # one point: a batch of one
 
     def describe(self) -> str:
         parts = [f"t>={t:.3g}: {np.round(a, 6).tolist()}" for t, a in zip(self.breakpoints, self.actions)]

@@ -183,9 +183,9 @@ def simulate(
 
     ``coeffs`` is a control.CoefficientSet, called with the current state as
     its own cloud; each of the A ``policies``, control.StepControl objects,
-    supplies (..., n, q) actions through ``actions_at(t, X)`` and its piece
-    index through ``piece(t)``, and all are advanced as one state on one
-    noise draw per step (common random numbers).  Each of the P ``paths``
+    names its piece in force through ``piece(t)`` and holds that piece's (q,)
+    action in ``actions``, and all are advanced as one state on one noise
+    draw per step (common random numbers).  Each of the P ``paths``
     runs on its own noise; ``starts``, L start clouds (L, n, d) of init's
     size, replace init's points (L = 1 without them).  Returns the running
     costs (P, L, A, n) and terminal states (P, L, A, n, d).  Each row is
@@ -209,14 +209,15 @@ def _euler(coeffs, starts, policies, cfg, paths, noise_ids):
     state, each path on its own block per (channel, path, step), stacked
     along the path axis.  Yields (t_k, X_k, a_k, b_k, sigma_k, sigma0_k,
     dW0_k) for each step k before taking it, then the terminal state: a_k is
-    (P, L, A, n, q), the drift b_k (P, L, A, n, d), sigma_k (d, d) or
-    (..., n, d, d), sigma0_k (d, d) and dW0_k (P, d).  The step is taken
-    with exactly the yielded arrays.  Each state is a fresh C-ordered array,
-    and a_k is the previous step's array while every policy stays in the
-    same piece; nothing yielded is written afterwards, and consumers must
-    not write it either.  A ``cfg.n`` other than the start clouds' n, and
-    actions whose length is not the action space's dimension or that lie
-    outside its box, raise ValueError.
+    (P, L, A, n, q), policy i's piece action ``actions[piece(t_k)]`` at
+    every path, cloud and particle, the drift b_k (P, L, A, n, d), sigma_k
+    (d, d) or (..., n, d, d), sigma0_k (d, d) and dW0_k (P, d).  The step is
+    taken with exactly the yielded arrays.  Each state is a fresh C-ordered
+    array, and a_k is the previous step's array while every policy stays in
+    the same piece; nothing yielded is written afterwards, and consumers
+    must not write it either.  A ``cfg.n`` other than the start clouds' n,
+    and actions whose length is not the action space's dimension or that
+    lie outside its box, raise ValueError.
     """
     n, d = starts.shape[-2:]
     if cfg.n != n:
@@ -245,21 +246,20 @@ def _euler(coeffs, starts, policies, cfg, paths, noise_ids):
     pieces = None
     for k in range(cfg.steps):
         t = cfg.t0 + dt * k
-        # a policy's action is fixed on each piece, so the actions are
-        # restacked only when some policy enters another piece, in C order
-        # (stacked broadcast answers would put the action axis outermost)
+        # a policy's action is fixed on each piece, so the actions are written
+        # into a fresh C-ordered buffer only when some policy enters another
+        # piece, each piece action checked before it is broadcast
         now = tuple(pol.piece(t) for pol in policies)
         if now != pieces:
-            # each policy's answer broadcasts its piece's (q,) action, so the
-            # actions are checked before they are broadcast over the batch
-            for act in (pol.actions[i] for pol, i in zip(policies, now)):
+            a = np.empty(x.shape[:-1] + (space.dim,))
+            for i, (pol, piece) in enumerate(zip(policies, now)):
+                act = pol.actions[piece]
                 if act.size != space.dim:
                     raise ValueError(f"actions have {act.size} components, but the action space has {space.dim}")
                 if not ((space.lo <= act) & (act <= space.hi)).all():
                     raise ValueError(f"action {act.tolist()} lies outside the action box "
                                      f"[{space.lo.tolist()}, {space.hi.tolist()}]")
-            answers = [pol.actions_at(t, x[:, :, i]) for i, pol in enumerate(policies)]
-            a = np.ascontiguousarray(np.stack(answers, axis=2), dtype=float)
+                a[:, :, i] = act
             pieces = now
         b = coeffs.drift(t, x, x, a)
         sig = np.asarray(coeffs.diffusion(t, x, a), dtype=float)

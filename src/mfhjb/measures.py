@@ -76,14 +76,21 @@ def _gaussian(n: int, d: int, rng: np.random.Generator, mean=0.0, std=1.0) -> np
 
 
 def _mixture(n: int, d: int, rng: np.random.Generator, components) -> np.ndarray:
-    weights = np.array([comp.get("weight", 1.0) for comp in components], dtype=float)
-    labels = rng.choice(len(components), size=n, p=weights / weights.sum())
+    if not isinstance(components, (list, tuple)) or not components:
+        raise ValueError(f"a mixture needs a non-empty list of components, got {components!r}")
+    specs = [_keys(comp) for comp in components]
+    weights = np.array([spec.pop("weight", 1.0) for spec in specs], dtype=float)
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if not (np.isfinite(weights) & (weights >= 0.0)).all() or not 0.0 < total < np.inf:
+        raise ValueError(f"mixture weights must be finite and non-negative with a positive sum, "
+                         f"got {weights.tolist()}")
+    labels = rng.choice(len(components), size=n, p=weights / total)
     pts = np.empty((n, d))
-    for j, comp in enumerate(components):
+    for j, spec in enumerate(specs):
         # an unpicked component draws no points, which leaves rng as it was
         mask = labels == j
-        keys = {key: value for key, value in comp.items() if key != "weight"}
-        pts[mask] = _draw(keys, int(mask.sum()), d, rng, _COMPONENT_KINDS)
+        pts[mask] = _draw(spec, int(mask.sum()), d, rng, _COMPONENT_KINDS)
     return pts
 
 
@@ -91,8 +98,15 @@ _COMPONENT_KINDS = {"point_mass": _point_mass, "uniform_box": _uniform_box, "gau
 _KINDS = {**_COMPONENT_KINDS, "mixture": _mixture}
 
 
+def _keys(spec) -> dict:
+    """A copy of a sample spec's keys; a spec that is not an object raises."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"a sample spec must be an object, got {spec!r}")
+    return dict(spec)
+
+
 def _draw(spec: dict, n: int, d: int, rng: np.random.Generator, kinds: dict) -> np.ndarray:
-    keys = dict(spec)
+    keys = _keys(spec)
     kind = keys.pop("kind", None)
     if kind not in kinds:
         raise ValueError(f"unknown distribution kind {kind!r}")
@@ -107,11 +121,13 @@ def sample_iid(spec: dict, n: int, d: int, seed: int) -> ParticleEnsemble:
     - ``point_mass``: ``center`` (0.0);
     - ``uniform_box``: ``lo`` (-1.0) and ``hi`` (1.0);
     - ``gaussian``: ``mean`` (0.0) and ``std`` (1.0), independent coordinates;
-    - ``mixture``: ``components``, a list of non-mixture specs, each with an
-      optional ``weight`` (1.0).
+    - ``mixture``: ``components``, a non-empty list of non-mixture specs,
+      each with an optional ``weight`` (1.0); the weights must be finite and
+      non-negative with a positive sum.
 
     A center, bound or mean is a scalar or a length-d list.  Any other key
-    raises ``TypeError``.
+    raises ``TypeError``; a spec that is not a dict, an unknown kind and bad
+    mixture components or weights raise ``ValueError``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -194,13 +194,13 @@ def _particle_actions(a, n: int) -> np.ndarray:
     return a
 
 
-def _rate_bounds(coeffs, spec, t, horizon, beta, t_off, z_off) -> np.ndarray:
+def _rate_bounds(coeffs, spec, t, t_off, z_off) -> np.ndarray:
     """The a priori error bound K (time term + space term) of every particle,
-    (n,), evaluated with the kernel's own offset draw; each particle's row is
-    made contiguous, so that its mean sums as it would alone."""
-    beta = coeffs.beta if beta is None else beta
-    t_eff = np.minimum(np.maximum(t - t_off / spec.m, 0.0), horizon)
-    time_term = float(np.mean(np.abs(t - t_eff) ** beta))
+    (n,), evaluated with the kernel's own offset draw on the horizon [0, 1];
+    each particle's row is made contiguous, so that its mean sums as it
+    would alone."""
+    t_eff = np.minimum(np.maximum(t - t_off / spec.m, 0.0), 1.0)
+    time_term = float(np.mean(np.abs(t - t_eff) ** coeffs.beta))
     znorm = np.linalg.norm(z_off, axis=2) / spec.m  # (Q, n)
     space_terms = (np.ascontiguousarray(znorm.T) + znorm.mean(axis=1)).mean(axis=1)
     return coeffs.K * (time_term + space_terms)
@@ -215,8 +215,8 @@ def mollify_rate_sweep(
     """Sup error over probes of each mollified coefficient versus m.
 
     Probes are (t, xbar, a) triples; xbar is an (n, d) state matrix and a
-    an action as ``mollified`` takes it, with shifted times clamped to the
-    horizon [0, 1] as there.  Returns
+    an action as ``mollified`` takes it.  The smoothed coefficients are
+    those of ``MollifiedCoefficients``, on the horizon [0, 1].  Returns
     per-coefficient {m: sup_error} tables together with the per-m a priori
     bounds, for rate fitting by the caller.
     """
@@ -230,18 +230,15 @@ def mollify_rate_sweep(
             xbar = np.asarray(xbar, dtype=float)
             n = xbar.shape[0]
             av = _particle_actions(a, n)
-            exact_b = coeffs.drift(t, xbar, xbar, av)
-            exact_f = coeffs.running_cost(t, xbar, xbar, av)
-            exact_g = coeffs.terminal_cost(xbar, xbar)
-            t_off, z_off = _draw_offsets(spec, n, xbar.shape[1])
-            args = (spec, t, xbar, av, 1.0, t_off, z_off)
-            got_b = _mollified_all("drift", coeffs, *args, with_stderr=False)
-            got_f = _mollified_all("running_cost", coeffs, *args, with_stderr=False)
-            got_g = _mollified_all("terminal_cost", coeffs, *args, with_stderr=False)
-            sup["b"] = max(sup["b"], float(np.linalg.norm(got_b - exact_b, axis=1).max()))
-            sup["f"] = max(sup["f"], float(np.abs(got_f - exact_f).max()))
-            sup["g"] = max(sup["g"], float(np.abs(got_g - exact_g).max()))
-            bound_sup = max(bound_sup, float(_rate_bounds(coeffs, spec, t, 1.0, None, t_off, z_off).max()))
+            smooth = MollifiedCoefficients(coeffs, spec, n)
+            err_b = smooth.drift(t, xbar, xbar, av) - coeffs.drift(t, xbar, xbar, av)
+            err_f = smooth.running_cost(t, xbar, xbar, av) - coeffs.running_cost(t, xbar, xbar, av)
+            err_g = smooth.terminal_cost(xbar, xbar) - coeffs.terminal_cost(xbar, xbar)
+            sup["b"] = max(sup["b"], float(np.linalg.norm(err_b, axis=1).max()))
+            sup["f"] = max(sup["f"], float(np.abs(err_f).max()))
+            sup["g"] = max(sup["g"], float(np.abs(err_g).max()))
+            bounds = _rate_bounds(coeffs, spec, t, *_draw_offsets(spec, n, coeffs.d))  # smooth's draw, cached
+            bound_sup = max(bound_sup, float(bounds.max()))
         for key in ("b", "f", "g"):
             table[key][m] = sup[key]
         table["bound"][m] = bound_sup

@@ -262,17 +262,6 @@ def _mixture_quantile(values: np.ndarray, sigma: float, p: np.ndarray) -> np.nda
     return np.where(upper, -p, p).reshape(shape)
 
 
-def _transport(src_values, src_sigma, tgt_values, tgt_sigma, z, density=False):
-    """Monotone map F_tgt^{-1}(F_src(z)); value arrays pair with z as in
-    ``_mixture_cdf``, and the quantile solve clamps the CDF values.  With
-    density=True, returns (T(z), F_src'(z)), both from one source pass, and
-    else (T(z), None)."""
-    if not density:
-        return _mixture_quantile(tgt_values, tgt_sigma, _mixture_cdf(src_values, src_sigma, z)), None
-    cdf, dens = _mixture_cdf(src_values, src_sigma, z, density=True)
-    return _mixture_quantile(tgt_values, tgt_sigma, cdf), dens
-
-
 def w2_discrete(a, b) -> float:
     """Exact W2 between two equal-size discrete uniform clouds on R.
 

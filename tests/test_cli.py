@@ -178,6 +178,15 @@ def test_zero_monte_carlo_count_exits_one(tmp_path, sub, cfg, name):
         ("simulate", {"n": 8, "steps": 5, "init": {"kind": "gaussian", "sd": 3.0}}),
         ("simulate", {"n": 8, "steps": 5, "init": {"kind": "mixture", "components": [
             {"kind": "gaussian", "wieght": 0.5}, {"kind": "gaussian", "mean": 2.0}]}}),
+        # a sample spec or mixture component that is not an object, no
+        # components, and weights that are negative or sum to 0
+        ("simulate", {"n": 8, "steps": 5, "init": [1]}),
+        ("simulate", {"n": 8, "steps": 5, "init": {"kind": "mixture", "components": [1]}}),
+        ("simulate", {"n": 8, "steps": 5, "init": {"kind": "mixture", "components": []}}),
+        ("simulate", {"n": 8, "steps": 5, "init": {"kind": "mixture", "components": [
+            {"kind": "point_mass", "weight": -1.0}, {"kind": "gaussian", "weight": 2.0}]}}),
+        ("simulate", {"n": 8, "steps": 5, "init": {"kind": "mixture", "components": [
+            {"kind": "point_mass", "weight": 0}]}}),
         # no line to fit through eps = 0
         ("eps-sweep", {"eps": [0.1]}),
         ("eps-sweep", {"eps": []}),
@@ -195,6 +204,8 @@ def test_zero_monte_carlo_count_exits_one(tmp_path, sub, cfg, name):
         "gradient-check-sigma-nan", "h-check-sigma-nan", "metric-sigma-inf", "metric-sigma-minus-inf",
         "simulate-action-outside-box", "value-unknown-key", "metric-unknown-key",
         "simulate-params-unknown-key", "simulate-init-unknown-key", "simulate-mixture-weight-typo",
+        "simulate-init-not-object", "simulate-mixture-component-not-object", "simulate-mixture-no-components",
+        "simulate-mixture-negative-weight", "simulate-mixture-zero-weights",
         "eps-sweep-one-eps", "eps-sweep-no-eps", "variational-sets-0", "hjb-residual-probes-0",
         "metric-shift-null", "simulate-action-null",
     ],

@@ -36,15 +36,18 @@ def test_action_space_errors():
 
 
 def test_step_control_lookup():
-    pol = StepControl(np.array([0.0, 0.5]), (np.array([1.0]), np.array([-1.0])))
-    x = np.zeros((3, 1))
-    np.testing.assert_array_equal(pol.actions_at(0.2, x), np.ones((3, 1)))
-    np.testing.assert_array_equal(pol.actions_at(0.5, x), -np.ones((3, 1)))
-    np.testing.assert_array_equal(pol.actions_at(0.9, x), -np.ones((3, 1)))
-    np.testing.assert_array_equal(pol.actions_at(-1.0, np.zeros(1)), np.ones((1, 1)))  # one point, before the start
-    # the piece in force, the first before the start, and a read-only answer
+    first = np.array([1.0])
+    pol = StepControl(np.array([0.0, 0.5]), (first, np.array([-1.0])))
+    np.testing.assert_array_equal(pol.actions[pol.piece(0.2)], [1.0])
+    np.testing.assert_array_equal(pol.actions[pol.piece(0.5)], [-1.0])
+    np.testing.assert_array_equal(pol.actions[pol.piece(0.9)], [-1.0])
+    np.testing.assert_array_equal(pol.actions[pol.piece(-1.0)], [1.0])  # before the start
+    # the piece in force, the first before the start, and read-only actions
+    # that are copies of the ones passed
     assert [pol.piece(t) for t in (-1.0, 0.0, 0.1, 0.5 - 1e-13, 0.5, 0.9)] == [0, 0, 0, 1, 1, 1]
-    assert not pol.actions_at(0.1, x).flags.writeable
+    assert not any(a.flags.writeable for a in pol.actions)
+    first[0] = 0.0
+    assert pol.actions[0].tolist() == [1.0]
     with pytest.raises(ValueError):
         StepControl(np.array([0.5, 0.5]), (np.array([1.0]), np.array([1.0])))
 

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -123,3 +124,17 @@ def test_every_default_is_overridden_somewhere():
                            for callee, count, keywords in calls):
                     never.append(f"{path.name}:{qualname}({param})")
     assert never == []
+
+
+def test_every_tracer_probe_resolves():
+    # the benchmark's traced run skips a probe whose target is gone and drops
+    # its per-layer metrics, so a deleted or renamed target must fail here
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.absent == set()
+    finally:
+        tracer.uninstall()

@@ -111,3 +111,29 @@ def test_sample_mixture_and_unknown_kind():
 def test_unknown_spec_key_rejected(spec):
     with pytest.raises(TypeError, match="unexpected keyword argument"):
         sample_iid(spec, 1, 2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        [1],
+        {"kind": "mixture", "components": [1]},
+        {"kind": "mixture", "components": [{"kind": "point_mass"}, "gaussian"]},
+        {"kind": "mixture", "components": []},
+        {"kind": "mixture", "components": {"kind": "point_mass"}},
+        {"kind": "mixture", "components": [{"kind": "point_mass", "weight": -1.0}, {"kind": "gaussian"}]},
+        {"kind": "mixture", "components": [{"kind": "point_mass", "weight": float("nan")}]},
+        {"kind": "mixture", "components": [{"kind": "point_mass", "weight": float("inf")}]},
+        {"kind": "mixture", "components": [
+            {"kind": "point_mass", "weight": 0.0}, {"kind": "gaussian", "weight": 0}]},
+        {"kind": "mixture", "components": [
+            {"kind": "point_mass", "weight": 1e308}, {"kind": "gaussian", "weight": 1e308}]},
+    ],
+    ids=["spec-not-object", "component-not-object", "second-component-not-object", "no-components",
+         "components-not-a-list", "negative-weight", "nan-weight", "infinite-weight", "zero-weights",
+         "weight-sum-overflows"],
+)
+def test_malformed_spec_raises_value_error(spec):
+    # a ValueError, which the CLI reports as one error line, before any draw
+    with pytest.raises(ValueError):
+        sample_iid(spec, 4, 2, seed=0)

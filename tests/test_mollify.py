@@ -111,7 +111,7 @@ def test_rate_bound_holds():
             a = np.zeros((3, 1))
             exact = bt.drift(t, xbar, xbar, a)
             got, err = mollified("drift", bt, spec, t, xbar, np.zeros(1))
-            bound = _rate_bounds(bt, spec, t, 1.0, None, *_draw_offsets(spec, 3, 1))[0]
+            bound = _rate_bounds(bt, spec, t, *_draw_offsets(spec, 3, 1))[0]
             assert np.linalg.norm(got[0] - exact[0]) <= bound * 1.05 + 3 * err[0].max()
 
 
@@ -128,22 +128,22 @@ def _rate_bound_per_particle(coeffs, spec, i, t, xbar, horizon=1.0, beta=None):
 
 
 @pytest.mark.parametrize("n,d", [(1, 1), (4, 1), (9, 2), (6, 3)])
-def test_rate_bounds_match_per_particle_draws(monkeypatch, n, d):
+def test_rate_bounds_match_per_particle_draws(n, d):
     # every particle's bound, and the sweep's sup over them, is the same bits
-    # as a per-particle draw; the sweep draws offsets once per probe
-    from mfhjb import mollify
-
+    # as a per-particle draw; the sweep draws offsets at most once per probe
     coeffs = scenario("bounded_trig", {"d": d})
     rng = np.random.default_rng(12)
     probes = [(t, rng.standard_normal((n, d)), np.zeros(d)) for t in (0.0, 0.01, 0.5, 0.999)]
-    draws = []
-    monkeypatch.setattr(mollify, "_draw_offsets", lambda *args: draws.append(args) or _draw_offsets(*args))
+    _draw_offsets.cache_clear()
     tab = mollify_rate_sweep(coeffs, (2, 16), probes, {"offsets": 256, "seed": 13})
-    assert len(draws) == 2 * len(probes)
+    # a probe's bound reads the draw its smoothed coefficients made, and the
+    # probes share (n, d): one draw per m
+    assert _draw_offsets.cache_info().misses == 2
+    steeper = replace(coeffs, beta=0.7)
     for m in (2, 16):
         spec = MollifierSpec(m=m, offsets=256, seed=13)
         want = [_rate_bound_per_particle(coeffs, spec, i, t, x, beta=0.7) for t, x, _ in probes for i in range(n)]
-        got = [b for t, x, _ in probes for b in _rate_bounds(coeffs, spec, t, 1.0, 0.7, *_draw_offsets(spec, n, d))]
+        got = [b for t, x, _ in probes for b in _rate_bounds(steeper, spec, t, *_draw_offsets(spec, n, d))]
         assert got == want
         sup = max(_rate_bound_per_particle(coeffs, spec, i, t, x) for t, x, _ in probes for i in range(n))
         assert tab["bound"][m] == sup

@@ -43,7 +43,8 @@ def _parent_pass(coeffs, init, policies, cfg, path, noise_ids=None):
     running = np.zeros((len(policies), n))
     for k in range(cfg.steps):
         t = cfg.t0 + dt * k
-        a = np.stack([pol.actions_at(t, xi) for pol, xi in zip(policies, x)], dtype=float)
+        acts = [pol.actions[pol.piece(t)] for pol in policies]
+        a = np.stack([np.broadcast_to(act, (n,) + act.shape) for act in acts])
         running += coeffs.running_cost(t, x, x, a) * dt
         dw0 = sq * noise_block(cfg.seed, 0, path, k, 1, d)[0]
         dw = sq * noise_block(cfg.idio_seed, 1, path, k, rows, d)[ids]

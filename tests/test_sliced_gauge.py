@@ -50,11 +50,11 @@ def test_quadrature_weights_and_second_moment():
     for quad, tol in ((QUAD1, 1e-15), (QUAD2, 1e-14)):
         assert abs(quad.weights.sum() - 1.0) < 1e-12
         np.testing.assert_allclose(
-            quad.second_moment_matrix(), np.eye(quad.d) / quad.d, atol=tol
+            h_gauge(quad.d, quad), np.eye(quad.d) / quad.d, atol=tol
         )
     q3 = SphereQuadrature.quasi_uniform_sphere(3, 512, seed=1)
     np.testing.assert_allclose(
-        q3.second_moment_matrix(), np.eye(3) / 3.0, atol=4.0 / np.sqrt(512)
+        h_gauge(q3.d, q3), np.eye(3) / 3.0, atol=4.0 / np.sqrt(512)
     )
 
 
@@ -83,7 +83,7 @@ def test_even_rules_fold_to_lines():
         ang = 2.0 * np.pi * np.arange(count // 2) / count
         np.testing.assert_array_equal(quad.nodes, np.stack([np.cos(ang), np.sin(ang)], axis=1))
         np.testing.assert_array_equal(quad.weights, np.full(count // 2, 2.0 / count))
-        np.testing.assert_allclose(quad.second_moment_matrix(), np.eye(2) / 2, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(h_gauge(quad.d, quad), np.eye(2) / 2, rtol=0, atol=1e-15)
     # odd counts and d >= 3 are left as they were, bit for bit
     for count in (3, 5, 33, 127):
         quad, want = SphereQuadrature.equispaced_circle(count), unfolded_circle(count)
@@ -409,14 +409,14 @@ def test_phi_delta_derivatives_one_solve_per_anchor_group(monkeypatch):
     other = translate(nu, np.array([0.5, -0.2]))
     # nu at t = 0.1 appears twice, so three anchors form two groups
     anchors = GaugeAnchors(((0.1, nu), (0.4, other), (0.1, nu)), delta=0.8)
-    solve = sliced_gauge._transport
+    solve = sliced_gauge._mixture_quantile
     calls = []
 
     def counted(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(sliced_gauge, "_transport", counted)
+    monkeypatch.setattr(sliced_gauge, "_mixture_quantile", counted)
     der = phi_delta_derivatives(anchors, 0.3, mu, QUAD2, noise_nodes=48)
     assert len(calls) == 2
     terms = [(1.25, nu), (0.5, other)]
@@ -432,14 +432,14 @@ def test_phi_delta_derivatives_one_solve_per_cloud_at_any_times(monkeypatch):
     # anchored at three times costs one transport solve
     mu, nu = random_pair(23)
     anchors = GaugeAnchors(((0.1, nu), (0.4, nu), (0.7, nu)), 0.5)
-    solve = sliced_gauge._transport
+    solve = sliced_gauge._mixture_quantile
     calls = []
 
     def counted(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(sliced_gauge, "_transport", counted)
+    monkeypatch.setattr(sliced_gauge, "_mixture_quantile", counted)
     der = phi_delta_derivatives(anchors, 0.3, mu, QUAD2, noise_nodes=48)
     assert len(calls) == 1
     dt = sum(w * 2.0 * (0.3 - tk) for w, tk in ((1.0, 0.1), (0.5, 0.4), (0.25, 0.7)))
@@ -666,5 +666,5 @@ def test_phi_delta_bounds_on_random_anchor_sets():
 
 def test_recorded_cd_covers_fresh_calibration():
     for d in (1, 2):
-        fresh = calibrate_c_d(d, seed=0)
+        fresh = calibrate_c_d(d)
         assert fresh <= C_D_CALIBRATED[d] * 1.02
