@@ -61,17 +61,34 @@ def _record(operation: str, config: dict, value, stderr=None, seed=None, **extra
     return rec
 
 
+def _like(value, default) -> bool:
+    """Whether a JSON value has the type of a default: a float takes an int
+    or a float, a list a list whose entries are like the default's first, and
+    any other default its own type, so no bool passes for a number."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_like(entry, default[0]) for entry in value)
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
 def _config(cfg, **defaults) -> SimpleNamespace:
     """The values of the keys a runner takes: each key of cfg, else its default.
 
     A default of ``...`` is one the runner derives from other values, which
     no JSON value is, so an explicit null stays null.  Any other key but
-    ``seed``, a typo say, raises before any work.
+    ``seed``, a typo say, raises before any work, and so does a value that is
+    not ``_like`` its default (``...`` and ``None`` defaults take any value).
     """
     unknown = sorted(set(cfg) - set(defaults) - {"seed"})
     if unknown:
         raise ValueError(f"bad config: unknown key(s) {', '.join(map(repr, unknown))}")
-    return SimpleNamespace(**{**defaults, **{key: value for key, value in cfg.items() if key != "seed"}})
+    given = {key: value for key, value in cfg.items() if key != "seed"}
+    for key, value in given.items():
+        default = defaults[key]
+        if default is not ... and default is not None and not _like(value, default):
+            raise ValueError(f"bad config: {key} must be like its default {json.dumps(default)}, got {json.dumps(value)}")
+    return SimpleNamespace(**{**defaults, **given})
 
 
 def _fit_sizes(key, sizes):
@@ -169,9 +186,7 @@ def _run_variational(cfg, seed):
             ParticleEnsemble(rng.standard_normal((int(rng.integers(2, 6)), d))) for _ in range(size)
         )
         g_values = rng.uniform(0, 1, size)
-        # start at the lowest-scoring admissible candidate, first on ties
-        start = int(np.where(g_values >= g_values.max() - lam, g_values, np.inf).argmin())
-        cands = CandidateSet(times, ensembles, g_values, lam=lam, delta=c.delta, start=start)
+        cands = CandidateSet(times, ensembles, g_values, lam=lam, delta=c.delta)
         res = borwein_preiss(cands, quad, m_points=c.m_points)
         cert = res.certificate
         if cert["item1_ok"] and cert["item2_ok"] and cert["item3_ok"] and cert["complete"]:

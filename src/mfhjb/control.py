@@ -21,6 +21,7 @@ import numpy as np
 from mfhjb.budget import chunks
 from mfhjb.dynamics import SimConfig, _check_counts, _generator, _stderr, simulate
 from mfhjb.measures import ParticleEnsemble, sample_iid
+from mfhjb.mollify import MollifiedCoefficients, MollifierSpec
 
 __all__ = [
     "ActionSpace",
@@ -345,8 +346,6 @@ def value_fd_approx(
     averaging over resampled initial clouds.  The runs start at cfg.t0, so
     a t other than cfg.t0 raises ValueError.
     """
-    from mfhjb.mollify import MollifiedCoefficients, MollifierSpec
-
     if t != cfg.t0:
         raise ValueError(f"value_fd_approx starts at cfg.t0 = {cfg.t0}, got t = {t}")
     _check_counts(paths=paths, resamples=resamples)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from mfhjb.control import ActionSpace, CoefficientSet
+from mfhjb.control import ActionSpace, CoefficientSet, TestFunction
 
 __all__ = ["scenario", "smooth_clip_profile", "lq_test_function", "lq_true_value"]
 
@@ -205,8 +205,6 @@ def lq_test_function(p: np.ndarray, t1: float):
     """Closed-form value of the linear-drift scenario as a test function:
     u(t, mu) = integral <p, x> dmu + (t1 - t) * ||p||_1 (valid while the
     cloud stays in the linear region of the clip)."""
-    from mfhjb.control import TestFunction
-
     p = np.asarray(p, dtype=float)
     pnorm1 = float(np.abs(p).sum())
     d = p.shape[0]

@@ -369,7 +369,8 @@ def h_gauge(d: int, quad: SphereQuadrature) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaugeAnchors:
-    """Anchor sequence (t_k, mu_k) with geometric weights 2^{-k}.
+    """Anchor sequence (t_k, mu_k) with geometric weights 2^{-k}, on the
+    direction rule ``quad`` at ``m_points`` quantile levels per table.
 
     ``delta`` sets the smoothing of the underlying gauge terms through
     sigma = 1/delta.  At most k_max + 1 = 41 anchors contribute; the dropped
@@ -378,6 +379,8 @@ class GaugeAnchors:
 
     anchors: tuple
     delta: float
+    quad: SphereQuadrature
+    m_points: int = 256
     k_max: ClassVar[int] = 40
 
     def __post_init__(self):
@@ -385,7 +388,10 @@ class GaugeAnchors:
             raise ValueError("need at least one anchor")
         if not (self.delta > 0.0):
             raise ValueError("delta must be > 0")
+        if self.m_points < 1:
+            raise ValueError(f"m_points must be >= 1, got {self.m_points}")
         object.__setattr__(self, "anchors", tuple(self.anchors))
+        _check_dims(self.quad, *(muk for _, muk in self.anchors))
 
     @property
     def sigma(self) -> float:
@@ -404,16 +410,11 @@ class GaugeAnchors:
         return (rho_active * self.weights()).sum(axis=-1)
 
 
-def phi_delta(
-    anchors: GaugeAnchors,
-    t: float,
-    mu: ParticleEnsemble,
-    quad: SphereQuadrature,
-    m_points: int = 256,
-) -> float:
-    """Series sum_k 2^{-k} rho((t, mu), (t_k, mu_k)) at sigma = 1/delta."""
+def phi_delta(anchors: GaugeAnchors, t: float, mu: ParticleEnsemble) -> float:
+    """Series sum_k 2^{-k} rho((t, mu), (t_k, mu_k)) at sigma = 1/delta, on
+    the anchors' direction rule and levels."""
     times, clouds = zip(*anchors.active())
-    row = rho_matrix([t], (mu,), times, clouds, anchors.sigma, quad, m_points)
+    row = rho_matrix([t], (mu,), times, clouds, anchors.sigma, anchors.quad, anchors.m_points)
     return float(anchors.series(row)[0])
 
 
@@ -421,7 +422,6 @@ def phi_delta_derivatives(
     anchors: GaugeAnchors,
     t: float,
     mu: ParticleEnsemble,
-    quad: SphereQuadrature,
     noise_nodes: int = 256,
 ) -> dict:
     """Term-wise derivatives of phi_delta at (t, mu).
@@ -440,10 +440,10 @@ def phi_delta_derivatives(
     dmu = np.zeros_like(mu.points)
     dxdmu = np.zeros((mu.n, mu.d, mu.d))
     for w, muk in groups.values():
-        dmu_k, dxdmu_k = _gauge_derivatives(mu, muk, anchors.sigma, quad, mu.points, noise_nodes)
+        dmu_k, dxdmu_k = _gauge_derivatives(mu, muk, anchors.sigma, anchors.quad, mu.points, noise_nodes)
         dmu += w * dmu_k
         dxdmu += w * dxdmu_k
-    h = float(weights.sum()) * h_gauge(mu.d, quad)
+    h = float(weights.sum()) * h_gauge(mu.d, anchors.quad)
     return {"dt": dt, "dmu": dmu, "dxdmu": dxdmu, "h": h}
 
 
@@ -453,13 +453,13 @@ def phi_delta_derivatives(
 C_D_CALIBRATED = {1: 3.8, 2: 2.7, 3: 2.2}
 
 
-def _implied_lambda(anchors: GaugeAnchors, quad: SphereQuadrature, m_points: int) -> float:
+def _implied_lambda(anchors: GaugeAnchors) -> float:
     """Smallest budget lambda making the anchors consistent with the
     variational construction relative to anchor 0: rho(anchor_0, anchor_k)
     <= lambda / (2^k delta^2)."""
     t0, mu0 = anchors.anchors[0]
     times, clouds = zip(*anchors.active())
-    r = rho_matrix([t0], (mu0,), times, clouds, anchors.sigma, quad, m_points)[0]
+    r = rho_matrix([t0], (mu0,), times, clouds, anchors.sigma, anchors.quad, anchors.m_points)[0]
     return float(np.max(2.0 ** np.arange(r.size) * anchors.delta**2 * r))
 
 
@@ -467,11 +467,9 @@ def phi_delta_derivative_bounds(
     anchors: GaugeAnchors,
     t: float,
     mu: ParticleEnsemble,
-    quad: SphereQuadrature,
     horizon: float,
     c_d: float | None = None,
     noise_nodes: int = 256,
-    m_points: int = 256,
 ) -> dict:
     """Evaluate |dt phi|, int |dmu phi|^2 dmu, int |dxdmu phi|^2 dmu, |H phi|
     and check them against their a priori bounds.
@@ -493,8 +491,8 @@ def phi_delta_derivative_bounds(
         c_d = C_D_CALIBRATED.get(d)
         if c_d is None:
             raise ValueError(f"no calibrated constant for d = {d}; pass c_d or run calibrate_c_d")
-    lam = _implied_lambda(anchors, quad, m_points)
-    der = phi_delta_derivatives(anchors, t, mu, quad, noise_nodes)
+    lam = _implied_lambda(anchors)
+    der = phi_delta_derivatives(anchors, t, mu, noise_nodes)
     delta = anchors.delta
     m2_mu, m2_mu0 = mu.second_moment(), anchors.anchors[0][1].second_moment()
 
@@ -611,10 +609,8 @@ def calibrate_c_d(d: int) -> float:
         for _k in range(1, k_anchors):
             c = rng.standard_normal(d) * 0.5
             anchor_list.append((float(rng.uniform(0, 1)), translate(base, c)))
-        anchors = GaugeAnchors(tuple(anchor_list), delta)
-        rec = phi_delta_derivative_bounds(
-            anchors, 0.5, base, quad, horizon=1.0, c_d=np.inf, m_points=96
-        )
+        anchors = GaugeAnchors(tuple(anchor_list), delta, quad, m_points=96)
+        rec = phi_delta_derivative_bounds(anchors, 0.5, base, horizon=1.0, c_d=np.inf)
         lam = rec["lam"]
         m2 = base.second_moment()
         args = {

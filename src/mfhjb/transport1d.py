@@ -34,6 +34,8 @@ the bits of the same cloud alone.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import ndtr, ndtri
 
@@ -268,8 +270,6 @@ def w2_discrete(a, b) -> float:
     The optimal coupling in one dimension pairs sorted order statistics.
     Uses exact (fsum) accumulation so the value is independent of input order.
     """
-    import math
-
     a = np.sort(np.asarray(a, dtype=float).ravel())
     b = np.sort(np.asarray(b, dtype=float).ravel())
     if a.shape != b.shape:

@@ -35,7 +35,9 @@ __all__ = ["CandidateSet", "BPResult", "borwein_preiss"]
 class CandidateSet:
     """Candidate points (t_i, mu_i) with score values, budget, and smoothing.
 
-    The designated start index must satisfy max G - lambda <= G[start].
+    The start index must satisfy max G - lambda <= G[start], which is checked
+    here (to 1e-12 relative); it defaults to the lowest-scoring candidate
+    that does, the first on ties.
     """
 
     times: np.ndarray
@@ -43,19 +45,27 @@ class CandidateSet:
     g_values: np.ndarray
     lam: float
     delta: float
-    start: int = 0
+    start: int | None = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         g = np.asarray(self.g_values, dtype=float)
-        if times.ndim != 1 or g.shape != times.shape or len(self.ensembles) != times.size:
-            raise ValueError("times, ensembles, and g_values must have matching lengths")
+        if times.ndim != 1 or times.size == 0 or g.shape != times.shape or len(self.ensembles) != times.size:
+            raise ValueError("times, ensembles, and g_values must have matching nonzero lengths")
         if not np.isfinite(g).all():
             raise ValueError("score values must be finite")
         if not (self.lam > 0.0 and self.delta > 0.0):
             raise ValueError("lambda and delta must be positive")
+        if self.start is None:
+            object.__setattr__(self, "start", int(np.where(g >= g.max() - self.lam, g, np.inf).argmin()))
         if not (0 <= self.start < times.size):
             raise ValueError("start index out of range")
+        gap = float(g.max() - self.lam - g[self.start])
+        if gap > 1e-12 * max(1.0, abs(float(g.max()))):
+            raise ValueError(
+                f"start point violates the near-maximality hypothesis: "
+                f"sup G - lambda exceeds G(start) by {gap:.3e}"
+            )
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "g_values", g)
         object.__setattr__(self, "ensembles", tuple(self.ensembles))
@@ -63,14 +73,6 @@ class CandidateSet:
     @property
     def size(self) -> int:
         return self.times.size
-
-    def check_start_hypothesis(self) -> None:
-        gap = float(self.g_values.max() - self.lam - self.g_values[self.start])
-        if gap > 1e-12 * max(1.0, abs(float(self.g_values.max()))):
-            raise ValueError(
-                f"start point violates the near-maximality hypothesis: "
-                f"sup G - lambda exceeds G(start) by {gap:.3e}"
-            )
 
 
 @dataclass(frozen=True)
@@ -92,12 +94,11 @@ def _pairwise_rho(cands: CandidateSet, quad: SphereQuadrature, m_points: int) ->
 def borwein_preiss(cands: CandidateSet, quad: SphereQuadrature, m_points: int = 64) -> BPResult:
     """Run the constructive selection and verify its certificate exhaustively.
 
-    Raises if the start-point hypothesis fails.  If the iteration does not
-    stabilize within 64 iterations (impossible for exact argmax selection,
-    kept as a guard), the certificate is returned with complete = False.
-    The anchors are padded to GaugeAnchors.k_max + 1 = 41.
+    If the iteration does not stabilize within 64 iterations (impossible for
+    exact argmax selection, kept as a guard), the certificate is returned
+    with complete = False.  The anchors, padded to GaugeAnchors.k_max + 1 =
+    41, carry quad and m_points, so phi_delta at tilde is phi_tilde.
     """
-    cands.check_start_hypothesis()
     dd = cands.delta**2
     rho_mat = _pairwise_rho(cands, quad, m_points)
 
@@ -125,7 +126,8 @@ def borwein_preiss(cands: CandidateSet, quad: SphereQuadrature, m_points: int = 
 
     # close the geometric series by repeating the final point up to k_max
     padded = list(anchor_indices) + [tilde] * (GaugeAnchors.k_max + 1 - len(anchor_indices))
-    anchors = GaugeAnchors(tuple((float(cands.times[i]), cands.ensembles[i]) for i in padded), cands.delta)
+    anchor_list = tuple((float(cands.times[i]), cands.ensembles[i]) for i in padded)
+    anchors = GaugeAnchors(anchor_list, cands.delta, quad, m_points)
 
     certificate = _verify_certificate(cands, rho_mat, tilde, padded, anchors)
     certificate["complete"] = complete

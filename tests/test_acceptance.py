@@ -169,11 +169,10 @@ def test_c06_phi_delta_derivative_bounds():
             nk = int(rng.integers(2, 7))
             pts = rng.standard_normal((nk, 2)) * rng.uniform(0.3, 1.5) + rng.standard_normal(2)
             anchor_list.append((float(rng.uniform(0, 1)), ParticleEnsemble(pts)))
-        anchors = GaugeAnchors(tuple(anchor_list), float(rng.uniform(0.2, 1.0)))
+        anchors = GaugeAnchors(tuple(anchor_list), float(rng.uniform(0.2, 1.0)), quad, m_points=64)
         mu = ParticleEnsemble(rng.standard_normal((4, 2)))
         rec = phi_delta_derivative_bounds(
-            anchors, float(rng.uniform(0, 1)), mu, quad, horizon=1.0,
-            noise_nodes=96, m_points=64,
+            anchors, float(rng.uniform(0, 1)), mu, horizon=1.0, noise_nodes=96,
         )
         all_ok = all_ok and rec["all_ok"]
     _verdict(6, "gauge series derivative bounds", all_ok, time.time() - start, 60.0,

@@ -108,8 +108,9 @@ def test_phi_delta_derivatives_peak():
     anchors = GaugeAnchors(
         ((0.1, ParticleEnsemble(rng.standard_normal((14, 2)))), (0.4, ParticleEnsemble(rng.standard_normal((10, 2))))),
         0.5,
+        QUAD32,
     )
-    run = lambda: phi_delta_derivatives(anchors, 0.3, mu, QUAD32)
+    run = lambda: phi_delta_derivatives(anchors, 0.3, mu)
     assert fewest_chunks(run) >= 2
     peak = traced_peak(run)
     assert peak <= budget("gauge", QUAD32.count * 256 * 24, 4)

@@ -221,6 +221,32 @@ def test_bad_params_or_count_exits_one(tmp_path, sub, cfg):
 @pytest.mark.parametrize(
     "sub,cfg,message",
     [
+        ("simulate", {"n": "8", "steps": 5}, 'n must be like its default 256, got "8"'),
+        ("simulate", {"n": 8.5, "steps": 5}, "n must be like its default 256, got 8.5"),
+        ("simulate", {"n": True, "steps": 5}, "n must be like its default 256, got true"),
+        ("simulate", {"n": 8, "steps": 5.5}, "steps must be like its default 50, got 5.5"),
+        ("metric", {"sigma": True}, "sigma must be like its default 0.5, got true"),
+        ("rates", {"reps": True}, "reps must be like its default 60, got true"),
+        ("hjb-residual", {"t1": True}, "t1 must be like its default 1.0, got true"),
+        ("n-sweep", {"ns": [8.5, 16]}, "ns must be like its default [8, 16, 32, 64], got [8.5, 16]"),
+    ],
+    ids=[
+        "simulate-n-string", "simulate-n-float", "simulate-n-bool", "simulate-steps-float",
+        "metric-sigma-bool", "rates-reps-bool", "hjb-residual-t1-bool", "n-sweep-ns-float-entry",
+    ],
+)
+def test_wrong_type_exits_one_and_names_the_key(tmp_path, sub, cfg, message):
+    # a value must have its default's JSON type: an int no float or bool, a
+    # float no bool, a list entries like the default's
+    proc = _run_module(tmp_path, sub, cfg)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: bad config: {message}\n"
+    assert not (tmp_path / "o" / "results.json").exists()
+
+
+@pytest.mark.parametrize(
+    "sub,cfg,message",
+    [
         ("rates", {"ns": [32]}, "ns needs at least two distinct sizes for a log-log fit, got [32]"),
         ("n-sweep", {"ns": [0, 8]}, "ns[0] must be >= 1, got 0"),
         ("mollify-rates", {"ms": [4, 4]}, "ms needs at least two distinct sizes for a log-log fit, got [4, 4]"),

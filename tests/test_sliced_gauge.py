@@ -408,7 +408,7 @@ def test_phi_delta_derivatives_one_solve_per_anchor_group(monkeypatch):
     mu, nu = random_pair(22)
     other = translate(nu, np.array([0.5, -0.2]))
     # nu at t = 0.1 appears twice, so three anchors form two groups
-    anchors = GaugeAnchors(((0.1, nu), (0.4, other), (0.1, nu)), delta=0.8)
+    anchors = GaugeAnchors(((0.1, nu), (0.4, other), (0.1, nu)), delta=0.8, quad=QUAD2)
     solve = sliced_gauge._mixture_quantile
     calls = []
 
@@ -417,7 +417,7 @@ def test_phi_delta_derivatives_one_solve_per_anchor_group(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(sliced_gauge, "_mixture_quantile", counted)
-    der = phi_delta_derivatives(anchors, 0.3, mu, QUAD2, noise_nodes=48)
+    der = phi_delta_derivatives(anchors, 0.3, mu, noise_nodes=48)
     assert len(calls) == 2
     terms = [(1.25, nu), (0.5, other)]
     sig = anchors.sigma
@@ -431,7 +431,7 @@ def test_phi_delta_derivatives_one_solve_per_cloud_at_any_times(monkeypatch):
     # the gauge derivatives do not depend on the anchor times, so one cloud
     # anchored at three times costs one transport solve
     mu, nu = random_pair(23)
-    anchors = GaugeAnchors(((0.1, nu), (0.4, nu), (0.7, nu)), 0.5)
+    anchors = GaugeAnchors(((0.1, nu), (0.4, nu), (0.7, nu)), 0.5, QUAD2)
     solve = sliced_gauge._mixture_quantile
     calls = []
 
@@ -440,7 +440,7 @@ def test_phi_delta_derivatives_one_solve_per_cloud_at_any_times(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(sliced_gauge, "_mixture_quantile", counted)
-    der = phi_delta_derivatives(anchors, 0.3, mu, QUAD2, noise_nodes=48)
+    der = phi_delta_derivatives(anchors, 0.3, mu, noise_nodes=48)
     assert len(calls) == 1
     dt = sum(w * 2.0 * (0.3 - tk) for w, tk in ((1.0, 0.1), (0.5, 0.4), (0.25, 0.7)))
     assert der["dt"] == pytest.approx(dt, rel=1e-15)
@@ -505,19 +505,27 @@ def test_rho_gauge_property_small_values_control_metric():
 
 def test_phi_delta_single_anchor_cases():
     mu, nu = random_pair(16)
-    anchors = GaugeAnchors(((0.5, mu),), delta=0.5)
-    assert phi_delta(anchors, 0.5, mu, QUAD2) < 1e-12
-    val = phi_delta(anchors, 0.7, nu, QUAD2)
+    anchors = GaugeAnchors(((0.5, mu),), delta=0.5, quad=QUAD2)
+    assert phi_delta(anchors, 0.5, mu) < 1e-12
+    val = phi_delta(anchors, 0.7, nu)
     expect = rho(0.7, nu, 0.5, mu, anchors.sigma, QUAD2)
     assert val == pytest.approx(expect, rel=1e-12)
 
 
+def test_gauge_anchors_reject_bad_discretization():
+    mu, _ = random_pair(16)
+    with pytest.raises(ValueError, match="m_points must be >= 1, got 0"):
+        GaugeAnchors(((0.5, mu),), delta=0.5, quad=QUAD2, m_points=0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        GaugeAnchors(((0.5, mu), (0.7, ParticleEnsemble(mu.points[:, :1]))), delta=0.5, quad=QUAD2)
+
+
 def test_phi_delta_two_identical_anchors():
     mu, nu = random_pair(17)
-    single = GaugeAnchors(((0.5, mu),), delta=0.5)
-    double = GaugeAnchors(((0.5, mu), (0.5, mu)), delta=0.5)
-    assert phi_delta(double, 0.2, nu, QUAD2) == pytest.approx(
-        1.5 * phi_delta(single, 0.2, nu, QUAD2), rel=1e-12
+    single = GaugeAnchors(((0.5, mu),), delta=0.5, quad=QUAD2)
+    double = GaugeAnchors(((0.5, mu), (0.5, mu)), delta=0.5, quad=QUAD2)
+    assert phi_delta(double, 0.2, nu) == pytest.approx(
+        1.5 * phi_delta(single, 0.2, nu), rel=1e-12
     )
 
 
@@ -526,8 +534,8 @@ def test_phi_delta_one_table_for_mu_plus_one_per_anchor_group(table_solves):
     other = translate(nu, np.array([0.5, -0.2]))
     third = translate(mu, np.array([-0.3, 0.1]))
     # nu at t = 0.1 appears twice, so four anchors form three groups
-    anchors = GaugeAnchors(((0.1, nu), (0.4, other), (0.1, nu), (0.7, third)), delta=0.8)
-    val = phi_delta(anchors, 0.3, mu, QUAD2, 64)
+    anchors = GaugeAnchors(((0.1, nu), (0.4, other), (0.1, nu), (0.7, third)), delta=0.8, quad=QUAD2, m_points=64)
+    val = phi_delta(anchors, 0.3, mu)
     # mu and third have 6 particles, nu and other 5: one padded block
     assert len(table_solves.blocks) == 1
     table_solves.assert_one_block_per_chunk((mu, nu, other, third), QUAD2)
@@ -627,10 +635,8 @@ def test_phi_delta_dt_bound_always():
     anchor_list = tuple(
         (float(rng.uniform(0, horizon)), mu) for _ in range(4)
     )
-    anchors = GaugeAnchors(anchor_list, delta=0.4)
-    rec = phi_delta_derivative_bounds(
-        anchors, 0.9, mu, QUAD2, horizon, noise_nodes=48, m_points=64
-    )
+    anchors = GaugeAnchors(anchor_list, delta=0.4, quad=QUAD2, m_points=64)
+    rec = phi_delta_derivative_bounds(anchors, 0.9, mu, horizon, noise_nodes=48)
     assert rec["dt_abs_ok"]
     assert rec["dt_abs_bound"] == 4.0 * horizon
 
@@ -638,8 +644,8 @@ def test_phi_delta_dt_bound_always():
 def test_phi_delta_h_is_geometric_series_of_constant_matrices():
     mu, nu = random_pair(20)
     k_long = GaugeAnchors.k_max  # 40
-    anchors = GaugeAnchors(tuple((0.2, mu) for _ in range(k_long + 1)), delta=0.5)
-    der = phi_delta_derivatives(anchors, 0.5, nu, QUAD2, noise_nodes=16)
+    anchors = GaugeAnchors(tuple((0.2, mu) for _ in range(k_long + 1)), delta=0.5, quad=QUAD2)
+    der = phi_delta_derivatives(anchors, 0.5, nu, noise_nodes=16)
     kappa = 0.5  # 1/d for d = 2
     expected_norm = 2.0 * kappa * np.sqrt(2.0)
     assert np.linalg.norm(der["h"], "fro") == pytest.approx(expected_norm, rel=1e-9)
@@ -655,11 +661,10 @@ def test_phi_delta_bounds_on_random_anchor_sets():
             nk = int(rng.integers(2, 7))
             pts = rng.standard_normal((nk, 2)) * rng.uniform(0.3, 1.5) + rng.standard_normal(2)
             anchor_list.append((float(rng.uniform(0, 1)), ParticleEnsemble(pts)))
-        anchors = GaugeAnchors(tuple(anchor_list), float(rng.uniform(0.2, 1.0)))
+        anchors = GaugeAnchors(tuple(anchor_list), float(rng.uniform(0.2, 1.0)), quad, m_points=64)
         mu = ParticleEnsemble(rng.standard_normal((4, 2)))
         rec = phi_delta_derivative_bounds(
-            anchors, float(rng.uniform(0, 1)), mu, quad, horizon=1.0,
-            noise_nodes=96, m_points=64,
+            anchors, float(rng.uniform(0, 1)), mu, horizon=1.0, noise_nodes=96,
         )
         assert rec["all_ok"], rec
 

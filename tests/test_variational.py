@@ -11,14 +11,18 @@ QUAD1 = SphereQuadrature.two_point_1d()
 QUAD2 = SphereQuadrature.equispaced_circle(16)
 
 
-def make_candidates(rng, size, d=1, lam=0.5, delta=0.3, g_values=None, start=None):
+def random_candidates(rng, size, d=1, g_values=None):
     times = rng.uniform(0.0, 1.0, size)
     ensembles = tuple(
         ParticleEnsemble(rng.standard_normal((int(rng.integers(2, 6)), d))) for _ in range(size)
     )
     if g_values is None:
         g_values = rng.uniform(0.0, 1.0, size)
-    g_values = np.asarray(g_values, dtype=float)
+    return times, ensembles, np.asarray(g_values, dtype=float)
+
+
+def make_candidates(rng, size, d=1, lam=0.5, delta=0.3, g_values=None, start=None):
+    times, ensembles, g_values = random_candidates(rng, size, d, g_values)
     if start is None:
         start = int(np.argmax(g_values))
     return CandidateSet(times, ensembles, g_values, lam=lam, delta=delta, start=start)
@@ -57,21 +61,46 @@ def test_constant_g_returns_start_point():
 
 
 def test_start_hypothesis_enforced():
+    # an explicit inadmissible start raises when the set is built
     rng = np.random.default_rng(3)
-    with pytest.raises(ValueError):
-        cands = make_candidates(rng, 3, g_values=[1.0, 0.0, 0.0], lam=0.2, start=1)
-        borwein_preiss(cands, QUAD1)
+    with pytest.raises(ValueError, match="near-maximality hypothesis"):
+        make_candidates(rng, 3, g_values=[1.0, 0.0, 0.0], lam=0.2, start=1)
+
+
+def test_default_start_is_lowest_scoring_admissible():
+    # candidate 0 is not admissible (0.1 < 1.0 - 0.5); of the admissible
+    # 0.9, 0.6, 1.0 and 0.6 the lowest is 0.6, first at index 2
+    rng = np.random.default_rng(11)
+    times, clouds, g = random_candidates(rng, 5, g_values=[0.1, 0.9, 0.6, 1.0, 0.6])
+    cands = CandidateSet(times, clouds, g, lam=0.5, delta=0.3)
+    assert cands.start == 2
+    res = borwein_preiss(cands, QUAD1)
+    cert = res.certificate
+    assert cert["complete"] and cert["item1_ok"] and cert["item2_ok"] and cert["item3_ok"]
+    assert res.anchor_indices[0] == 2
+    # 12 random 2-d candidates whose candidate 0 is not admissible either
+    times, clouds, g = random_candidates(np.random.default_rng(4), 12, d=2)
+    assert g[0] < g.max() - 0.5
+    cands = CandidateSet(times, clouds, g, lam=0.5, delta=0.3)
+    admissible = g >= g.max() - 0.5
+    assert admissible[cands.start] and g[cands.start] == g[admissible].min()
+    res = borwein_preiss(cands, QUAD2)
+    cert = res.certificate
+    assert cert["complete"] and cert["item1_ok"] and cert["item2_ok"] and cert["item3_ok"]
+    tilde = res.tilde_index
+    assert phi_delta(res.anchors, float(times[tilde]), clouds[tilde]) == cert["phi_tilde"]
 
 
 def test_certificate_phi_matches_module_phi():
     # phi_delta and the certificate share one rho kernel and one series sum,
-    # so phi_delta at the selected point is phi_tilde bit for bit
+    # and the anchors carry the selection's direction rule and levels, so
+    # phi_delta at the selected point is phi_tilde bit for bit
     rng = np.random.default_rng(4)
     cands = make_candidates(rng, 6, lam=0.5, delta=0.4)
     res = borwein_preiss(cands, QUAD1, m_points=64)
     t_tilde = cands.times[res.tilde_index]
     mu_tilde = cands.ensembles[res.tilde_index]
-    direct = phi_delta(res.anchors, float(t_tilde), mu_tilde, QUAD1, m_points=64)
+    direct = phi_delta(res.anchors, float(t_tilde), mu_tilde)
     assert res.certificate["phi_tilde"] == direct
     # d = 2, where the parent's two implementations differed in the last bit
     # on seeds 27, 149 and 154
@@ -86,7 +115,7 @@ def test_certificate_phi_matches_module_phi():
                              delta=float(rng.uniform(0.1, 0.6)), start=start)
         res = borwein_preiss(cands, QUAD2, m_points=48)
         tilde = res.tilde_index
-        direct = phi_delta(res.anchors, float(times[tilde]), clouds[tilde], QUAD2, m_points=48)
+        direct = phi_delta(res.anchors, float(times[tilde]), clouds[tilde])
         assert direct == res.certificate["phi_tilde"], seed
 
 
@@ -138,8 +167,7 @@ def test_implied_lambda_one_table_per_distinct_anchor(table_solves):
     res = borwein_preiss(cands, QUAD1, m_points=48)
     assert len(res.anchors.anchors) == 41 and len(res.anchor_indices) == 1
     table_solves.blocks.clear()  # count only the implied budget's tables
-    rec = phi_delta_derivative_bounds(res.anchors, 0.5, cands.ensembles[1], QUAD1, horizon=1.0,
-                                      noise_nodes=16, m_points=48)
+    rec = phi_delta_derivative_bounds(res.anchors, 0.5, cands.ensembles[1], horizon=1.0, noise_nodes=16)
     assert len(table_solves.blocks) == 1
     table_solves.assert_one_block_per_chunk([muk for _, muk in res.anchors.anchors], QUAD1)
     assert rec["lam"] == 0.0
@@ -180,6 +208,8 @@ def test_candidate_set_validation():
     rng = np.random.default_rng(6)
     with pytest.raises(ValueError):
         CandidateSet(np.array([0.0]), (), np.array([0.0]), lam=1.0, delta=0.1)
+    with pytest.raises(ValueError, match="nonzero lengths"):
+        CandidateSet(np.array([]), (), np.array([]), lam=1.0, delta=0.1)
     with pytest.raises(ValueError):
         make_candidates(rng, 3, lam=-1.0)
     with pytest.raises(ValueError):
