@@ -13,7 +13,6 @@ wall-clock metadata is isolated in a separate meta.json.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -25,9 +24,9 @@ import numpy as np
 
 from mfhjb.control import SearchSpec, StepControl, dpp_residual, hjb_residual, value_estimate, value_fd_approx
 from mfhjb.dynamics import SimConfig, _check_counts, moment_checks
-from mfhjb.measures import ParticleEnsemble, sample_iid, translate
+from mfhjb.measures import _COMPONENT_KINDS, _KINDS, ParticleEnsemble, sample_iid, translate
 from mfhjb.mollify import mollify_rate_sweep
-from mfhjb.scenarios import lq_test_function, lq_true_value, scenario
+from mfhjb.scenarios import _BUILDERS, _lq_minus, lq_test_function, lq_true_value, scenario
 from mfhjb.sliced_gauge import (
     SphereQuadrature,
     gauge_g,
@@ -91,6 +90,49 @@ def _config(cfg, **defaults) -> SimpleNamespace:
     return SimpleNamespace(**{**defaults, **given})
 
 
+def _keyword_defaults(func) -> dict:
+    # the defaults of func's trailing keyword parameters, by name
+    names = func.__code__.co_varnames[: func.__code__.co_argcount]
+    defaults = func.__defaults__ or ()
+    return dict(zip(names[len(names) - len(defaults):], defaults))
+
+
+def _nested_like(key, spec, defaults) -> None:
+    """Check each value of the object ``spec``, given as config key ``key``,
+    against the default of the keyword it names by the ``_like`` rule, where
+    a float default also takes a list of numbers, since vector parameters
+    broadcast.  Names without a default, and a spec that is not an object,
+    are left to the callee's own checks."""
+    if not isinstance(spec, dict):
+        return
+    for name, value in spec.items():
+        if name not in defaults:
+            continue
+        default = defaults[name]
+        if not (_like(value, default) or isinstance(default, float) and _like(value, [default])):
+            raise ValueError(f"bad config: {key}.{name} must be like its default {json.dumps(default)}, "
+                             f"got {json.dumps(value)}")
+
+
+def _check_params(name, params) -> None:
+    # a named scenario's params against its builder's keyword defaults
+    if name in _BUILDERS:
+        _nested_like("params", params, _keyword_defaults(_BUILDERS[name]))
+
+
+def _check_sample_spec(key, spec) -> None:
+    # a sample spec against its kind's keyword defaults, and each mixture
+    # component against its own kind's and the component weight's
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind in _KINDS:
+        _nested_like(key, spec, _keyword_defaults(_KINDS[kind]))
+    if kind == "mixture" and isinstance(spec.get("components"), list):
+        for i, comp in enumerate(spec["components"]):
+            if isinstance(comp, dict) and comp.get("kind") in _COMPONENT_KINDS:
+                defaults = {**_keyword_defaults(_COMPONENT_KINDS[comp["kind"]]), "weight": 1.0}
+                _nested_like(f"{key}.components[{i}]", comp, defaults)
+
+
 def _fit_sizes(key, sizes):
     # the sample sizes of a log-log fit: at least two distinct, each >= 1
     _check_counts(**{f"{key}[{i}]": size for i, size in enumerate(sizes)})
@@ -111,6 +153,8 @@ def _fit_loglog(ns, errs):
 def _run_metric(cfg, seed):
     c = _config(cfg, n=16, d=2, sigma=0.5, quad=64, shift=...)
     n, d, sigma = c.n, c.d, c.sigma
+    if c.shift is not ... and not (_like(c.shift, [0.0]) and len(c.shift) == d):
+        raise ValueError(f"bad config: shift must be a list of {d} numbers, got {json.dumps(c.shift)}")
     quad = SphereQuadrature.for_dimension(d, c.quad, seed)
     mu = sample_iid({"kind": "gaussian", "std": 1.0}, n, d, seed)
     shift = np.asarray([0.6] * d if c.shift is ... else c.shift, dtype=float)
@@ -201,6 +245,10 @@ def _run_simulate(cfg, seed):
         cfg, scenario="lq_drift", params=None, n=256, init={"kind": "gaussian", "std": 0.5},
         steps=50, t0=0.0, t1=1.0, epsilon=0.0, action=...,
     )
+    _check_params(c.scenario, c.params)
+    _check_sample_spec("init", c.init)
+    if c.action is not ... and not _like(c.action, [0.0]):
+        raise ValueError(f"bad config: action must be a list of numbers, got {json.dumps(c.action)}")
     coeffs = scenario(c.scenario, c.params)
     init = sample_iid(c.init, c.n, coeffs.d, seed)
     sim = SimConfig(n=c.n, steps=c.steps, t0=c.t0, t1=c.t1, seed=seed, epsilon=c.epsilon)
@@ -249,6 +297,7 @@ def _run_mollify_rates(cfg, seed):
 
 def _run_value(cfg, seed):
     c = _config(cfg, p=[1.0, -0.5], params={}, n=512, steps=25, t1=1.0, paths=32)
+    _check_params("lq_drift", c.params)
     p = c.p
     coeffs = scenario("lq_drift", {"d": len(p), "p": p, **c.params})
     init = sample_iid({"kind": "gaussian", "std": 0.5}, c.n, coeffs.d, seed)
@@ -327,6 +376,7 @@ def _run_n_sweep(cfg, seed):
         ref_n=256, m=32, paths=64, resamples=3, offsets=32, steps=16,
     )
     ns = _fit_sizes("ns", c.ns)
+    _check_params("mean_reversion_mf", c.params)
     coeffs = scenario("mean_reversion_mf", c.params)
     mu_spec = {"kind": "gaussian", "mean": [0.3], "std": 1.2}
     sim = SimConfig(n=c.ref_n, steps=c.steps, t0=0.0, t1=1.0, seed=seed)
@@ -372,13 +422,8 @@ def _run_hjb_residual(cfg, seed):
     coeffs = scenario("lq_drift", {"d": p.size, "p": p.tolist()})
     tf = lq_test_function(p, t1)
     rng = np.random.default_rng(seed)
-    # negative control: a time bump with negative slope at every probe
-    slope = 0.5
-    bumped = dataclasses.replace(
-        tf,
-        value=lambda tt, cloud: tf.value(tt, cloud) - slope * tt,
-        dt=lambda tt, cloud: tf.dt(tt, cloud) - slope,
-    )
+    # negative control: u - 0.5 t, whose residual is -0.5 at every probe
+    bumped = _lq_minus(p, t1, 0.5, 0.0)
     worst = 0.0
     detected = 0
     for k in range(probes):

@@ -35,7 +35,9 @@ __all__ = [
     "dpp_residual",
     "hjb_residual",
     "viscosity_check",
-    "h_via_second_derivative",
+    "Feature",
+    "COORDINATES",
+    "cylindrical",
 ]
 
 
@@ -104,7 +106,8 @@ class StepControl:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A test function u(t, mu) with its derivative evaluators.
+    """A test function u(t, mu) with its derivative evaluators; every
+    closed-form one is built by ``cylindrical``.
 
     Like the coefficients, every field takes plain arrays: ``cloud`` has shape
     (..., n, d) and holds the particles of the empirical measure, and ``t`` is
@@ -114,10 +117,11 @@ class TestFunction:
         dt(t, cloud) -> batch shape (a scalar may broadcast)         dt u
         dmu(t, cloud) -> (..., n, d)                                 dmu u(x_i)
         dxdmu(t, cloud) -> (..., n, d, d)                            dxdmu u(x_i)
+        d2mu(t, cloud) -> (..., n, n, d, d)                          d2mu u(x_i, x_j)
         h_op(t, cloud) -> (d, d) or (..., d, d)                      H u
 
-    ``d2mu(t, cloud) -> (n, n, d, d)`` is an optional full second measure
-    derivative used only by the cross-check h_via_second_derivative.
+    H u = mean_i dxdmu u(x_i) + mean_{i,j} d2mu u(x_i, x_j).  The arrays
+    may be read-only broadcast views.
     """
 
     __test__ = False  # not a pytest case, despite the domain name
@@ -126,21 +130,135 @@ class TestFunction:
     dt: callable
     dmu: callable
     dxdmu: callable
+    d2mu: callable
     h_op: callable
-    d2mu: callable | None = None
 
 
-def h_via_second_derivative(tf: TestFunction, t: float, ens: ParticleEnsemble) -> np.ndarray:
-    """H u from the mixed and full second measure derivatives.
+@dataclass(frozen=True)
+class Feature:
+    """A family of d features, one scalar function applied to each
+    coordinate: g_a(x) = phi(x_a), so grad g_a(x) = dphi(x_a) e_a and
+    hess g_a(x) = d2phi(x_a) e_a e_a^T.  Each maps an array elementwise; a
+    derivative that does not depend on x is a number, which is read without
+    evaluating anything at the particles."""
 
-    On an ensemble, H u = mean_i dxdmu(x_i) + mean_{i,j} d2mu(x_i, x_j);
-    available only when the caller supplies d2mu.
+    phi: callable
+    dphi: callable | float
+    d2phi: callable | float
+
+
+COORDINATES = Feature(lambda x: x, 1.0, 0.0)
+
+
+def _particle_mean(values, d: int):
+    # (..., n, d) -> (..., d) as contiguous last-axis sums, so a cloud inside
+    # a batch gets the bits it gets alone; a number is its own mean in each
+    # of the d coordinates
+    if np.ndim(values) == 0:
+        return np.full(d, values)
+    return np.ascontiguousarray(np.swapaxes(values, -1, -2)).sum(axis=-1) / values.shape[-2]
+
+
+def cylindrical(features, F, F_t, F_m, F_mm) -> TestFunction:
+    """The cylindrical test function u(t, mu) = F(t, <g_1, mu>, ..., <g_K, mu>).
+
+    ``features`` is a sequence of ``Feature`` families; coordinate a of family
+    f is moment k = f d + a, so the moments m have shape (..., K) with
+    K = len(features) d.  F, its t-derivative F_t, its gradient F_m (..., K)
+    and its Hessian F_mm (..., K, K) in the moments are each called as
+    part(t, m), or given as a constant when they depend on neither.  Every
+    derivative is derived once (Carmona & Delarue 2018, vol. I, ch. 5):
+
+        dmu u(x)     = sum_k dF/dm_k grad g_k(x)
+        dxdmu u(x)   = sum_k dF/dm_k hess g_k(x)
+        d2mu u(x, y) = sum_{k,l} d2F/dm_k dm_l grad g_k(x) grad g_l(y)^T
+        H u          = sum_k dF/dm_k mean_i hess g_k(x_i)
+                       + sum_{k,l} d2F/dm_k dm_l mean_i grad g_k(x_i) mean_j grad g_l(x_j)^T,
+
+    so H comes from feature means, never from the (n, n, d, d) array.  A
+    field computes the moments only when a part of F it reads is callable,
+    and H skips the feature means that only constant zero blocks of F_mm
+    would read.  Particle means are last-axis sums and every other operation
+    is elementwise, so each cloud of a batch gets the bits it gets alone.
     """
-    if tf.d2mu is None:
-        raise ValueError("test function does not supply d2mu")
-    mixed = tf.dxdmu(t, ens.points).mean(axis=0)
-    full = tf.d2mu(t, ens.points).mean(axis=(0, 1))
-    return mixed + full
+    features = tuple(features)
+    if not features:
+        raise ValueError("a cylindrical test function needs at least one feature family")
+    nf = len(features)
+    curved = [f for f, feat in enumerate(features) if callable(feat.d2phi) or feat.d2phi != 0.0]
+
+    def at(part, t, cloud):
+        # a part of F at t and the moments of cloud; a constant part reads none
+        if not callable(part):
+            return part
+        return part(t, np.concatenate([_particle_mean(f.phi(cloud), cloud.shape[-1]) for f in features], axis=-1))
+
+    def by_family(part, t, cloud, axes):
+        # F_m or F_mm with each of its last ``axes`` moment axes split into (family, coordinate)
+        c = np.asarray(at(part, t, cloud), dtype=float)
+        return c.reshape(c.shape[: c.ndim - axes] + (nf, cloud.shape[-1]) * axes)
+
+    def of(derivative, cloud):
+        return derivative(cloud) if callable(derivative) else derivative
+
+    def mean_of(derivative, cloud):
+        return _particle_mean(of(derivative, cloud), cloud.shape[-1])
+
+    def scaled(c, derivative, cloud):
+        # sum_a c_a derivative(x_a) e_a at each particle, (..., n, d), or
+        # (..., 1, d) for a constant derivative; the product with diag(c) is
+        # exact, and fast where numpy broadcasts over a short last axis slowly
+        if callable(derivative):
+            return derivative(cloud) @ (c[..., None] * np.eye(c.shape[-1]))
+        return c[..., None, :] * derivative
+
+    def dmu(t, cloud):
+        c = by_family(F_m, t, cloud, 1)
+        terms = [scaled(c[..., f, :], feat.dphi, cloud) for f, feat in enumerate(features)]
+        return np.broadcast_to(sum(terms[1:], terms[0]), cloud.shape)
+
+    def dxdmu(t, cloud):
+        diag = 0.0
+        if curved:
+            c = by_family(F_m, t, cloud, 1)
+            diag = sum(scaled(c[..., f, :], features[f].d2phi, cloud) for f in curved)
+        d = cloud.shape[-1]
+        return np.broadcast_to(np.asarray(diag)[..., None] * np.eye(d), cloud.shape + (d,))
+
+    def d2mu(t, cloud):
+        n, d = cloud.shape[-2:]
+        blocks = by_family(F_mm, t, cloud, 2)[..., None, None, :, :, :, :]
+        grads = [np.broadcast_to(of(feat.dphi, cloud), cloud.shape) for feat in features]
+        full = sum(
+            blocks[..., f, :, g, :] * grads[f][..., :, None, :, None] * grads[g][..., None, :, None, :]
+            for f, g in itertools.product(range(nf), repeat=2)
+        )
+        return np.broadcast_to(full, cloud.shape[:-2] + (n, n, d, d))
+
+    def h_op(t, cloud):
+        diag = 0.0
+        if curved:
+            c = by_family(F_m, t, cloud, 1)
+            diag = sum(c[..., f, :] * mean_of(features[f].d2phi, cloud) for f in curved)
+        h = np.asarray(diag)[..., None] * np.eye(cloud.shape[-1])
+        blocks = by_family(F_mm, t, cloud, 2)
+        pairs = [
+            (f, g) for f, g in itertools.product(range(nf), repeat=2)
+            if callable(F_mm) or blocks[..., f, :, g, :].any()
+        ]
+        means = {f: mean_of(features[f].dphi, cloud) for pair in pairs for f in pair}
+        for f, g in pairs:
+            h = h + blocks[..., f, :, g, :] * means[f][..., :, None] * means[g][..., None, :]
+        return h
+
+    return TestFunction(
+        value=lambda t, cloud: at(F, t, cloud),
+        dt=lambda t, cloud: at(F_t, t, cloud),
+        dmu=dmu,
+        dxdmu=dxdmu,
+        d2mu=d2mu,
+        h_op=h_op,
+    )
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from mfhjb.control import ActionSpace, CoefficientSet, TestFunction
+from mfhjb.control import COORDINATES, ActionSpace, CoefficientSet, cylindrical
 
 __all__ = ["scenario", "smooth_clip_profile", "lq_test_function", "lq_true_value"]
 
@@ -205,16 +205,21 @@ def lq_test_function(p: np.ndarray, t1: float):
     """Closed-form value of the linear-drift scenario as a test function:
     u(t, mu) = integral <p, x> dmu + (t1 - t) * ||p||_1 (valid while the
     cloud stays in the linear region of the clip)."""
+    return _lq_minus(p, t1, 0.0, 0.0)
+
+
+def _lq_minus(p, t1: float, slope: float, constant: float):
+    """lq_test_function's u - slope t - constant, which the HJB residual's
+    negative controls use: F(t, m) = p . m + (t1 - t) ||p||_1 - slope t -
+    constant on the coordinate features."""
     p = np.asarray(p, dtype=float)
     pnorm1 = float(np.abs(p).sum())
-    d = p.shape[0]
-    return TestFunction(
-        value=lambda t, cloud: np.mean(cloud @ p, axis=-1) + (t1 - t) * pnorm1,
-        dt=lambda t, cloud: -pnorm1,
-        dmu=lambda t, cloud: np.broadcast_to(p, cloud.shape).astype(float),
-        dxdmu=lambda t, cloud: np.zeros(cloud.shape + (d,)),
-        h_op=lambda t, cloud: np.zeros((d, d)),
-        d2mu=lambda t, cloud: np.zeros((cloud.shape[-2], cloud.shape[-2], d, d)),
+    return cylindrical(
+        (COORDINATES,),
+        lambda t, m: np.sum(m * p, axis=-1) + (t1 - t) * pnorm1 - slope * t - constant,
+        -pnorm1 - slope,
+        p,
+        np.zeros((p.size, p.size)),
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from mfhjb import dynamics, sliced_gauge, transport1d
 from mfhjb.budget import CAPS
+from mfhjb.control import COORDINATES, Feature, cylindrical
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,58 @@ def record_path(coeffs, init, policy, cfg, path=0, noise_ids=None) -> RecordedPa
     traj.append(next(scheme)[0, 0, 0])
     times = cfg.t0 + cfg.dt * np.arange(cfg.steps + 1)
     return RecordedPath(times, np.stack(traj), np.stack(controls), np.stack(common))
+
+
+SQUARES = Feature(np.square, lambda x: 2.0 * x, 2.0)
+SINES = Feature(np.sin, np.cos, lambda x: -np.sin(x))
+P_LINEAR = np.array([0.7, -0.4])
+
+# the chain-rule fixtures, d = 2: <p, mean>, the mean of |x|^2 and |mean|^2
+LINEAR = cylindrical((COORDINATES,), lambda t, m: np.sum(m * P_LINEAR, axis=-1), 0.0, P_LINEAR, np.zeros((2, 2)))
+SECOND_MOMENT = cylindrical((SQUARES,), lambda t, m: np.sum(m, axis=-1), 0.0, np.ones(2), np.zeros((2, 2)))
+MEAN_SQUARE = cylindrical((COORDINATES,), lambda t, m: np.sum(m * m, axis=-1), 0.0, lambda t, m: 2.0 * m, 2.0 * np.eye(2))
+
+
+# every derivative moves with t and the particles:
+# u(t, mu) = (1 + t) E^mu[sin x_1 + sin x_2] + |E^mu x|^2
+STATE_DEPENDENT = cylindrical(
+    (SINES, COORDINATES),
+    lambda t, m: (1.0 + t) * np.sum(m[..., :2], axis=-1) + np.sum(m[..., 2:] * m[..., 2:], axis=-1),
+    lambda t, m: np.sum(m[..., :2], axis=-1),
+    lambda t, m: np.concatenate([np.broadcast_to(1.0 + np.asarray(t)[..., None], (*m.shape[:-1], 2)), 2.0 * m[..., 2:]], -1),
+    np.diag([0.0, 0.0, 2.0, 2.0]),
+)
+
+
+def lifted_errors(tf, t, cloud):
+    """tf's fields against central differences (step 3e-4) of ``value`` on
+    the lift U(x_1, ..., x_n) = u(t, mu^n), each as max |got - want| /
+    max(1, max |want|): "dmu" n grad U against dmu(x_i), "second" n^2 hess U
+    against d2mu(x_i, x_j) + delta_ij n dxdmu(x_i), "dt" against dt, and
+    "h_op" H u against mean_i dxdmu(x_i) + mean_{i,j} d2mu(x_i, x_j)."""
+    n, d = cloud.shape
+    size, h = n * d, 3e-4
+    steps = h * np.eye(size).reshape(size, n, d)
+
+    def lift(clouds):
+        return np.broadcast_to(tf.value(t, clouds), clouds.shape[:-2])
+
+    grad = (lift(cloud + steps) - lift(cloud - steps)) / (2 * h)
+    plus, minus = steps[:, None] + steps[None], steps[:, None] - steps[None]
+    hess = (lift(cloud + plus) - lift(cloud + minus) - lift(cloud - minus) + lift(cloud - plus)) / (4 * h * h)
+    dxdmu, d2mu = tf.dxdmu(t, cloud), tf.d2mu(t, cloud)
+    second = d2mu + n * np.eye(n)[:, :, None, None] * dxdmu[:, None]
+    fd_dt = (tf.value(t + h, cloud) - tf.value(t - h, cloud)) / (2 * h)
+
+    def rel(got, want):
+        return float(np.abs(got - want).max() / max(1.0, np.abs(want).max()))
+
+    return {
+        "dmu": rel(n * grad, tf.dmu(t, cloud).reshape(size)),
+        "second": rel(n * n * hess, second.transpose(0, 2, 1, 3).reshape(size, size)),
+        "dt": rel(fd_dt, tf.dt(t, cloud)),
+        "h_op": rel(tf.h_op(t, cloud), dxdmu.mean(axis=0) + d2mu.mean(axis=(0, 1))),
+    }
 
 
 class TableSolves:

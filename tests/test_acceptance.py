@@ -6,13 +6,13 @@ import math
 import time
 
 import numpy as np
+from conftest import LINEAR, MEAN_SQUARE, SECOND_MOMENT
 
 from mfhjb.control import (
     ActionSpace,
     CoefficientSet,
     SearchSpec,
     StepControl,
-    TestFunction,
     dpp_residual,
     hjb_residual,
     value_estimate,
@@ -20,7 +20,7 @@ from mfhjb.control import (
 from mfhjb.dynamics import SimConfig, ito_expectation_check, moment_checks
 from mfhjb.measures import ParticleEnsemble, sample_iid, translate
 from mfhjb.mollify import MollifierSpec, mollified, mollify_rate_sweep
-from mfhjb.scenarios import lq_test_function, lq_true_value, scenario
+from mfhjb.scenarios import _lq_minus, lq_test_function, lq_true_value, scenario
 from mfhjb.sliced_gauge import (
     GAUGE_SQUARE_FACTOR,
     GaugeAnchors,
@@ -197,32 +197,10 @@ def _ito_fixture():
             K=2.0, beta=1.0, action_space=space, d=d,
         )
 
-    pvec = np.array([0.7, -0.4])
-    tf_linear = TestFunction(
-        value=lambda t, cloud: float(np.mean(cloud @ pvec)),
-        dt=lambda t, cloud: 0.0,
-        dmu=lambda t, cloud: np.broadcast_to(pvec, cloud.shape).astype(float),
-        dxdmu=lambda t, cloud: np.zeros((cloud.shape[-2], d, d)),
-        h_op=lambda t, cloud: zero_mat,
-    )
-    tf_second = TestFunction(
-        value=lambda t, cloud: float(np.mean(np.sum(cloud**2, axis=1))),
-        dt=lambda t, cloud: 0.0,
-        dmu=lambda t, cloud: 2.0 * cloud,
-        dxdmu=lambda t, cloud: np.broadcast_to(2.0 * eye, (cloud.shape[-2], d, d)),
-        h_op=lambda t, cloud: 2.0 * eye,
-    )
-    tf_mean_sq = TestFunction(
-        value=lambda t, cloud: float(np.sum(cloud.mean(axis=-2) ** 2)),
-        dt=lambda t, cloud: 0.0,
-        dmu=lambda t, cloud: np.broadcast_to(2.0 * cloud.mean(axis=-2, keepdims=True), cloud.shape).astype(float),
-        dxdmu=lambda t, cloud: np.zeros((cloud.shape[-2], d, d)),
-        h_op=lambda t, cloud: 2.0 * eye,
-    )
     cases = [
-        ("linear/drift", make(b_const=[0.5, 0.3]), tf_linear),
-        ("second-moment/idio", make(sig=eye), tf_second),
-        ("mean-square/common", make(sig0=eye), tf_mean_sq),
+        ("linear/drift", make(b_const=[0.5, 0.3]), LINEAR),
+        ("second-moment/idio", make(sig=eye), SECOND_MOMENT),
+        ("mean-square/common", make(sig0=eye), MEAN_SQUARE),
     ]
     return cases
 
@@ -379,12 +357,7 @@ def test_c14_hjb_residual():
     p = np.array([1.0, -0.5])
     lq = scenario("lq_drift", {"d": 2, "p": p.tolist()})
     tf = lq_test_function(p, 1.0)
-    slope = 0.5
-    bumped = TestFunction(
-        value=lambda t, cloud: tf.value(t, cloud) - slope * t,
-        dt=lambda t, cloud: tf.dt(t, cloud) - slope,
-        dmu=tf.dmu, dxdmu=tf.dxdmu, h_op=tf.h_op,
-    )
+    bumped = _lq_minus(p, 1.0, 0.5, 0.0)
     rng = np.random.default_rng(141)
     worst = 0.0
     detected = 0

@@ -229,15 +229,28 @@ def test_bad_params_or_count_exits_one(tmp_path, sub, cfg):
         ("rates", {"reps": True}, "reps must be like its default 60, got true"),
         ("hjb-residual", {"t1": True}, "t1 must be like its default 1.0, got true"),
         ("n-sweep", {"ns": [8.5, 16]}, "ns must be like its default [8, 16, 32, 64], got [8.5, 16]"),
+        ("simulate", {"n": 8, "steps": 5, "params": {"sigma": True}},
+         "params.sigma must be like its default 0.3, got true"),
+        ("simulate", {"params": {"sigma": "0.3"}}, 'params.sigma must be like its default 0.3, got "0.3"'),
+        ("simulate", {"n": 8, "steps": 5, "init": {"kind": "gaussian", "std": True}},
+         "init.std must be like its default 1.0, got true"),
+        ("simulate", {"n": 8, "steps": 5, "init": {"kind": "mixture", "components": [{"kind": "gaussian", "weight": "2"}]}},
+         'init.components[0].weight must be like its default 1.0, got "2"'),
+        ("metric", {"shift": [True, 0.5]}, "shift must be a list of 2 numbers, got [true, 0.5]"),
+        ("simulate", {"n": 8, "steps": 5, "action": [True, 0.0]}, "action must be a list of numbers, got [true, 0.0]"),
     ],
     ids=[
         "simulate-n-string", "simulate-n-float", "simulate-n-bool", "simulate-steps-float",
         "metric-sigma-bool", "rates-reps-bool", "hjb-residual-t1-bool", "n-sweep-ns-float-entry",
+        "simulate-params-bool", "simulate-params-string", "simulate-init-bool", "simulate-component-weight-string",
+        "metric-shift-bool-entry", "simulate-action-bool-entry",
     ],
 )
 def test_wrong_type_exits_one_and_names_the_key(tmp_path, sub, cfg, message):
     # a value must have its default's JSON type: an int no float or bool, a
-    # float no bool, a list entries like the default's
+    # float no bool, a list entries like the default's; so must a value
+    # inside params, init or a mixture component, where a float also takes
+    # a list of numbers
     proc = _run_module(tmp_path, sub, cfg)
     assert proc.returncode == 1
     assert proc.stderr == f"error: bad config: {message}\n"

@@ -3,25 +3,35 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import record_path
+from conftest import LINEAR, MEAN_SQUARE, SECOND_MOMENT, STATE_DEPENDENT, lifted_errors, record_path
 
 from mfhjb.control import (
+    COORDINATES,
     ActionSpace,
     CoefficientSet,
     SearchSpec,
     StepControl,
-    TestFunction,
     _exhaustive_policies,
     cost_j,
+    cylindrical,
     dpp_residual,
-    h_via_second_derivative,
     hjb_residual,
     value_estimate,
     viscosity_check,
 )
 from mfhjb.dynamics import SimConfig, simulate
 from mfhjb.measures import ParticleEnsemble, sample_iid
-from mfhjb.scenarios import lq_test_function, lq_true_value, scenario
+from mfhjb.scenarios import _lq_minus, lq_test_function, lq_true_value, scenario
+
+TEST_FUNCTIONS = {
+    "lq": lq_test_function(np.array([1.0, -0.5]), 1.0),
+    "lq-minus": _lq_minus(np.array([1.0, -0.5]), 1.0, 0.4, 3.0),
+    "linear": LINEAR,
+    "second-moment": SECOND_MOMENT,
+    "mean-square": MEAN_SQUARE,
+    "state-dependent": STATE_DEPENDENT,
+    "constant": cylindrical((COORDINATES,), 5.0, 0.0, np.zeros(2), np.zeros((2, 2))),
+}
 
 
 def test_action_space_box():
@@ -324,15 +334,8 @@ def test_hjb_residual_lq_exact_zero():
 
 def test_hjb_residual_constant_candidate():
     zero = scenario("zero")
-    const = TestFunction(
-        value=lambda t, cloud: 5.0,
-        dt=lambda t, cloud: 0.0,
-        dmu=lambda t, cloud: np.zeros_like(cloud),
-        dxdmu=lambda t, cloud: np.zeros((cloud.shape[-2], 2, 2)),
-        h_op=lambda t, cloud: np.zeros((2, 2)),
-    )
     mu = sample_iid({"kind": "gaussian"}, 8, 2, seed=16)
-    assert hjb_residual(zero, const, 0.2, mu) == 0.0
+    assert hjb_residual(zero, TEST_FUNCTIONS["constant"], 0.2, mu) == 0.0
 
 
 def test_hjb_residual_invariant_under_additive_constants():
@@ -341,10 +344,7 @@ def test_hjb_residual_invariant_under_additive_constants():
     p = np.array([0.8, 0.6])
     lq = scenario("lq_drift", {"d": 2, "p": p.tolist()})
     tf = lq_test_function(p, 1.0)
-    shifted = TestFunction(
-        value=lambda t, cloud: tf.value(t, cloud) - 3.0,
-        dt=tf.dt, dmu=tf.dmu, dxdmu=tf.dxdmu, h_op=tf.h_op,
-    )
+    shifted = _lq_minus(p, 1.0, 0.0, 3.0)
     mu = sample_iid({"kind": "gaussian", "std": 0.4}, 10, 2, seed=17)
     assert hjb_residual(lq, tf, 0.4, mu) == hjb_residual(lq, shifted, 0.4, mu)
 
@@ -361,34 +361,37 @@ def test_viscosity_check_closed_form_and_negative_control():
     rep = viscosity_check(lq, tf, probes)
     assert rep["sub_all"] and rep["super_all"]
 
-    slope = 0.4
-    bumped = TestFunction(
-        value=lambda t, cloud: tf.value(t, cloud) - slope * t,
-        dt=lambda t, cloud: tf.dt(t, cloud) - slope,
-        dmu=tf.dmu, dxdmu=tf.dxdmu, h_op=tf.h_op,
-    )
-    rep2 = viscosity_check(lq, bumped, probes)
+    rep2 = viscosity_check(lq, _lq_minus(p, 1.0, 0.4, 0.0), probes)
     assert not rep2["sub_all"]
     assert all(r["residual"] < -1e-6 for r in rep2["probes"])
 
 
-def test_h_via_second_derivative_cross_check():
-    d = 2
-    tf = TestFunction(
-        value=lambda t, cloud: float(np.sum(cloud.mean(axis=-2) ** 2)),
-        dt=lambda t, cloud: 0.0,
-        dmu=lambda t, cloud: np.broadcast_to(2.0 * cloud.mean(axis=-2, keepdims=True), cloud.shape).astype(float),
-        dxdmu=lambda t, cloud: np.zeros((cloud.shape[-2], d, d)),
-        h_op=lambda t, cloud: 2.0 * np.eye(d),
-        d2mu=lambda t, cloud: np.tile(2.0 * np.eye(d), (cloud.shape[-2], cloud.shape[-2], 1, 1)),
-    )
-    ens = sample_iid({"kind": "gaussian"}, 20, d, seed=19)
-    np.testing.assert_allclose(h_via_second_derivative(tf, 0.0, ens), tf.h_op(0.0, ens.points), atol=1e-12)
-    bare = TestFunction(
-        value=tf.value, dt=tf.dt, dmu=tf.dmu, dxdmu=tf.dxdmu, h_op=tf.h_op
-    )
-    with pytest.raises(ValueError):
-        h_via_second_derivative(bare, 0.0, ens)
+@pytest.mark.parametrize("name", sorted(TEST_FUNCTIONS))
+def test_lifted_check_passes_on_every_fixture(name):
+    cloud = np.random.default_rng(19).standard_normal((4, 2)) * 0.6
+    errors = lifted_errors(TEST_FUNCTIONS[name], 0.3, cloud)
+    assert max(errors.values()) <= 1e-6, errors
+
+
+@pytest.mark.parametrize("field, caught_by", [("h_op", "h_op"), ("d2mu", "second"), ("dxdmu", "second")])
+def test_lifted_check_rejects_a_one_percent_error(field, caught_by):
+    tf = STATE_DEPENDENT
+    scaled = replace(tf, **{field: lambda t, cloud: 1.01 * getattr(tf, field)(t, cloud)})
+    cloud = np.random.default_rng(19).standard_normal((4, 2)) * 0.6
+    assert lifted_errors(scaled, 0.3, cloud)[caught_by] > 1e-3
+
+
+@pytest.mark.parametrize("name", sorted(TEST_FUNCTIONS))
+def test_fields_give_each_cloud_of_a_batch_its_bits_alone(name):
+    # 150 particles: past numpy's 128-element pairwise-summation block
+    tf = TEST_FUNCTIONS[name]
+    clouds = np.random.default_rng(20).standard_normal((3, 150, 2))
+    times = np.array([0.1, 0.4, 0.7])
+    for field in ("value", "dt", "dmu", "dxdmu", "d2mu", "h_op"):
+        batch = getattr(tf, field)(times, clouds)
+        for p, (t, cloud) in enumerate(zip(times, clouds)):
+            alone = np.asarray(getattr(tf, field)(float(t), cloud))
+            np.testing.assert_array_equal(np.broadcast_to(batch, (3,) + alone.shape)[p], alone, err_msg=field)
 
 
 def test_cost_j_matches_step_loop_mean_reversion():

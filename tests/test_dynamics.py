@@ -3,13 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import record_path
+from conftest import LINEAR, MEAN_SQUARE, P_LINEAR, SECOND_MOMENT, STATE_DEPENDENT, record_path
 
 from mfhjb.control import (
     ActionSpace,
     CoefficientSet,
     StepControl,
-    TestFunction,
     cost_j,
     hjb_residual,
 )
@@ -298,57 +297,33 @@ def test_bad_noise_ids_raise(ids, match):
 
 
 def test_ito_linear_functional():
-    pvec = np.array([0.7, -0.4])
     cvec = np.array([0.5, 0.3])
-    tf = TestFunction(
-        value=lambda t, cloud: float(np.mean(cloud @ pvec)),
-        dt=lambda t, cloud: 0.0,
-        dmu=lambda t, cloud: np.broadcast_to(pvec, cloud.shape).astype(float),
-        dxdmu=lambda t, cloud: np.zeros((cloud.shape[-2], D, D)),
-        h_op=lambda t, cloud: ZERO,
-    )
     init = sample_iid({"kind": "gaussian", "std": 0.3}, 256, D, seed=7)
     cfg = SimConfig(n=256, steps=20, t0=0.0, t1=1.0, seed=13)
-    rec = ito_expectation_check(const_coeffs(b_const=cvec), init, tf, cfg, ZERO_POLICY, paths=8)
+    rec = ito_expectation_check(const_coeffs(b_const=cvec), init, LINEAR, cfg, ZERO_POLICY, paths=8)
     assert rec["gap"] == pytest.approx(0.0, abs=1e-12)
-    assert rec["lhs"] == pytest.approx(float(pvec @ cvec), rel=1e-10)
+    assert rec["lhs"] == pytest.approx(float(P_LINEAR @ cvec), rel=1e-10)
 
 
 def test_ito_second_moment():
-    tf = TestFunction(
-        value=lambda t, cloud: float(np.mean(np.sum(cloud**2, axis=1))),
-        dt=lambda t, cloud: 0.0,
-        dmu=lambda t, cloud: 2.0 * cloud,
-        dxdmu=lambda t, cloud: np.broadcast_to(2.0 * EYE, (cloud.shape[-2], D, D)),
-        h_op=lambda t, cloud: 2.0 * EYE,
-    )
     init = sample_iid({"kind": "point_mass", "center": [0.0, 0.0]}, 2048, D, seed=0)
     cfg = SimConfig(n=2048, steps=25, t0=0.0, t1=1.0, seed=14)
-    rec = ito_expectation_check(const_coeffs(sig=EYE), init, tf, cfg, ZERO_POLICY, paths=16)
+    rec = ito_expectation_check(const_coeffs(sig=EYE), init, SECOND_MOMENT, cfg, ZERO_POLICY, paths=16)
     assert abs(rec["gap"]) <= 3 * rec["stderr"] + 2 * cfg.dt
     assert rec["rhs"] == pytest.approx(float(D), rel=1e-10)
 
 
 def test_ito_squared_mean_common_noise():
-    tf = TestFunction(
-        value=lambda t, cloud: float(np.sum(cloud.mean(axis=-2) ** 2)),
-        dt=lambda t, cloud: 0.0,
-        dmu=lambda t, cloud: np.broadcast_to(2.0 * cloud.mean(axis=-2, keepdims=True), cloud.shape).astype(float),
-        dxdmu=lambda t, cloud: np.zeros((cloud.shape[-2], D, D)),
-        h_op=lambda t, cloud: 2.0 * EYE,
-    )
     init = sample_iid({"kind": "point_mass", "center": [0.0, 0.0]}, 512, D, seed=0)
     cfg = SimConfig(n=512, steps=25, t0=0.0, t1=1.0, seed=15)
-    rec = ito_expectation_check(const_coeffs(sig0=EYE), init, tf, cfg, ZERO_POLICY, paths=96)
+    rec = ito_expectation_check(const_coeffs(sig0=EYE), init, MEAN_SQUARE, cfg, ZERO_POLICY, paths=96)
     assert abs(rec["gap"]) <= 3 * rec["stderr"] + 2 * cfg.dt
     assert rec["rhs"] == pytest.approx(float(D), rel=1e-10)
 
 
 def _state_dependent_case():
     # diagonal sigma(x) of shape (..., n, d, d), time-dependent sigma0(t) of
-    # shape t.shape + (d, d), and a test function whose every derivative
-    # moves with t and the particles:
-    # u(t, mu) = (1 + t) E^mu[sin x_1 + sin x_2] + |E^mu x|^2
+    # shape t.shape + (d, d), and conftest's STATE_DEPENDENT test function
     mix = np.array([[1.0, 0.0], [0.5, 1.0]])
 
     def drift(t, x, cloud, a):
@@ -365,19 +340,7 @@ def _state_dependent_case():
         action_space=SPACE,
         d=D,
     )
-
-    def scale(t):
-        return 1.0 + np.asarray(t)[..., None, None]
-
-    tf = TestFunction(
-        value=lambda t, cloud: (1.0 + t) * np.sin(cloud).sum(axis=-1).mean(axis=-1)
-        + np.sum(cloud.mean(axis=-2) ** 2, axis=-1),
-        dt=lambda t, cloud: np.sin(cloud).sum(axis=-1).mean(axis=-1),
-        dmu=lambda t, cloud: scale(t) * np.cos(cloud) + 2.0 * cloud.mean(axis=-2, keepdims=True),
-        dxdmu=lambda t, cloud: -(scale(t) * np.sin(cloud))[..., None] * EYE,
-        h_op=lambda t, cloud: -scale(t) * np.sin(cloud).mean(axis=-2)[..., None] * EYE + 2.0 * EYE,
-    )
-    return coeffs, tf
+    return coeffs, STATE_DEPENDENT
 
 
 def _step_terms(coeffs, tf, t, x, a):
@@ -503,16 +466,9 @@ def _ito_on_recorded_paths(coeffs, init, tf, cfg, policy, paths):
 
 def _second_moment_case():
     # c07's second-moment case: idiosyncratic noise only
-    tf = TestFunction(
-        value=lambda t, cloud: float(np.mean(np.sum(cloud**2, axis=1))),
-        dt=lambda t, cloud: 0.0,
-        dmu=lambda t, cloud: 2.0 * cloud,
-        dxdmu=lambda t, cloud: np.broadcast_to(2.0 * EYE, (cloud.shape[-2], D, D)),
-        h_op=lambda t, cloud: 2.0 * EYE,
-    )
     init = sample_iid({"kind": "point_mass", "center": [0.0, 0.0]}, 200, D, seed=0)
     cfg = SimConfig(n=200, steps=30, t0=0.0, t1=1.0, seed=707)
-    return const_coeffs(sig=EYE), init, tf, cfg, ZERO_POLICY
+    return const_coeffs(sig=EYE), init, SECOND_MOMENT, cfg, ZERO_POLICY
 
 
 def _state_dependent_run():
